@@ -5,7 +5,8 @@ matrices, section coefficients, chains) and runs one of the subcommands
 ``build``, ``rank``, ``series``, ``verify``, ``period``, ``chain``.
 Reports are deterministic: identical job files and options produce
 byte-identical output.  Exit codes: 0 success, 2 job-file problems,
-3 mathematical degeneracy, 4 numerical non-convergence.
+3 mathematical degeneracy, 4 numerical non-convergence, 5 a ``verify``
+candidate with a nonzero symbolic residual.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import DegeneracyError, GkzForgeError, JobFileError
+from .errors import CertificateFailed, DegeneracyError, GkzForgeError, JobFileError
 from . import lattice, series, tautsys, periods
 
 SCHEMA_VERSION = 1
@@ -335,10 +336,13 @@ def cmd_verify(job, args):
                 "max_abs": rep.max_abs,
             }
         )
+    failed = [rep.operator.render() for rep in reports if not rep.clean]
+    verdict = "failed" if failed else "certified"
     machine = {
         "command": "verify",
         "symbolic": machine_ops,
-        "all_clean": all(r.clean for r in reports),
+        "all_clean": not failed,
+        "verdict": verdict,
     }
     if job.section is not None:
         fd = periods.finite_difference_residual(
@@ -362,6 +366,10 @@ def cmd_verify(job, args):
             )
         machine["finite_difference"] = fd_ops
     _emit(args, text, machine)
+    if failed:
+        raise CertificateFailed(
+            "symbolic residual NONZERO under " + "; ".join(failed)
+        )
 
 
 def _sampled_candidate(job, spec, cand):

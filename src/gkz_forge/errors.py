@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The command line tool maps these onto exit codes: job-file problems exit
-with 2, mathematical degeneracies with 3, numerical non-convergence with 4.
+with 2, mathematical degeneracies with 3, numerical non-convergence with 4,
+a failed annihilation certificate with 5.
 """
 
 
@@ -27,6 +28,12 @@ class NumericalError(GkzForgeError):
     """A numerical routine failed to reach its target accuracy."""
 
     exit_code = 4
+
+
+class CertificateFailed(GkzForgeError):
+    """A candidate has a nonzero trusted symbolic residual under the system."""
+
+    exit_code = 5
 
 
 # -- lattice ---------------------------------------------------------------

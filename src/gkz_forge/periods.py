@@ -582,10 +582,8 @@ def finite_difference_residual(
             order = math.log2(abs(r1) / abs(r2)) if abs(r2) else None
         else:
             order = None
-        if accuracy == 4:
-            rich = (16.0 * r2 - r1) / 15.0
-        else:
-            rich = (4.0 * r2 - r1) / 3.0
+        # the leading error term is O(h^accuracy), so halving h divides it by 2^accuracy
+        rich = (2**accuracy * r2 - r1) / (2**accuracy - 1)
         reports.append(
             OperatorFD(
                 operator=op,

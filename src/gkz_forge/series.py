@@ -577,46 +577,70 @@ class OperatorResidual:
     max_abs: float
 
 
-def _apply_partial(pieces, i):
-    out = defaultdict(lambda: Fraction(0))
-    for (e, m), c in pieces.items():
-        if e[i] != 0:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[(e2, m)] += c * e[i]
-        if m[i] > 0:
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            m2 = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            out[(e2, m2)] += c * m[i]
-    return {k: c for k, c in out.items() if c != 0}
+def _derivative_table(e, m, k):
+    """One variable's factor of ``d^k (a^e log(a)^m)`` as ``(log power, K)`` pairs.
+
+    ``d^k (a^e log^m a) = sum_j K_j a^(e-k) log^(m-j) a``; only the nonzero
+    ``K_j`` are listed, as ints when the exponent ``e`` is an integer.
+    """
+    if e.denominator == 1:
+        e = int(e)
+    coeffs = [1] + [0] * min(k, m)
+    for t in range(k):
+        # d (a^(e-t) log^(m-j)) = (e-t) a^(e-t-1) log^(m-j) + (m-j) a^(e-t-1) log^(m-j-1)
+        for j in range(len(coeffs) - 1, 0, -1):
+            coeffs[j] = (e - t) * coeffs[j] + (m - j + 1) * coeffs[j - 1]
+        coeffs[0] *= e - t
+    return tuple((m - j, c) for j, c in enumerate(coeffs) if c != 0)
 
 
 def apply_operator(op, series: LogSeries) -> dict:
     """Raw term map of ``op`` applied to ``series`` (offset, logpow) -> coeff.
 
-    The action is exact on every term: ``a_i d_i`` scales by the exponent,
-    ``d_i`` shifts exponents down and differentiates logarithm factors.
-    Contributions are accumulated in a fixed order so float summation is
-    deterministic.
+    The operator term ``c a^u d^w`` sends ``a^(gamma+v) log^m`` to a product
+    of one-variable factors: ``d_i^k`` maps ``a_i^e log^(m_i) a_i`` to
+    ``sum_j K(e, m_i, k, j) a_i^(e-k) log^(m_i-j) a_i``.  Each factor table is
+    computed once per call in exact arithmetic and cached by
+    ``(i, v_i, m_i, k)``, and an image term is keyed by the integer offset
+    ``v - w + u`` and its log multi-index, so no exponent is ever formed.
+    Contributions to a key are summed in a fixed order (series terms in
+    ``sorted_terms`` order, then operator terms in sorted order), so float
+    summation is deterministic.
     """
-    const_terms = sorted(op.constant_coefficients().items())
-    bucket = defaultdict(list)
+    gamma = series.gamma
+    op_terms = [
+        (
+            tuple(ui - wi for ui, wi in zip(u, w)),
+            tuple((i, k) for i, k in enumerate(w) if k),
+            int(oc) if oc.denominator == 1 else oc,
+        )
+        for (u, w), oc in sorted(op.constant_coefficients().items())
+    ]
+    tables = {}
+    acc = {}
     for (v, m), coeff in series.sorted_terms():
-        e = series.exponent(v)
-        for (u, w), oc in const_terms:
-            pieces = {(e, m): coeff * oc}
-            for i, wi in enumerate(w):
-                for _ in range(wi):
-                    pieces = _apply_partial(pieces, i)
-                    if not pieces:
-                        break
-            for (e2, m2), c2 in sorted(pieces.items()):
-                v2 = tuple(
-                    int(e2[i] - series.gamma[i]) + u[i] for i in range(series.nvars)
-                )
-                bucket[(v2, m2)].append(c2)
+        for shift, active, oc in op_terms:
+            images = [(m, oc)]
+            for i, k in active:
+                key = (i, v[i], m[i], k)
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = _derivative_table(gamma[i] + v[i], m[i], k)
+                mi = m[i]
+                images = [
+                    (m2 if mj == mi else m2[:i] + (mj,) + m2[i + 1 :], f * K)
+                    for m2, f in images
+                    for mj, K in table
+                ]
+            v2 = tuple([a + b for a, b in zip(v, shift)])
+            for m2, f in images:
+                c = coeff * f
+                key = (v2, m2)
+                prev = acc.get(key)
+                acc[key] = c if prev is None else prev + c
     out = {}
-    for key in sorted(bucket):
-        total = sum(bucket[key][1:], start=bucket[key][0])
+    for key in sorted(acc):
+        total = acc[key]
         if total != 0:
             out[key] = total
     return out
@@ -708,18 +732,31 @@ def count_independent(series_list) -> int:
     series_list = list(series_list)
     if not series_list:
         return 0
-    keys = set()
+    # a^(gamma+v) with gamma = floor + frac is keyed by the index of the
+    # fractional class frac and the integer exponent floor + v
+    classes = {}
+    keyed = []
     for s in series_list:
-        for (v, m) in s.terms:
-            keys.add((s.exponent(v), m))
-    keys = sorted(keys)
+        floor = tuple(math.floor(g) for g in s.gamma)
+        cls = classes.setdefault(
+            tuple(g - f for g, f in zip(s.gamma, floor)), len(classes)
+        )
+        keyed.append(
+            {
+                (cls, tuple([f + x for f, x in zip(floor, v)]), m): c
+                for (v, m), c in s.terms.items()
+            }
+        )
+    column = {key: j for j, key in enumerate(sorted(set().union(*keyed)))}
     exact = all(
         isinstance(c, Fraction) for s in series_list for c in s.terms.values()
     )
     rows = []
-    for s in series_list:
-        lookup = {(s.exponent(v), m): c for (v, m), c in s.terms.items()}
-        rows.append([lookup.get(k, Fraction(0)) for k in keys])
+    for terms in keyed:
+        row = [0] * len(column)
+        for key, c in terms.items():
+            row[column[key]] = c
+        rows.append(row)
     if exact:
         return intlinalg.rank(rows)
     import numpy as np

@@ -110,7 +110,7 @@ def test_verify_constant_flags_euler(tmp_path, capsys):
     job.pop("section")
     job["candidate"] = {"type": "constant", "value": 1}
     code, out, _ = run(capsys, ["verify", "--input", write_job(tmp_path, job)])
-    assert code == 0
+    assert code == 5
     assert "NONZERO" in out
 
 
@@ -124,6 +124,26 @@ def test_verify_period_series_clean(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_clean"] is True
+
+
+def test_exit_code_5_on_failed_certificate(tmp_path, capsys):
+    job = dict(UNIPOTENT_JOB)
+    job["candidate"] = {"type": "monomial", "exponents": ["-2", "0", "0"]}
+    code, out, err = run(
+        capsys,
+        ["verify", "--input", write_job(tmp_path, job), "--report", "machine"],
+    )
+    assert code == 5
+    data = json.loads(out)
+    assert data["verdict"] == "failed" and data["all_clean"] is False
+    assert "a1 d1 + a2 d2 + a3 d3 + 1" in err
+
+    code, out, _ = run(
+        capsys,
+        ["verify", "--input", write_job(tmp_path, UNIPOTENT_JOB), "--report", "machine"],
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified"
 
 
 def test_period_and_chain(tmp_path, capsys):

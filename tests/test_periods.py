@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -357,6 +358,23 @@ class TestFiniteDifference:
         euler = rep.reports[1]
         assert euler.observed_order is not None
         assert 3.5 < euler.observed_order < 4.5
+
+    @pytest.mark.parametrize("accuracy", [4, 6])
+    def test_richardson_factor_is_two_to_the_accuracy(self, accuracy):
+        # exp(a1) is no solution: the Euler residual is (a1 + 1) exp(a1)
+        spec = tautsys.unipotent_p1_system()
+        a0 = (0.8, 0.7, 1.3)
+        rep = finite_difference_residual(
+            spec, lambda a: cmath.exp(a[0]), a0, h=0.1, accuracy=accuracy
+        )
+        euler = rep.reports[1]
+        r1, r2 = euler.residual, euler.residual_refined
+        factor = 2**accuracy
+        assert abs(r1 - r2) > 1e-11
+        expected = (factor * r2 - r1) / (factor - 1)
+        assert abs(euler.richardson - expected) <= 1e-6 * abs(r1 - r2)
+        exact = (a0[0] + 1) * math.exp(a0[0])
+        assert abs(euler.richardson - exact) < abs(r2 - exact)
 
     def test_period_series_function(self):
         A = A_SEG

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from gkz_forge import lattice, series, tautsys
 from gkz_forge.errors import DegreeViolation, TruncationTooSmall, UnsupportedFamily
+from gkz_forge.weyl import WeylElement
 from gkz_forge.series import (
     annihilate_check,
+    apply_operator,
     count_independent,
     frobenius_basis,
     gamma_series,
@@ -202,6 +206,88 @@ class TestAnnihilateCheck:
         for s in frobenius_basis(spec, order=5):
             for (v, m) in s.terms:
                 assert sum(s.exponent(v)) == -1
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def log_series_and_operator(draw):
+    """One or two terms c a^(gamma+v) log^m (rational gamma, log powers <= 2)
+    and a normal-ordered Weyl operator, on 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    gamma = tuple(draw(st.lists(rationals, min_size=n, max_size=n)))
+    offsets = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple)
+    logs = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    terms = draw(
+        st.dictionaries(st.tuples(offsets, logs), rationals.filter(bool), min_size=1, max_size=2)
+    )
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    op_terms = draw(
+        st.dictionaries(st.tuples(exponents, exponents), rationals, min_size=1, max_size=3)
+    )
+    return series.LogSeries(gamma=gamma, terms=terms), WeylElement(n, op_terms)
+
+
+def _sympy_terms(expr, syms):
+    """Expanded sympy expression -> {(exponents, log powers): Fraction}."""
+    known = set(syms) | {sp.log(x) for x in syms} | {sp.S.One}
+    out = {}
+    for term in sp.Add.make_args(sp.expand(expr)):
+        c, rest = term.as_coeff_Mul()
+        if c == 0:
+            continue
+        powers = rest.as_powers_dict()
+        assert set(powers) <= known, f"unexpected factor in {term}"
+        exps = tuple(Fraction(str(powers.get(x, 0))) for x in syms)
+        logs = tuple(int(powers.get(sp.log(x), 0)) for x in syms)
+        key = (exps, logs)
+        out[key] = out.get(key, 0) + Fraction(str(c))
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _rational(q):
+    return sp.Rational(q.numerator, q.denominator)
+
+
+class TestApplyOperator:
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(log_series_and_operator())
+    def test_against_sympy_diff(self, case):
+        s, op = case
+        syms = sp.symbols(f"a1:{s.nvars + 1}", positive=True)
+        f = 0
+        for (v, m), c in s.terms.items():
+            term = _rational(c)
+            for x, e, k in zip(syms, s.exponent(v), m):
+                term *= x ** _rational(e) * sp.log(x) ** k
+            f += term
+        image = 0
+        for (u, w), oc in op.constant_coefficients().items():
+            term = f
+            for x, k in zip(syms, w):
+                term = sp.diff(term, x, k)
+            for x, k in zip(syms, u):
+                term *= x**k
+            image += _rational(oc) * term
+        mine = {
+            (s.exponent(v), m): c for (v, m), c in apply_operator(op, s).items()
+        }
+        assert mine == _sympy_terms(image, syms)
+
+    def test_perturbed_log_term_is_flagged(self):
+        spec = make_spec(HESSE, 2)
+        basis = frobenius_basis(spec, order=8)
+        s = basis[-1]
+        (key, c) = next((k, c) for k, c in s.sorted_terms() if any(k[1]))
+        assert all(r.clean for r in annihilate_check(spec, s))
+        bumped = series.LogSeries(
+            gamma=s.gamma,
+            terms={**s.terms, key: c + 1},
+            lattice=s.lattice,
+            radius=s.radius,
+        )
+        assert not all(r.clean for r in annihilate_check(spec, bumped))
 
 
 class TestCountIndependent:
