@@ -284,7 +284,8 @@ def cmd_series(job, args):
     basis = series.frobenius_basis(
         spec, order=job.order, jet_order=job.jet
     )
-    count = series.count_independent(basis)
+    # frobenius_basis only returns linearly independent lists
+    count = len(basis)
     text = [f"frobenius basis: {len(basis)} series, {count} independent"]
     for k, s in enumerate(basis):
         text.append(f"-- series {k} --")

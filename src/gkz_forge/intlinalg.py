@@ -38,28 +38,44 @@ def det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def rank(rows):
-    """Rank of an integer (or rational) matrix via fraction-free elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
+def _gauss_jordan(a, ncols):
+    """Reduce the rows ``a`` in place to reduced row echelon form.
+
+    Pivots are searched in the first ``ncols`` columns, first nonzero entry
+    first; columns beyond them (a right-hand side) are carried along.
+    Returns the pivot columns.  Entries stay ints until elimination touches
+    them, and a row update only visits the pivot row's nonzero columns.
+    """
+    m = len(a)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        row = a[r]
+        inv = 1 / Fraction(row[col])
+        # entries left of col vanish in every row from r on
+        support = [j for j in range(col, len(row)) if row[j] != 0]
+        for j in support:
+            row[j] *= inv
         for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
+            f = a[i][col]
+            if i != r and f != 0:
+                other = a[i]
+                for j in support:
+                    other[j] -= f * row[j]
+        pivots.append(col)
+        if len(pivots) == m:
             break
-    return r
+    return pivots
+
+
+def rank(rows):
+    """Rank of an integer (or rational) matrix, exactly."""
+    a = [list(r) for r in rows]
+    return len(_gauss_jordan(a, len(a[0]))) if a else 0
 
 
 def hermite_form(rows, transform=False):
@@ -202,32 +218,14 @@ def solve_rational(rows, rhs):
     Deterministic: Gauss-Jordan with first-nonzero pivoting, and free
     variables pinned to zero.
     """
-    a = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(rows, rhs)]
-    m = len(a)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    a = [list(r) + [y] for r, y in zip(rows, rhs)]
+    n = len(rows[0]) if a else 0
+    pivots = _gauss_jordan(a, n)
+    if any(a[i][n] != 0 for i in range(len(pivots), len(a))):
+        return None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        x[col] = a[i][n]
+        x[col] = Fraction(a[i][n])
     return tuple(x)
 
 

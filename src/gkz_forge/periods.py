@@ -4,9 +4,15 @@ The torus-cycle period of a section is computed two ways: as an exact
 constant-term series near a dominant interior monomial, and by trapezoidal
 quadrature on a product torus (spectrally accurate for analytic
 integrands).  Chain integrals over paths reaching the toric boundary are
-integrated segment by segment with adaptive Gauss-Legendre quadrature in a
-chart in which the integrand extends holomorphically across the flagged
-endpoints; reaching infinity is handled by inverting the coordinate.
+integrated in a chart in which the integrand extends holomorphically across
+the flagged endpoints (reaching infinity is handled by inverting the
+coordinate), by one global adaptive Gauss-Kronrod (7, 15) integrator that
+evaluates the chart's rational form by Horner's rule on whole node arrays.
+It stops when the summed error estimate is at most tol and raises
+NonConvergent when tol is below the roundoff floor (eps times the integral
+of |f| (50 + cond), cond the condition number of the Horner sums), when its
+evaluation budget runs out, or when an interval can no longer be split; a
+returned error is never above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
@@ -119,7 +125,6 @@ class ChainSpec:
 @dataclass(frozen=True)
 class QuadratureSettings:
     tol: float = 1e-10
-    gl_nodes: int = 15
     max_evals: int = 2**20
     clearance: float = 1e-6
 
@@ -239,8 +244,16 @@ def numeric_cycle_integral(
 # -- chart rational forms (one-dimensional chains) --------------------------------
 
 
-def _laurent_eval(poly, x):
-    return sum(c * x**e for e, c in sorted(poly.items()))
+def _horner(poly, x):
+    """Laurent polynomial ``{exponent: coefficient}`` at ``x`` by Horner's rule.
+
+    ``x`` may be a scalar or a numpy array of any shape.
+    """
+    low, high = min(poly), max(poly)
+    value = poly[high]
+    for e in range(high - 1, low - 1, -1):
+        value = value * x + poly.get(e, 0)
+    return value * x**low if low else value
 
 
 def _chart_pair(s: SectionData, general_type=False):
@@ -289,10 +302,14 @@ def _normalize_pair(num, den):
     return {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
 
 
-def _segment_quadrature(num, den, seg: Segment, quad, clearance):
-    """Integrate the rational form over one segment (1d chart)."""
-    if seg.is_null():
-        return 0j, 0.0, 0
+def _segment_integrand(num, den, seg: Segment, clearance):
+    """The chart integrand of one segment as a function of ``t`` in [0, 1].
+
+    The returned function maps an array of parameters to the array of
+    ``num(x) / den(x) * dx/dt`` by Horner's rule on the whole array.  Raises
+    PoleNearPath when the denominator nearly vanishes at one of 129 equally
+    spaced parameters.
+    """
     if seg.start_flags[0] and seg.end_flags[0]:
         raise DegeneracyError(
             "a segment with both endpoints on the boundary must be split"
@@ -316,57 +333,165 @@ def _segment_quadrature(num, den, seg: Segment, quad, clearance):
         )
 
     if aflag:
-        x = lambda t: b * t
-        dx = lambda t: b
+        path = lambda t: (b * t, b)
     elif bflag:
-        x = lambda t: a * (1.0 - t)
-        dx = lambda t: -a
+        path = lambda t: (a * (1.0 - t), -a)
     else:
-        ratio = b / a
-        w = cmath.log(ratio)
-        x = lambda t: a * cmath.exp(t * w)
-        dx = lambda t: a * w * cmath.exp(t * w)
+        w = cmath.log(b / a)
 
+        def path(t):
+            x = a * np.exp(t * w)
+            return x, w * x
+
+    num_abs = {e: abs(c) for e, c in num.items()}
+    den_abs = {e: abs(c) for e, c in den.items()}
     # pole clearance along the path
-    for k in range(129):
-        t = k / 128.0
-        xt = x(t)
-        scale = sum(abs(c) * abs(xt) ** e for e, c in den.items())
-        if abs(_laurent_eval(den, xt)) < clearance * max(scale, 1e-300):
-            raise PoleNearPath(f"denominator nearly vanishes at t = {t:.4f}")
+    t = np.arange(129) / 128.0
+    x, _ = path(t)
+    scale = _horner(den_abs, np.abs(x))
+    near = np.abs(_horner(den, x)) < clearance * np.maximum(scale, 1e-300)
+    if near.any():
+        raise PoleNearPath(
+            f"denominator nearly vanishes at t = {t[np.argmax(near)]:.4f}"
+        )
 
     def integrand(t):
-        xt = x(t)
-        return _laurent_eval(num, xt) / _laurent_eval(den, xt) * dx(t)
+        x, dx = path(t)
+        top, bottom = _horner(num, x), _horner(den, x)
+        # an estimate of the rounding error of f: 50 eps |f| for the sums,
+        # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
+        # of numerator and denominator, which blow up beside a pole (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
+        cond = _horner(den_abs, np.abs(x)) / np.abs(bottom)
+        noise = _EPS * np.abs(dx / bottom) * (
+            (_ROUNDOFF + cond) * np.abs(top) + _horner(num_abs, np.abs(x))
+        )
+        return top / bottom * dx, noise
 
-    return _adaptive_gl(integrand, quad)
+    return integrand
 
 
-def _adaptive_gl(fn, quad: QuadratureSettings):
-    nodes, weights = np.polynomial.legendre.leggauss(quad.gl_nodes)
-    evals = [0]
+# Gauss-Kronrod 15-point rule on [-1, 1] (QUADPACK qk15, Piessens et al.
+# 1983): the nonnegative Kronrod nodes, their weights, and the weights of
+# the embedded 7-point Gauss rule on the nodes of odd index.
+_KRONROD_HALF = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+)
+_GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
+    [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
+).T
+_EPS = np.finfo(float).eps
+# the rounding error of a quadrature sum, in units of eps |f|
+_ROUNDOFF = 50
+# an interval narrower than this in t is not split again
+_MIN_WIDTH = 1000 * _EPS
 
-    def gl(a, b):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        evals[0] += len(nodes)
-        if evals[0] > quad.max_evals:
-            raise NonConvergent("adaptive quadrature exceeded its evaluation budget")
-        return half * sum(w * fn(mid + half * t) for t, w in zip(nodes, weights))
 
-    def recurse(a, b, whole, tol, depth):
-        mid = (a + b) / 2.0
-        left = gl(a, mid)
-        right = gl(mid, b)
-        err = abs(whole - left - right)
-        if err <= tol or depth >= 40:
-            return left + right, err
-        lv, le = recurse(a, mid, left, tol / 2.0, depth + 1)
-        rv, re = recurse(mid, b, right, tol / 2.0, depth + 1)
-        return lv + rv, le + re
+def _gauss_kronrod_intervals(integrands, piece, lo, hi):
+    """Value, error estimate and roundoff floor on each interval.
 
-    whole = gl(0.0, 1.0)
-    value, err = recurse(0.0, 1.0, whole, quad.tol, 0)
-    return complex(value), float(err), evals[0]
+    ``piece[i]`` names the integrand of interval ``[lo[i], hi[i]]``; the
+    nodes of all intervals of one integrand are evaluated in one call, and
+    each integrand returns its values and estimates of their rounding errors.
+    The floor is the integral of that bound.  The error estimate is
+    QUADPACK's: the Kronrod-Gauss difference rescaled by the integrand's
+    variation, and never below the floor.
+    """
+    half = (hi - lo) / 2.0
+    t = ((hi + lo) / 2.0)[:, None] + half[:, None] * _GK_NODES
+    f = np.empty(t.shape, dtype=complex)
+    noise = np.empty(t.shape)
+    with np.errstate(all="ignore"):  # a node on a pole is reported below
+        for j, fn in enumerate(integrands):
+            rows = piece == j
+            if rows.any():
+                f[rows], noise[rows] = fn(t[rows])
+    finite = np.isfinite(f) & np.isfinite(noise)
+    if not finite.all():
+        bad = t[~finite][0]
+        raise PoleNearPath(f"the integrand is not finite at t = {bad:.6g} of a segment")
+    kronrod = f @ _GK_WEIGHTS
+    gauss = f @ _GAUSS_WEIGHTS
+    floor = noise @ _GK_WEIGHTS * half
+    spread = np.abs(f - kronrod[:, None] / 2.0) @ _GK_WEIGHTS * half
+    diff = np.abs(kronrod - gauss) * half
+    ratio = np.divide(200.0 * diff, spread, out=np.zeros_like(diff), where=spread > 0)
+    err = spread * np.minimum(1.0, ratio**1.5)
+    return kronrod * half, np.maximum(err, floor), floor
+
+
+def _adaptive_gauss_kronrod(integrands, quad: QuadratureSettings) -> IntegrationResult:
+    """Sum of the integrals over [0, 1] of vectorized integrands, within ``quad.tol``.
+
+    One global pool of intervals holds every integrand (the segments of a
+    chain share the tolerance).  Each round bisects the intervals of
+    largest error, all at once, until the summed error is at most tol.
+    Raises NonConvergent when the roundoff floor (the integral of the
+    integrands' rounding-error estimates) is above tol, when the evaluation
+    budget runs out, or when an interval can no longer be split.
+    """
+    n = len(integrands)
+    piece, lo, hi = np.arange(n), np.zeros(n), np.ones(n)
+    value, err, noise = _gauss_kronrod_intervals(integrands, piece, lo, hi)
+    evals = len(_GK_NODES) * n
+    while True:
+        total = err.sum()
+        if total <= quad.tol:
+            return IntegrationResult(
+                value=complex(value.sum()), error=float(total), evaluations=evals
+            )
+        floor = noise.sum()
+        # the part of each interval's error that bisection can still reduce
+        excess = err - noise
+        if floor <= quad.tol:
+            goal = quad.tol - floor
+        elif excess.sum() <= floor:
+            raise NonConvergent(
+                f"tol {quad.tol:.3e} is below the roundoff floor {floor:.3e}"
+                " (the integrated rounding error of the integrand)"
+            )
+        else:
+            # an early floor can be inflated by a node beside a pole, so
+            # refine until the floor is known as well as it is large
+            goal = floor
+        # bisect the intervals of largest reducible error until the rest
+        # hold at most half of the goal
+        order = np.argsort(-excess, kind="stable")
+        rest = excess.sum() - np.cumsum(excess[order])
+        split = order[: np.count_nonzero(rest > goal / 2.0) + 1]
+        evals += 2 * len(_GK_NODES) * len(split)
+        if evals > quad.max_evals:
+            raise NonConvergent(
+                f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
+            )
+        if (hi[split] - lo[split]).min() < _MIN_WIDTH:
+            raise NonConvergent(
+                "adaptive quadrature needs an interval narrower than"
+                f" {_MIN_WIDTH:.1e} in the segment parameter"
+            )
+        mid = (lo[split] + hi[split]) / 2.0
+        children = (
+            np.tile(piece[split], 2),
+            np.concatenate([lo[split], mid]),
+            np.concatenate([mid, hi[split]]),
+        )
+        children += _gauss_kronrod_intervals(integrands, *children)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        piece, lo, hi, value, err, noise = (
+            np.concatenate([old[keep], new])
+            for old, new in zip((piece, lo, hi, value, err, noise), children)
+        )
 
 
 def numeric_chain_integral(
@@ -374,14 +499,20 @@ def numeric_chain_integral(
 ) -> IntegrationResult:
     """Integral of the holomorphic form over a chain bounded by the toric boundary.
 
-    Each segment is integrated with adaptive Gauss-Legendre quadrature in
-    the chart where its flagged endpoint is a regular point (inverting the
-    coordinate for endpoints at infinity).  Raises DivergentAtBoundary when
-    the integrand does not extend across a flagged endpoint and
+    Each segment is parameterized in the chart where its flagged endpoint
+    is a regular point (inverting the coordinate for endpoints at
+    infinity), and all segments are integrated together by one global
+    adaptive Gauss-Kronrod (7, 15) integrator.  It stops once the summed error
+    estimate is at most ``quad.tol``, so the returned error is never above
+    tol; it raises NonConvergent when tol is below the roundoff floor
+    (eps times the integral of |f| (50 + cond), cond the condition number
+    of the Horner sums, which grows like 1/distance beside a pole), when the
+    evaluation budget runs out or when an interval can no longer be split.  Raises DivergentAtBoundary
+    when the integrand does not extend across a flagged endpoint and
     PoleNearPath when the section nearly vanishes on the path.
     """
     num, den = _chart_pair(s)
-    return _sum_segments(num, den, chain, quad)
+    return _chain_quadrature(num, den, chain, quad)
 
 
 def general_type_integral(
@@ -395,19 +526,18 @@ def general_type_integral(
     num, den = _chart_pair(s, general_type=True)
     if not num:
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    return _sum_segments(num, den, chain, quad)
+    return _chain_quadrature(num, den, chain, quad)
 
 
-def _sum_segments(num, den, chain: ChainSpec, quad):
-    total = 0j
-    err = 0.0
-    evals = 0
-    for seg in chain.segments:
-        v, e, n = _segment_quadrature(num, den, seg, quad, chain.clearance)
-        total += v
-        err += e
-        evals += n
-    return IntegrationResult(value=total, error=err, evaluations=evals)
+def _chain_quadrature(num, den, chain: ChainSpec, quad):
+    integrands = [
+        _segment_integrand(num, den, seg, chain.clearance)
+        for seg in chain.segments
+        if not seg.is_null()
+    ]
+    if not integrands:
+        return IntegrationResult(value=0j, error=0.0, evaluations=0)
+    return _adaptive_gauss_kronrod(integrands, quad)
 
 
 # -- residues ---------------------------------------------------------------------
@@ -441,7 +571,7 @@ def residue_period(s: SectionData, root_index: int) -> complex:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
     r = roots[root_index]
     dden = {e - 1: e * c for e, c in den.items() if e}
-    return 2j * math.pi * _laurent_eval(num, r) / _laurent_eval(dden, r)
+    return 2j * math.pi * complex(_horner(num, r) / _horner(dden, r))
 
 
 def loop_chain(center, radius, points=12, clearance=1e-6) -> ChainSpec:

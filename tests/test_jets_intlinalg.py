@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from gkz_forge import intlinalg
 from gkz_forge.jets import Jet
@@ -117,3 +119,46 @@ class TestIntLinAlg:
         assert [sum(r[j] * x[j] for j in range(4)) for r in rows] == [-1, 0, 0]
         # unsolvable over the integers: parity obstruction
         assert intlinalg.solve_integer([[2]], [1]) is None
+
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def linear_system(draw):
+    """A small integer or rational matrix and a right-hand side, consistent
+    by construction about half of the time."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x = [draw(ENTRY) for _ in range(n)]
+        rhs = [sum(r[j] * x[j] for j in range(n)) for r in rows]
+    else:
+        rhs = [draw(ENTRY) for _ in range(m)]
+    return rows, rhs
+
+
+class TestGaussJordanOracle:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(linear_system())
+    def test_rank_and_solve_match_sympy(self, system):
+        rows, rhs = system
+        assert intlinalg.rank(rows) == sp.Matrix(rows).rank()
+        try:
+            sol, params = sp.Matrix(rows).gauss_jordan_solve(sp.Matrix(rhs))
+        except ValueError:  # sympy: the system has no solution
+            assert intlinalg.solve_rational(rows, rhs) is None
+            return
+        # free variables pinned to zero select the same solution
+        expected = tuple(Fraction(str(v)) for v in sol.subs({p: 0 for p in params}))
+        assert intlinalg.solve_rational(rows, rhs) == expected
+
+    def test_inputs_are_not_modified(self):
+        rows, rhs = [[2, 4], [1, 3]], [2, 1]
+        assert intlinalg.solve_rational(rows, rhs) == (Fraction(1), Fraction(0))
+        assert intlinalg.rank(rows) == 2
+        assert rows == [[2, 4], [1, 3]] and rhs == [2, 1]

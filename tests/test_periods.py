@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gkz_forge import lattice, series, tautsys
+from gkz_forge import lattice, periods, series, tautsys
 from gkz_forge.errors import (
     DegeneracyError,
     DivergentAtBoundary,
     MultipleRoot,
     NoInteriorMonomial,
+    NonConvergent,
     PoleNearPath,
     SingularOnContour,
     StencilOutOfDomain,
@@ -229,6 +231,109 @@ class TestChainIntegral:
         )
         with pytest.raises(DegeneracyError):
             numeric_chain_integral(sec, bad, TIGHT)
+
+
+def quadratic_halfline(coeffs):
+    """Integral of dx / (a1 + a2 x + a3 x^2) over [0, inf) by partial
+    fractions, 40 digits; principal logarithms are continuous along the
+    half-line when no root lies on it."""
+    with mp.workdps(40):
+        a1, a2, a3 = (mp.mpc(c) for c in coeffs)
+        disc = mp.sqrt(a2 * a2 - 4 * a1 * a3)
+        r1, r2 = (-a2 + disc) / (2 * a3), (-a2 - disc) / (2 * a3)
+        return complex((mp.log(-r2) - mp.log(-r1)) / (a3 * (r1 - r2)))
+
+
+def near_pole_section(p, offset=1e-4):
+    """Roots p + offset i (beside the half-line) and -1."""
+    r1, r2 = complex(p, offset), -1.0
+    return SectionData(A=A_SEG, coeffs=(r1 * r2, -(r1 + r2), 1.0 + 0j)), (r1, r2)
+
+
+class TestAdaptiveGaussKronrod:
+    def test_rule_degrees(self):
+        # Kronrod 15 points: exact to degree 22; embedded Gauss 7 points: 13
+        x = periods._GK_NODES
+        for k in range(23):
+            exact = (1 - (-1) ** (k + 1)) / (k + 1)
+            assert abs(periods._GK_WEIGHTS @ x**k - exact) < 1e-15
+            if k < 14:
+                assert abs(periods._GAUSS_WEIGHTS @ x**k - exact) < 1e-15
+        assert abs(periods._GAUSS_WEIGHTS @ x**14 - 2 / 15) > 1e-6
+
+    def test_near_pole_converges_fast(self):
+        # a pole 1e-4 beside the inverted half of the chain, at tol 1e-10
+        sec, _ = near_pole_section(2.0)
+        res = numeric_chain_integral(sec, halfline_chain(), QuadratureSettings(tol=1e-10))
+        assert abs(res.value - quadratic_halfline(sec.coeffs)) < 1e-12
+        assert res.error <= 1e-10
+        assert res.evaluations < 5000
+
+    def test_tolerance_below_roundoff_floor_raises(self):
+        sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+        with pytest.raises(NonConvergent, match="roundoff floor") as info:
+            numeric_chain_integral(sec, halfline_chain(), QuadratureSettings(tol=1e-300))
+        assert "budget" not in str(info.value)
+
+    def test_unsplittable_interval_raises(self):
+        # a pole 1e-14 off the path needs intervals below the resolution of t
+        A = lattice.homogenize([(0,), (1,)], 1)
+        sec = SectionData(A=A, coeffs=(-(2 ** (1 / 300) + 1e-14j), 1.0))
+        chain = ChainSpec(segments=(Segment(start=(1.0,), end=(2.0,)),))
+        with pytest.raises(NonConvergent, match="narrower"):
+            numeric_chain_integral(
+                sec, chain, QuadratureSettings(tol=1e-2, max_evals=2**22)
+            )
+
+    def test_pole_on_path_between_clearance_samples(self):
+        # the root 2^(1/300) lies on the path at t = 1/300; the integral
+        # does not exist and must not come back as a number
+        A = lattice.homogenize([(0,), (1,)], 1)
+        sec = SectionData(A=A, coeffs=(-(2 ** (1 / 300)), 1.0))
+        chain = ChainSpec(segments=(Segment(start=(1.0,), end=(2.0,)),))
+        for tol in (1e-2, 1e-6, 1e-10):
+            with pytest.raises((NonConvergent, PoleNearPath)):
+                numeric_chain_integral(sec, chain, QuadratureSettings(tol=tol))
+
+    def test_budget_exhaustion_raises(self):
+        sec, _ = near_pole_section(2.0)
+        with pytest.raises(NonConvergent, match="budget"):
+            numeric_chain_integral(
+                sec, halfline_chain(), QuadratureSettings(tol=1e-10, max_evals=300)
+            )
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        st.floats(min_value=0.3, max_value=3.0),
+        st.sampled_from([1e-4, 1e-6]),
+        st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+    )
+    # a floor of 50 eps times the integral of |f| returned this one 5x off
+    @example(0.8, 1e-6, 1e-12)
+    def test_chain_error_contract(self, p, offset, tol):
+        # a chain either raises or meets tol, in its estimate and in fact
+        sec, (r1, r2) = near_pole_section(p, offset)
+        quad = QuadratureSettings(tol=tol)
+        with mp.workdps(40):
+            residues = [
+                complex(2j * mp.pi / (mp.mpc(r) - mp.mpc(s))) for r, s in ((r1, r2), (r2, r1))
+            ]
+        roots = denominator_roots(sec)
+        cases = [(halfline_chain(), quadratic_halfline(sec.coeffs))]
+        for root, want in zip((r1, r2), residues):
+            idx = min(range(2), key=lambda i: abs(roots[i] - root))
+            assert abs(residue_period(sec, idx) - want) < 1e-12
+            radius = 0.25 * min(abs(r1 - r2), abs(root))
+            cases.append((loop_chain(root, radius), want))
+        for chain, exact in cases:
+            try:
+                res = numeric_chain_integral(sec, chain, quad)
+            except (NonConvergent, PoleNearPath):
+                # a pole 1e-4 beside the path is within reach down to tol 1e-10
+                assert offset < 1e-4 or tol < 1e-10
+                continue
+            assert res.error <= tol
+            assert abs(res.value - exact) <= tol
 
 
 class TestResidues:

@@ -126,6 +126,26 @@ class TestFrobeniusBasis:
         assert count_independent(basis) == vol
         assert lattice.normalized_volume(pts) == vol
 
+    @pytest.mark.parametrize(
+        "pts,dim",
+        [
+            (SEGMENT, 1),
+            (HESSE, 2),
+            (CROSS, 2),
+            ([(0, 0), (1, 0), (0, 1)], 2),
+            ([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], 2),
+            (
+                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1),
+                 (0, 0, 0, 0)],
+                4,
+            ),
+        ],
+    )
+    def test_basis_is_independent(self, pts, dim):
+        # the series command reports len(basis) as the independent count
+        basis = frobenius_basis(make_spec(pts, dim), order=5)
+        assert count_independent(basis) == len(basis)
+
     def test_segment_log_structure(self):
         spec = make_spec(SEGMENT, 1)
         s0, s1 = frobenius_basis(spec, order=6)
