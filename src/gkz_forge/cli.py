@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -175,6 +174,9 @@ class Job:
         opts = raw.get("options", {})
         if not isinstance(opts, dict):
             _fail("options must be an object")
+        for key in opts:
+            if key not in ("order", "tol"):
+                _fail(f"unknown options key {key!r}")
         self.order = opts.get("order", 10)
         if not isinstance(self.order, int) or self.order < 0:
             _fail("options.order must be a nonnegative integer")
@@ -182,9 +184,6 @@ class Job:
         if not isinstance(tol, (int, float)) or tol <= 0:
             _fail("options.tol must be a positive number")
         self.tol = float(tol)
-        self.jet = opts.get("jet")
-        if self.jet is not None and (not isinstance(self.jet, int) or self.jet < 0):
-            _fail("options.jet must be a nonnegative integer")
 
     def _int_vectors(self, data, dim, what):
         if not isinstance(data, list) or not data:
@@ -281,9 +280,7 @@ def cmd_series(job, args):
     if job.system_kind != "gkz":
         raise DegeneracyError("series bases are defined for gkz systems only")
     spec = job.system()
-    basis = series.frobenius_basis(
-        spec, order=job.order, jet_order=job.jet
-    )
+    basis = series.frobenius_basis(spec, order=job.order)
     # frobenius_basis only returns linearly independent lists
     count = len(basis)
     text = [f"frobenius basis: {len(basis)} series, {count} independent"]
@@ -347,7 +344,7 @@ def cmd_verify(job, args):
     }
     if job.section is not None:
         fd = periods.finite_difference_residual(
-            spec, _sampled_candidate(job, spec, cand), job.section, h=0.002
+            spec, cand.evaluate, job.section, h=0.002
         )
         text.append("finite-difference residuals (h = 0.002):")
         fd_ops = []
@@ -373,15 +370,7 @@ def cmd_verify(job, args):
         )
 
 
-def _sampled_candidate(job, spec, cand):
-    def F(avec):
-        return cand.evaluate(avec)
-
-    return F
-
-
 def cmd_period(job, args):
-    spec = job.system()
     s = job.section_data()
     radii = job.radii or (1.0,) * job.dim
     quad = periods.QuadratureSettings(tol=job.tol)
@@ -441,22 +430,13 @@ def make_parser():
     parser.add_argument("--input", required=True, help="JSON job file")
     parser.add_argument("--order", type=int, help="series truncation override")
     parser.add_argument("--tol", type=float, help="tolerance override")
-    parser.add_argument("--jet", type=int, help="jet order override")
     parser.add_argument("--report", choices=["text", "machine"], default="text")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("GKZ_FORGE_THREADS", "1")),
-        help="worker cap; results are identical for every value",
-    )
     return parser
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            _fail("--threads must be positive")
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -469,8 +449,6 @@ def main(argv=None):
             job.order = args.order
         if args.tol is not None:
             job.tol = args.tol
-        if args.jet is not None:
-            job.jet = args.jet
         COMMANDS[args.command](job, args)
     except GkzForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """Truncated polynomial jets in a single deformation parameter ``eps``.
 
-A jet of order ``k`` stores the coefficients of ``eps^0 .. eps^k`` and
-forgets everything beyond.  Coefficients are usually exact ``Fraction``
-values; float coefficients are allowed for numerically expanded factors
-(reciprocal gamma functions and the like).  Order 0 jets behave like plain
-scalars.
+A jet of order ``k`` stores the exact ``Fraction`` coefficients of
+``eps^0 .. eps^k`` and forgets everything beyond.  Jets exist only inside
+``series.frobenius_basis``, which expands ratios of gamma values at a
+deformed exponent in them.  Order 0 jets behave like plain scalars.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class Jet:
                 return i
         return None
 
-    def truncated(self, order):
-        return Jet(self.coeffs, order)
-
     # -- arithmetic ------------------------------------------------------
 
     def _lift(self, other):
@@ -112,7 +108,7 @@ class Jet:
         if c0 == 0:
             raise ZeroDivisionError("jet with zero constant term has no inverse")
         n = self.order
-        inv = [Fraction(1) / c0 if isinstance(c0, Fraction) else 1.0 / c0]
+        inv = [Fraction(1) / c0]
         for k in range(1, n + 1):
             acc = sum(
                 (self.coefficient(j) * inv[k - j] for j in range(1, k + 1)),
@@ -127,14 +123,6 @@ class Jet:
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Jet.constant(Fraction(1), self.order)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def shifted(self, k):
         """Multiply by ``eps^k``, keeping the stored order."""
@@ -166,29 +154,17 @@ class Jet:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = -c if _is_negative(c) else c
+            mag = abs(c)
             if k == 0:
-                body = _coeff_str(mag)
+                body = str(mag)
             else:
                 e = "eps" if k == 1 else f"eps^{k}"
-                body = e if mag == 1 else f"{_coeff_str(mag)} {e}"
+                body = e if mag == 1 else f"{mag} {e}"
             if not parts:
-                parts.append(f"-{body}" if _is_negative(c) else body)
+                parts.append(f"-{body}" if c < 0 else body)
             else:
-                parts.append(f"- {body}" if _is_negative(c) else f"+ {body}")
+                parts.append(f"- {body}" if c < 0 else f"+ {body}")
         if not parts:
             return "0"
         return " ".join(parts)
 
-
-def _is_negative(c):
-    try:
-        return c < 0
-    except TypeError:
-        return False
-
-
-def _coeff_str(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return repr(c)

@@ -42,6 +42,10 @@ from .errors import (
 from .lattice import ExponentMatrix, integer_kernel
 from .series import LogSeries, OffsetLattice, _offsets_in_window
 
+# a section (or chart denominator) whose modulus falls below this fraction
+# of the sum of its terms' moduli counts as vanishing on a torus or a path
+_CLEARANCE = 1e-6
+
 
 # -- data types ----------------------------------------------------------------
 
@@ -110,7 +114,6 @@ class ChainSpec:
     """Piecewise-smooth integration chain with boundary flags."""
 
     segments: tuple
-    clearance: float = 1e-6
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -126,7 +129,6 @@ class ChainSpec:
 class QuadratureSettings:
     tol: float = 1e-10
     max_evals: int = 2**20
-    clearance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def numeric_cycle_integral(
     while m**n <= quad.max_evals:
         f = _section_on_torus(s, radii, (m,) * n)
         total += f.size
-        if np.min(np.abs(f)) < quad.clearance * scale:
+        if np.min(np.abs(f)) < _CLEARANCE * scale:
             raise SingularOnContour(
                 f"|f| dips to {np.min(np.abs(f)):.3e} on the sampled torus"
             )
@@ -302,7 +304,7 @@ def _normalize_pair(num, den):
     return {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
 
 
-def _segment_integrand(num, den, seg: Segment, clearance):
+def _segment_integrand(num, den, seg: Segment):
     """The chart integrand of one segment as a function of ``t`` in [0, 1].
 
     The returned function maps an array of parameters to the array of
@@ -349,7 +351,7 @@ def _segment_integrand(num, den, seg: Segment, clearance):
     t = np.arange(129) / 128.0
     x, _ = path(t)
     scale = _horner(den_abs, np.abs(x))
-    near = np.abs(_horner(den, x)) < clearance * np.maximum(scale, 1e-300)
+    near = np.abs(_horner(den, x)) < _CLEARANCE * np.maximum(scale, 1e-300)
     if near.any():
         raise PoleNearPath(
             f"denominator nearly vanishes at t = {t[np.argmax(near)]:.4f}"
@@ -531,7 +533,7 @@ def general_type_integral(
 
 def _chain_quadrature(num, den, chain: ChainSpec, quad):
     integrands = [
-        _segment_integrand(num, den, seg, chain.clearance)
+        _segment_integrand(num, den, seg)
         for seg in chain.segments
         if not seg.is_null()
     ]
@@ -574,7 +576,7 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     return 2j * math.pi * complex(_horner(num, r) / _horner(dden, r))
 
 
-def loop_chain(center, radius, points=12, clearance=1e-6) -> ChainSpec:
+def loop_chain(center, radius, points=12) -> ChainSpec:
     """Closed chain winding once counterclockwise around ``center``.
 
     Built from multiplicative arcs between points on a circle; for
@@ -588,7 +590,7 @@ def loop_chain(center, radius, points=12, clearance=1e-6) -> ChainSpec:
         Segment(start=(verts[k],), end=(verts[(k + 1) % points],))
         for k in range(points)
     ]
-    return ChainSpec(segments=tuple(segs), clearance=clearance)
+    return ChainSpec(segments=tuple(segs))
 
 
 # -- finite difference certification ------------------------------------------------
@@ -648,14 +650,15 @@ class FDReport:
         return max((abs(r.residual) for r in self.reports), default=0.0)
 
 
-def _derivative_at(F, a0, w, h, accuracy, cache):
+def _derivative_at(F, a0, w, h, stencils, cache):
     # The weighted sum is accumulated in exact rationals (the sampled values
     # are binary floats, hence exactly representable), so stencil identities
     # like "sum of weights is zero" hold exactly and directions the function
-    # does not depend on contribute no rounding noise.
+    # does not depend on contribute no rounding noise.  ``stencils[k]`` is
+    # the (nodes, weights) pair of the k-th derivative.
     acc_re = Fraction(0)
     acc_im = Fraction(0)
-    stencils = [central_stencil(wi, accuracy) if wi else ((0,), (Fraction(1),)) for wi in w]
+    axes = [stencils[wi] for wi in w]
     order_total = sum(w)
 
     def rec(i, offset, weight):
@@ -671,7 +674,7 @@ def _derivative_at(F, a0, w, h, accuracy, cache):
             acc_re += weight * Fraction(v.real)
             acc_im += weight * Fraction(v.imag)
             return
-        nodes, weights = stencils[i]
+        nodes, weights = axes[i]
         for nd, wt in zip(nodes, weights):
             rec(i + 1, offset + (nd,), weight * wt)
 
@@ -692,6 +695,10 @@ def finite_difference_residual(
     a0 = tuple(complex(z) for z in a0)
     reports = []
     noise = 1e-14
+    orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
+    stencils = {
+        k: central_stencil(k, accuracy) if k else ((0,), (Fraction(1),)) for k in orders
+    }
 
     def residual_at(op, step, cache):
         total = 0j
@@ -700,7 +707,7 @@ def finite_difference_residual(
             for j, uj in enumerate(u):
                 if uj:
                     mono *= a0[j] ** uj
-            dw = _derivative_at(F, a0, w, step, accuracy, cache)
+            dw = _derivative_at(F, a0, w, step, stencils, cache)
             total += float(oc) * mono * dw
         return total
 

@@ -2,21 +2,21 @@
 
 Series live on a coset ``gamma + L`` of the relation lattice ``L`` of an
 exponent matrix.  A term is ``coeff * a^(gamma+v) * prod_i log(a_i)^m_i``
-keyed by the integer offset ``v`` and the log multi-index ``m``.  Plain
-series carry Fraction (or float) coefficients; the deformed series produced
-for the Frobenius method carry eps-jets, from which the logarithmic
-solutions are extracted as eps-power coefficients.
+keyed by the integer offset ``v`` and the log multi-index ``m``, with a
+Fraction (or float) coefficient.
 
 Two coefficient conventions appear:
 
 * ``gamma_series`` uses raw reciprocal-gamma coefficients
   ``1 / prod_i Gamma(gamma_i + v_i + 1)`` with ``1/Gamma`` equal to zero at
-  nonpositive integers.  Deformed exponents expand the reciprocal gamma
-  factors as numeric eps-jets (reflection formula at nonpositive integer
-  base, shifted log-gamma series elsewhere).
-* ``frobenius_basis`` works with ratios of gamma values at integer shifts,
-  which are rational functions of the deformation parameter.  Everything
-  there is exact rational arithmetic, so independence counts are exact.
+  nonpositive integers.
+* ``frobenius_basis`` (the Frobenius method of Hosono, Klemm, Theisen and
+  Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
+  and works with ratios of gamma values at integer shifts, which are
+  rational functions of ``eps``.  It expands them as exact eps-jets of
+  order ``vol - 1`` and extracts the logarithmic solutions as their
+  eps-power coefficients.  This is the only place jets occur; everything
+  is exact rational arithmetic, so independence counts are exact.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import mpmath as mp
 
 from .errors import (
     DegreeViolation,
@@ -40,7 +38,7 @@ from .tautsys import SystemSpec
 from .jets import Jet
 
 
-# -- reciprocal gamma jets ----------------------------------------------------
+# -- reciprocal gamma values and gamma-ratio jets ----------------------------
 
 
 def reciprocal_gamma_value(q):
@@ -52,76 +50,6 @@ def reciprocal_gamma_value(q):
             return Fraction(0)
         return Fraction(1, math.factorial(qi - 1))
     return 1.0 / math.gamma(float(q))
-
-
-def _exp_jet(j: Jet) -> Jet:
-    c0 = j.coeffs[0]
-    rest = Jet((0,) + j.coeffs[1:], j.order)
-    out = Jet.constant(mp.mpf(1), j.order)
-    term = Jet.constant(mp.mpf(1), j.order)
-    for k in range(1, j.order + 1):
-        term = term * rest * mp.mpf(1) / k
-        out = out + term
-    return out * mp.e**c0 if c0 != 0 else out
-
-
-def _log_gamma_jet(q, slope, order):
-    """Jet of logGamma(q + slope*eps) for q > 0, mpf coefficients."""
-    qm = mp.mpf(q.numerator) / q.denominator
-    sm = mp.mpf(slope.numerator) / slope.denominator
-    coeffs = [mp.loggamma(qm)]
-    for k in range(1, order + 1):
-        coeffs.append(mp.psi(k - 1, qm) * sm**k / mp.factorial(k))
-    return Jet(coeffs)
-
-
-def _sin_pi_eps_jet(slope, order):
-    """Jet of sin(pi*slope*eps)/pi."""
-    sm = mp.mpf(slope.numerator) / slope.denominator
-    coeffs = [mp.mpf(0)] * (order + 1)
-    j = 0
-    while 2 * j + 1 <= order:
-        coeffs[2 * j + 1] = (-1) ** j * mp.pi ** (2 * j) * sm ** (2 * j + 1) / mp.factorial(
-            2 * j + 1
-        )
-        j += 1
-    return Jet(coeffs)
-
-
-def reciprocal_gamma_jet(base, slope, order) -> Jet:
-    """Jet of 1/Gamma(base + slope*eps), float coefficients.
-
-    At nonpositive integer base the reflection formula
-    ``1/Gamma(z) = Gamma(1-z) sin(pi z)/pi`` supplies the expansion; other
-    bases are shifted into the positive half line and expanded through the
-    log-gamma series.
-    """
-    base = Fraction(base)
-    slope = Fraction(slope)
-    if slope == 0 or order == 0:
-        v = reciprocal_gamma_value(base)
-        return Jet.constant(float(v) if not isinstance(v, Fraction) else v, order)
-    with mp.workdps(40):
-        if base.denominator == 1 and base <= 0:
-            b = int(base)
-            gj = _exp_jet(_log_gamma_jet(Fraction(1 - b), -slope, order))
-            sj = _sin_pi_eps_jet(slope, order)
-            out = gj * sj
-            if b % 2:
-                out = -out
-        else:
-            m = 0
-            while base + m <= 0:
-                m += 1
-            out = _exp_jet(-_log_gamma_jet(base + m, slope, order))
-            for j in range(m):
-                lin = Jet.linear(
-                    mp.mpf((base + j).numerator) / (base + j).denominator,
-                    mp.mpf(slope.numerator) / slope.denominator,
-                    order,
-                )
-                out = out * lin
-        return Jet(tuple(float(c) for c in out.coeffs))
 
 
 def gamma_ratio_jet(base, slope, shift, order):
@@ -222,9 +150,6 @@ class LogSeries:
     def nvars(self):
         return len(self.gamma)
 
-    def is_jet_valued(self):
-        return any(isinstance(c, Jet) for c in self.terms.values())
-
     def exponent(self, offset):
         return tuple(g + o for g, o in zip(self.gamma, offset))
 
@@ -240,13 +165,7 @@ class LogSeries:
         whose expansion contributes powers of ``sum_i direction_i log a_i``;
         they are spread over log multi-indices here.
         """
-        if not self.is_jet_valued():
-            if j == 0:
-                return self
-            raise ValueError("plain series have no higher eps coefficients")
-        direction = tuple(
-            Fraction(d) for d in (self.direction or (0,) * self.nvars)
-        )
+        direction = self.direction
         support = [i for i, d in enumerate(direction) if d != 0]
         out = defaultdict(Fraction)
         for (v, m), jet in self.terms.items():
@@ -277,8 +196,6 @@ class LogSeries:
         logs = [cmath.log(complex(a)) for a in avec]
         total = 0j
         for (v, m), c in self.sorted_terms():
-            if isinstance(c, Jet):
-                raise ValueError("jet-valued series cannot be evaluated directly")
             term = complex(c)
             for i in range(self.nvars):
                 e = self.gamma[i] + v[i]
@@ -301,12 +218,7 @@ class LogSeries:
     def render(self):
         lines = ["gamma = (" + ", ".join(str(g) for g in self.gamma) + ")"]
         for (v, m), c in self.sorted_terms():
-            if isinstance(c, Jet):
-                ctxt = f"({c.render()})"
-            elif isinstance(c, Fraction):
-                ctxt = str(c)
-            else:
-                ctxt = repr(c)
+            ctxt = str(c) if isinstance(c, Fraction) else repr(c)
             lines.append(f"  offset ({', '.join(str(x) for x in v)})"
                          f" log ({', '.join(str(x) for x in m)}) : {ctxt}")
         return "\n".join(lines)
@@ -355,20 +267,14 @@ def _check_degree(A, beta, gamma):
         )
 
 
-def gamma_series(spec: SystemSpec, gamma, order, direction=None, jet_order=0) -> LogSeries:
+def gamma_series(spec: SystemSpec, gamma, order) -> LogSeries:
     """Truncated reciprocal-gamma series with base exponent ``gamma``.
 
-    Requires ``A.gamma = -beta``.  With a ``direction`` (a rational vector
-    in the kernel of A) the exponent is deformed to ``gamma + eps*direction``
-    and the coefficients become numeric eps-jets of order ``jet_order``.
+    Requires ``A.gamma = -beta``.
     """
     gamma = tuple(Fraction(g) for g in gamma)
     A = spec.A
     _check_degree(A, spec.beta, gamma)
-    if direction is not None:
-        direction = tuple(Fraction(d) for d in direction)
-        if any(d != 0 for d in A.degree(direction)):
-            raise DegreeViolation("deformation direction must lie in ker A")
     kernel = integer_kernel(A)
     if not kernel.vectors:
         # no offsets: the reciprocal-gamma prefactor is a single overall
@@ -378,40 +284,22 @@ def gamma_series(spec: SystemSpec, gamma, order, direction=None, jet_order=0) ->
             terms={((0,) * A.nsections, (0,) * A.nsections): Fraction(1)},
             lattice=(),
             radius=order,
-            direction=direction,
         )
     lat = OffsetLattice(kernel.vectors)
     terms = {}
     zero_log = (0,) * A.nsections
     for coords in _offsets_in_window(kernel.vectors, order):
-        v = lat.vector(coords) if kernel.vectors else (0,) * A.nsections
-        if direction is None:
-            coeff = Fraction(1)
-            for i in range(A.nsections):
-                f = reciprocal_gamma_value(gamma[i] + v[i] + 1)
-                if f == 0:
-                    coeff = Fraction(0)
-                    break
-                coeff = coeff * f
-            if coeff != 0:
-                terms[(v, zero_log)] = coeff
-        else:
-            jet = Jet.constant(Fraction(1), jet_order)
-            for i in range(A.nsections):
-                jet = jet * reciprocal_gamma_jet(
-                    gamma[i] + v[i] + 1, direction[i], jet_order
-                )
-                if jet.is_zero():
-                    break
-            if not jet.is_zero():
-                terms[(v, zero_log)] = jet
-    return LogSeries(
-        gamma=gamma,
-        terms=terms,
-        lattice=kernel.vectors,
-        radius=order,
-        direction=direction,
-    )
+        v = lat.vector(coords)
+        coeff = Fraction(1)
+        for i in range(A.nsections):
+            f = reciprocal_gamma_value(gamma[i] + v[i] + 1)
+            if f == 0:
+                coeff = Fraction(0)
+                break
+            coeff = coeff * f
+        if coeff != 0:
+            terms[(v, zero_log)] = coeff
+    return LogSeries(gamma=gamma, terms=terms, lattice=kernel.vectors, radius=order)
 
 
 # -- Frobenius bases ----------------------------------------------------------
@@ -480,27 +368,35 @@ def _candidate_classes(gamma_star, delta):
     return sorted(seen)
 
 
-def frobenius_basis(spec: SystemSpec, order, jet_order=None, max_kernel_rank=2):
+# kernel ranks above 2 have no deformation strategy below
+_MAX_KERNEL_RANK = 2
+
+
+def frobenius_basis(spec: SystemSpec, order):
     """A basis of series solutions near the large complex structure limit.
 
     The system must consist of box and Euler operators of its exponent
-    matrix (only ``spec.A`` and ``spec.beta`` enter the construction).
-    Deforms a resonant base exponent along kernel directions with an exact
-    eps-jet, and returns the eps-power coefficients as logarithmic series.
-    The list has length equal to the normalized volume of the exponent
-    polytope and is linearly independent (checked by ``count_independent``).
-    Exact rational coefficients throughout.
+    matrix (only ``spec.A`` and ``spec.beta`` enter the construction), and
+    its kernel rank must be at most 2.  Deforms a resonant base exponent
+    along kernel directions with an exact eps-jet, and returns the
+    eps-power coefficients ``eps^0 .. eps^(vol-1)`` as logarithmic series.
+    The jets have order ``vol - 1``: a lower order would read truncated
+    coefficients as zero and yield non-solutions, a higher one computes
+    coefficients nobody reads.  The list has length
+    equal to the normalized volume of the exponent polytope and is linearly
+    independent (checked by ``count_independent``).  Exact rational
+    coefficients throughout.
     """
     A = spec.A
     vol = normalized_volume(A.points)
     kernel = integer_kernel(A)
     rank = kernel.rank
-    if rank > max_kernel_rank:
+    if rank > _MAX_KERNEL_RANK:
         raise UnsupportedFamily(
-            f"kernel rank {rank} exceeds the configured cap {max_kernel_rank}"
+            f"kernel rank {rank} exceeds the supported {_MAX_KERNEL_RANK}"
         )
     neg_beta = [-Fraction(b) for b in spec.beta]
-    jet_order = vol - 1 if jet_order is None else jet_order
+    jet_order = vol - 1
 
     if rank == 0:
         gamma_star = intlinalg.solve_rational(A.A, neg_beta)
@@ -655,8 +551,6 @@ def annihilate_check(spec: SystemSpec, series: LogSeries, tol=None):
     report is ``clean`` when all trusted coefficients vanish (exactly for
     rational coefficients, below ``tol`` for floats).
     """
-    if series.is_jet_valued():
-        raise ValueError("annihilate_check expects a numeric series")
     lat = OffsetLattice(series.lattice)
     exact = all(isinstance(c, Fraction) for c in series.terms.values())
     if tol is None:

@@ -31,24 +31,24 @@ class SystemSpec:
         return self.A.nsections
 
 
-def euler_operator(row, beta_k, nvars, jet_order=0) -> WeylElement:
+def euler_operator(row, beta_k, nvars) -> WeylElement:
     """First-order operator sum_j row[j] a_j d_j + beta_k."""
-    op = WeylElement.constant(Fraction(beta_k), nvars, jet_order)
+    op = WeylElement.constant(Fraction(beta_k), nvars)
     for j, c in enumerate(row):
         if c:
             u = tuple(1 if i == j else 0 for i in range(nvars))
-            op = op + WeylElement.monomial(u, u, Fraction(c), jet_order)
+            op = op + WeylElement.monomial(u, u, Fraction(c))
     return op
 
 
-def symmetry_operator(xi, beta_xi=Fraction(0), jet_order=0) -> WeylElement:
+def symmetry_operator(xi, beta_xi=Fraction(0)) -> WeylElement:
     """First-order operator sum_ij xi[i][j] a_i d_j + beta_xi.
 
     The convention is pinned so that xi = identity with beta_xi = 1
     reproduces the Euler operator sum_i a_i d_i + 1.
     """
     p = len(xi)
-    op = WeylElement.constant(Fraction(beta_xi), p, jet_order)
+    op = WeylElement.constant(Fraction(beta_xi), p)
     for i in range(p):
         if len(xi[i]) != p:
             raise ValueError("symmetry matrix must be square")
@@ -57,11 +57,11 @@ def symmetry_operator(xi, beta_xi=Fraction(0), jet_order=0) -> WeylElement:
             if c:
                 u = tuple(1 if k == i else 0 for k in range(p))
                 w = tuple(1 if k == j else 0 for k in range(p))
-                op = op + WeylElement.monomial(u, w, c, jet_order)
+                op = op + WeylElement.monomial(u, w, c)
     return op
 
 
-def gkz_system(A: ExponentMatrix, beta, jet_order=0) -> SystemSpec:
+def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
     """The GKZ system of an exponent matrix: box plus Euler operators.
 
     ``beta`` has length dim+1; the Calabi-Yau normalization is
@@ -72,9 +72,9 @@ def gkz_system(A: ExponentMatrix, beta, jet_order=0) -> SystemSpec:
     if len(beta) != A.dim + 1:
         raise ValueError(f"beta must have length {A.dim + 1}")
     p = A.nsections
-    ops = [fourier_box(ell, p, jet_order) for ell in integer_kernel(A).vectors]
+    ops = [fourier_box(ell, p) for ell in integer_kernel(A).vectors]
     for k, row in enumerate(A.A):
-        ops.append(euler_operator(row, beta[k], p, jet_order))
+        ops.append(euler_operator(row, beta[k], p))
     return SystemSpec(operators=tuple(ops), A=A, beta=beta, label="GKZ")
 
 
@@ -83,7 +83,7 @@ def cy_beta(dim):
     return (Fraction(1),) + (Fraction(0),) * dim
 
 
-def unipotent_p1_system(jet_order=0) -> SystemSpec:
+def unipotent_p1_system() -> SystemSpec:
     """Degree-2 family on the projective line with only translations as symmetry.
 
     Coefficient basis order is (x^2, xy, y^2), i.e. chart exponents
@@ -93,10 +93,10 @@ def unipotent_p1_system(jet_order=0) -> SystemSpec:
     beta(e) = 1) and the translation generator (with beta = 0).
     """
     A = homogenize([(2,), (1,), (0,)], 1)
-    box = fourier_box((1, -2, 1), 3, jet_order)
-    scaling = euler_operator((1, 1, 1), Fraction(1), 3, jet_order)
+    box = fourier_box((1, -2, 1), 3)
+    scaling = euler_operator((1, 1, 1), Fraction(1), 3)
     xi = ((0, 2, 0), (0, 0, 1), (0, 0, 0))
-    translation = symmetry_operator(xi, Fraction(0), jet_order)
+    translation = symmetry_operator(xi, Fraction(0))
     return SystemSpec(
         operators=(box, scaling, translation),
         A=A,
@@ -114,12 +114,8 @@ def unipotent_p1_system(jet_order=0) -> SystemSpec:
 # twisted cubic being the classic case).
 
 
-def _lex_key(mono):
-    return mono
-
-
 def _leading(poly):
-    return max(poly, key=_lex_key)
+    return max(poly)
 
 
 def _mono_mul(m1, m2):
@@ -194,7 +190,7 @@ def _buchberger(gens, budget):
 
 def _minimalize(basis):
     """Drop generators whose leading monomial another one divides, then sort."""
-    basis = sorted(basis, key=lambda g: _leading(g))
+    basis = sorted(basis, key=_leading)
     kept = []
     for g in basis:
         lg = _leading(g)

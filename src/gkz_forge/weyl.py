@@ -1,14 +1,13 @@
 """Exact arithmetic in the Weyl algebra of coordinates a1..ap.
 
 Elements are kept in normal order (all ``a`` factors to the left of all
-``d`` factors) with coefficients that are eps-jets over exact rationals;
-jet order 0 gives the plain rational Weyl algebra.  Multiplication applies
+``d`` factors) with exact ``Fraction`` coefficients.  Multiplication applies
 the commutation rule ``d_i a_i = a_i d_i + 1`` exactly, so equality of
 elements is structural equality of their normal forms.
 
 The canonical text rendering (``a1^2 d1^2 + a1 d1``) is bit-exact: terms in
 descending lexicographic order of their exponent keys, coefficients as
-reduced fractions, eps powers written out.
+reduced fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from itertools import product
 from math import comb
 
 from .errors import VariableMismatch
-from .jets import Jet
 
 
 def _falling(x, k):
@@ -31,25 +29,21 @@ def _falling(x, k):
 class WeylElement:
     """Normal-ordered element of the Weyl algebra in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "jet_order", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, jet_order=0):
+    def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.jet_order = jet_order
         clean = {}
         for (u, w), c in (terms or {}).items():
-            if not isinstance(c, Jet):
-                c = Jet.constant(Fraction(c), jet_order)
-            else:
-                c = c.truncated(jet_order)
+            c = Fraction(c)
             if len(u) != nvars or len(w) != nvars:
                 raise VariableMismatch("term exponent length does not match nvars")
-            if c.is_zero():
+            if c == 0:
                 continue
             key = (tuple(u), tuple(w))
             if key in clean:
                 c = clean[key] + c
-            if c.is_zero():
+            if c == 0:
                 clean.pop(key, None)
             else:
                 clean[key] = c
@@ -58,34 +52,34 @@ class WeylElement:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, jet_order=0):
-        return cls(nvars, {}, jet_order)
+    def zero(cls, nvars):
+        return cls(nvars, {})
 
     @classmethod
-    def one(cls, nvars, jet_order=0):
+    def one(cls, nvars):
         z = (0,) * nvars
-        return cls(nvars, {(z, z): Fraction(1)}, jet_order)
+        return cls(nvars, {(z, z): Fraction(1)})
 
     @classmethod
-    def constant(cls, value, nvars, jet_order=0):
+    def constant(cls, value, nvars):
         z = (0,) * nvars
-        return cls(nvars, {(z, z): value}, jet_order)
+        return cls(nvars, {(z, z): value})
 
     @classmethod
-    def coordinate(cls, i, nvars, jet_order=0):
+    def coordinate(cls, i, nvars):
         """The multiplication operator a_{i+1} (0-based index)."""
         u = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {(u, (0,) * nvars): Fraction(1)}, jet_order)
+        return cls(nvars, {(u, (0,) * nvars): Fraction(1)})
 
     @classmethod
-    def partial(cls, i, nvars, jet_order=0):
+    def partial(cls, i, nvars):
         """The derivation d_{i+1} (0-based index)."""
         w = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {((0,) * nvars, w): Fraction(1)}, jet_order)
+        return cls(nvars, {((0,) * nvars, w): Fraction(1)})
 
     @classmethod
-    def monomial(cls, u, w, coeff=Fraction(1), jet_order=0):
-        return cls(len(u), {(tuple(u), tuple(w)): coeff}, jet_order)
+    def monomial(cls, u, w, coeff=Fraction(1)):
+        return cls(len(u), {(tuple(u), tuple(w)): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -94,41 +88,35 @@ class WeylElement:
             raise VariableMismatch(
                 f"operands act on {self.nvars} and {other.nvars} variables"
             )
-        if self.jet_order != other.jet_order:
-            raise VariableMismatch("operands carry different jet orders")
 
     def __add__(self, other):
         if not isinstance(other, WeylElement):
-            other = WeylElement.constant(other, self.nvars, self.jet_order)
+            other = WeylElement.constant(other, self.nvars)
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key, Jet.zero(self.jet_order)) + c
-            if acc.is_zero():
+            acc = terms.get(key, 0) + c
+            if acc == 0:
                 terms.pop(key, None)
             else:
                 terms[key] = acc
-        return WeylElement(self.nvars, terms, self.jet_order)
+        return WeylElement(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(
-            self.nvars, {k: -c for k, c in self.terms.items()}, self.jet_order
-        )
+        return WeylElement(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, WeylElement):
-            other = WeylElement.constant(other, self.nvars, self.jet_order)
+            other = WeylElement.constant(other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scaled(self, factor):
-        return WeylElement(
-            self.nvars, {k: c * factor for k, c in self.terms.items()}, self.jet_order
-        )
+        return WeylElement(self.nvars, {k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -159,13 +147,8 @@ class WeylElement:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def constant_coefficients(self):
-        """Terms as plain rationals; raises if any coefficient has eps terms."""
-        out = {}
-        for key, c in self.terms.items():
-            if any(x != 0 for x in c.coeffs[1:]):
-                raise VariableMismatch("operator carries nontrivial eps jets")
-            out[key] = c.coeffs[0]
-        return out
+        """A copy of the terms, ``(u, w) -> Fraction``."""
+        return dict(self.terms)
 
     # -- rendering ---------------------------------------------------------
 
@@ -182,7 +165,8 @@ class WeylElement:
                 if e:
                     mono.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
             body = " ".join(mono)
-            coeff_txt, negative = _render_coeff(c)
+            negative = c < 0
+            coeff_txt = str(-c if negative else c)
             if body and coeff_txt == "1":
                 piece = body
             elif body:
@@ -197,22 +181,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"WeylElement({self.render()})"
-
-
-def _render_coeff(c: Jet):
-    nonzero = [x for x in c.coeffs if x != 0]
-    if len(nonzero) == 1 and c.coeffs[0] == nonzero[0]:
-        v = c.coeffs[0]
-        if v < 0:
-            return _fraction_str(-v), True
-        return _fraction_str(v), False
-    return f"({c.render()})", False
-
-
-def _fraction_str(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(v)
 
 
 def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -234,19 +202,19 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
                     tuple(u[i] + up[i] - k[i] for i in range(n)),
                     tuple(w[i] - k[i] + wp[i] for i in range(n)),
                 )
-                acc = terms.get(key, Jet.zero(x.jet_order)) + c * scale
-                if acc.is_zero():
+                acc = terms.get(key, 0) + c * scale
+                if acc == 0:
                     terms.pop(key, None)
                 else:
                     terms[key] = acc
-    return WeylElement(n, terms, x.jet_order)
+    return WeylElement(n, terms)
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     return multiply(x, y) - multiply(y, x)
 
 
-def fourier_box(ell, nvars=None, jet_order=0) -> WeylElement:
+def fourier_box(ell, nvars=None) -> WeylElement:
     """Box operator of an integer relation vector.
 
     Splits ``ell`` into its positive and negative parts and returns
@@ -259,10 +227,6 @@ def fourier_box(ell, nvars=None, jet_order=0) -> WeylElement:
     plus = tuple(max(x, 0) for x in ell)
     minus = tuple(max(-x, 0) for x in ell)
     if all(x == 0 for x in ell):
-        return WeylElement.zero(n, jet_order)
+        return WeylElement.zero(n)
     z = (0,) * n
-    return WeylElement(
-        n,
-        {(z, plus): Fraction(1), (z, minus): Fraction(-1)},
-        jet_order,
-    )
+    return WeylElement(n, {(z, plus): Fraction(1), (z, minus): Fraction(-1)})

@@ -1,4 +1,9 @@
 import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from gkz_forge import cli
 
@@ -206,11 +211,30 @@ def test_exit_code_4_on_nonconvergence(tmp_path, capsys):
     assert code == 4
 
 
-def test_threads_env_and_flag(tmp_path, capsys, monkeypatch):
+def test_jet_flag_is_rejected(tmp_path, capsys):
+    # a jet order below vol - 1 printed "independent" series that were not
+    # solutions; neither it nor the unused thread cap is an option any more
     path = write_job(tmp_path, P1_JOB)
-    monkeypatch.setenv("GKZ_FORGE_THREADS", "2")
-    code, out1, _ = run(capsys, ["rank", "--input", path])
-    assert code == 0
-    code, out2, _ = run(capsys, ["rank", "--input", path, "--threads", "4"])
-    assert code == 0
-    assert out1 == out2
+    for flag in (["--jet", "0"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["series", "--input", path] + flag)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_unknown_options_key_exits_2(tmp_path, capsys):
+    for key in ("jet", "ordr"):
+        job = dict(P1_JOB, options={"order": 6, key: 0})
+        code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
+        assert code == 2
+        assert out == "" and repr(key) in err
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is an oracle of the tests only
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, gkz_forge; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
