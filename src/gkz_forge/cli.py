@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,11 +27,29 @@ def _fail(msg):
     raise JobFileError(msg)
 
 
+def _is_int(value):
+    # JSON true / false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """A JSON number that a float holds finitely."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        _fail(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _fraction(value, what):
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -38,15 +57,21 @@ def _fraction(value, what):
 
 
 def _complex(value, what):
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(x) for x in value):
         return complex(value[0], value[1])
     _fail(f"{what} must be a number or a [re, im] pair, got {value!r}")
+
+
+def _flags(value, dim, what):
+    if (
+        not isinstance(value, list)
+        or len(value) != dim
+        or not all(_is_int(f) and f in (-1, 0, 1) for f in value)
+    ):
+        _fail(f"{what} must list {dim} flags from -1, 0, 1, got {value!r}")
+    return tuple(value)
 
 
 class Job:
@@ -58,7 +83,7 @@ class Job:
         if raw.get("schema_version") != SCHEMA_VERSION:
             _fail(f"schema_version must be {SCHEMA_VERSION}")
         known = {
-            "schema_version", "dim", "points", "beta", "system", "rays",
+            "schema_version", "dim", "points", "beta", "system",
             "symmetry", "section", "numerator", "chains", "candidate", "options",
         }
         for key in raw:
@@ -72,7 +97,7 @@ class Job:
             if "dim" not in raw or "points" not in raw:
                 _fail("gkz jobs need 'dim' and 'points'")
             self.dim = raw["dim"]
-            if not isinstance(self.dim, int):
+            if not _is_int(self.dim):
                 _fail("dim must be an integer")
             self.points = self._int_vectors(raw["points"], self.dim, "points")
             beta = raw.get("beta")
@@ -87,13 +112,8 @@ class Job:
             self.points = ((2,), (1,), (0,))
             self.beta = (Fraction(1), Fraction(0))
 
-        self.rays = None
-        if "rays" in raw:
-            vectors = self._int_vectors(raw["rays"], self.dim, "rays")
-            self.rays = lattice.FanRays(rays=vectors)  # validates primitivity
-
         self.symmetry = []
-        for k, entry in enumerate(raw.get("symmetry", [])):
+        for k, entry in enumerate(_list(raw.get("symmetry", []), "symmetry")):
             if not isinstance(entry, dict) or "xi" not in entry:
                 _fail("each symmetry entry needs a matrix under 'xi'")
             xi = entry["xi"]
@@ -115,19 +135,23 @@ class Job:
             sec = raw["section"]
             if not isinstance(sec, dict) or "a" not in sec:
                 _fail("section needs coefficient list 'a'")
-            coeffs = [_complex(z, "section coefficient") for z in sec["a"]]
+            coeffs = [_complex(z, "section coefficient") for z in _list(sec["a"], "section a")]
             if len(coeffs) != len(self.points):
                 _fail("section coefficient count must match the points")
             self.section = tuple(coeffs)
             self.i0 = sec.get("i0")
             if self.i0 is not None and not (
-                isinstance(self.i0, int) and 0 <= self.i0 < len(self.points)
+                _is_int(self.i0) and 0 <= self.i0 < len(self.points)
             ):
                 _fail("section i0 out of range")
             radii = sec.get("radii")
             if radii is not None:
-                if not isinstance(radii, list) or len(radii) != self.dim:
-                    _fail(f"radii must list {self.dim} positive numbers")
+                if (
+                    not isinstance(radii, list)
+                    or len(radii) != self.dim
+                    or not all(_is_real(r) and r > 0 for r in radii)
+                ):
+                    _fail(f"radii must list {self.dim} positive numbers, got {radii!r}")
                 self.radii = tuple(float(r) for r in radii)
 
         self.numerator = None
@@ -136,33 +160,36 @@ class Job:
             if not isinstance(numr, dict) or "exponents" not in numr or "b" not in numr:
                 _fail("numerator needs 'exponents' and 'b'")
             exps = self._int_vectors(numr["exponents"], self.dim, "numerator exponents")
-            bs = tuple(_complex(z, "numerator coefficient") for z in numr["b"])
+            bs = tuple(_complex(z, "numerator coefficient") for z in _list(numr["b"], "numerator b"))
             if len(exps) != len(bs):
                 _fail("numerator exponents and coefficients differ in length")
             self.numerator = (exps, bs)
 
         self.chains = []
-        for k, ch in enumerate(raw.get("chains", [])):
-            if not isinstance(ch, dict) or "segments" not in ch:
-                _fail(f"chain {k} needs a 'segments' list")
+        for k, ch in enumerate(_list(raw.get("chains", []), "chains")):
+            segments = ch.get("segments") if isinstance(ch, dict) else None
+            if not isinstance(segments, list) or not segments:
+                _fail(f"chain {k} needs a nonempty 'segments' list")
             segs = []
-            for seg in ch["segments"]:
-                if len(seg.get("start", [])) != self.dim or len(seg.get("end", [])) != self.dim:
+            for seg in segments:
+                if not isinstance(seg, dict):
+                    _fail(f"chain {k} segments must be objects, got {seg!r}")
+                ends = [seg.get("start"), seg.get("end")]
+                if not all(isinstance(z, list) and len(z) == self.dim for z in ends):
                     _fail(f"chain {k} segment points must have dimension {self.dim}")
                 segs.append(
                     periods.Segment(
                         start=tuple(_complex(z, "segment point") for z in seg["start"]),
                         end=tuple(_complex(z, "segment point") for z in seg["end"]),
-                        start_flags=tuple(seg.get("start_flags", [0] * self.dim)),
-                        end_flags=tuple(seg.get("end_flags", [0] * self.dim)),
+                        start_flags=_flags(
+                            seg.get("start_flags", [0] * self.dim), self.dim, "start_flags"
+                        ),
+                        end_flags=_flags(
+                            seg.get("end_flags", [0] * self.dim), self.dim, "end_flags"
+                        ),
                     )
                 )
-            try:
-                self.chains.append(periods.ChainSpec(segments=tuple(segs)))
-            except GkzForgeError:
-                raise
-            except KeyError as exc:
-                _fail(f"chain {k} segment misses {exc}")
+            self.chains.append(periods.ChainSpec(segments=tuple(segs)))
 
         self.candidate = raw.get("candidate")
         if self.candidate is not None:
@@ -178,11 +205,11 @@ class Job:
             if key not in ("order", "tol"):
                 _fail(f"unknown options key {key!r}")
         self.order = opts.get("order", 10)
-        if not isinstance(self.order, int) or self.order < 0:
-            _fail("options.order must be a nonnegative integer")
+        if not _is_int(self.order) or self.order < 0:
+            _fail(f"options.order must be a nonnegative integer, got {self.order!r}")
         tol = opts.get("tol", 1e-10)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            _fail("options.tol must be a positive number")
+        if not _is_real(tol) or tol <= 0:
+            _fail(f"options.tol must be a positive number, got {tol!r}")
         self.tol = float(tol)
 
     def _int_vectors(self, data, dim, what):
@@ -191,7 +218,7 @@ class Job:
         out = []
         for v in data:
             if not isinstance(v, list) or len(v) != dim or any(
-                not isinstance(x, int) for x in v
+                not _is_int(x) for x in v
             ):
                 _fail(f"{what} entries must be integer vectors of length {dim}")
             out.append(tuple(v))
@@ -315,7 +342,7 @@ def cmd_verify(job, args):
     if job.candidate is None:
         _fail("verify needs a 'candidate' block")
     cand = _candidate_series(job, spec)
-    reports = series.annihilate_check(spec, cand, tol=job.tol if job.tol else None)
+    reports = series.annihilate_check(spec, cand)
     text = ["symbolic residuals:"]
     machine_ops = []
     for rep in reports:
@@ -444,11 +471,13 @@ def main(argv=None):
             _fail(f"cannot read job file: {exc}")
         except json.JSONDecodeError as exc:
             _fail(f"job file is not valid JSON: {exc}")
+        # --order and --tol override options and pass the same checks
+        overrides = {
+            key: getattr(args, key) for key in ("order", "tol") if getattr(args, key) is not None
+        }
+        if overrides and isinstance(raw, dict) and isinstance(raw.get("options", {}), dict):
+            raw["options"] = {**raw.get("options", {}), **overrides}
         job = Job(raw)
-        if args.order is not None:
-            job.order = args.order
-        if args.tol is not None:
-            job.tol = args.tol
         COMMANDS[args.command](job, args)
     except GkzForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Everything here works on plain Python ints / Fractions, organized as tuples
 of row tuples.  Matrices are tiny (dimensions a handful, at most a couple of
 dozen columns), so the classical algorithms are used directly: Bareiss for
 determinants, row Hermite normal form with a unimodular transform for
-kernels, and elementary Smith reduction for saturation checks.
+kernels and for the one integer solver (back substitution on that form),
+and elementary Smith reduction for invariant factors.
 """
 
 from __future__ import annotations
@@ -229,36 +230,43 @@ def solve_rational(rows, rhs):
     return tuple(x)
 
 
-def solve_integer(rows, rhs):
-    """One integer solution of ``rows @ x = rhs`` or None.
+def integer_solver(rows):
+    """Integer solver of ``rows @ x = rhs`` for many right-hand sides.
 
-    Uses the Hermite transform of the transpose: with ``U A^T = H`` the
-    system becomes triangular in the transformed unknowns.
+    Factors the transpose once, ``U A^T = H`` (row Hermite form with its
+    unimodular transform), so each call only back-substitutes: it solves
+    ``y H = rhs`` down the staircase of ``H`` and returns ``x = y U``, or
+    None when ``rhs`` has no integer solution.  The entries of ``y`` at the
+    zero rows of ``H`` are pinned to zero.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
-        return ()
-    t = list(zip(*rows))  # p x m
-    h, u = hermite_form(t, transform=True)
-    p = len(t)
-    m = len(rows)
-    # solve y @ H = rhs  (y has p entries, H is p x m upper-staircase)
-    y = [0] * p
-    rem = list(rhs)
-    for i in range(p):
-        col = next((j for j in range(m) if h[i][j] != 0), None)
-        if col is None:
-            continue
-        if rem[col] % h[i][col]:
+        return lambda rhs: ()
+    h, u = hermite_form(list(zip(*rows)), transform=True)
+    steps = [
+        (u[i], next(j for j, x in enumerate(hrow) if x), hrow)
+        for i, hrow in enumerate(h)
+        if any(hrow)
+    ]
+    nunknowns = len(h)
+
+    def solve(rhs):
+        rem = list(rhs)
+        x = [0] * nunknowns
+        for urow, col, hrow in steps:
+            q, r = divmod(rem[col], hrow[col])
+            if r:
+                return None
+            if q:
+                rem = [a - q * b for a, b in zip(rem, hrow)]
+                x = [a + q * b for a, b in zip(x, urow)]
+        if any(rem):
             return None
-        q = rem[col] // h[i][col]
-        y[i] = q
-        rem = [rem[j] - q * h[i][j] for j in range(m)]
-    if any(rem):
-        return None
-    x = [0] * p
-    for i in range(p):
-        if y[i]:
-            for j in range(p):
-                x[j] += y[i] * u[i][j]
-    return tuple(x)
+        return tuple(x)
+
+    return solve
+
+
+def solve_integer(rows, rhs):
+    """One integer solution of ``rows @ x = rhs`` or None."""
+    return integer_solver(rows)(rhs)

@@ -2,6 +2,7 @@
 
 This module owns the combinatorial seed of every system built by the
 package: homogenized exponent matrices, their saturated integer kernels,
+the walk over a kernel lattice (window offsets and their coordinates),
 normalized polytope volumes (the rank prediction), the independent Ehrhart
 counting oracle, and the resonance check on fan rays.
 
@@ -60,11 +61,39 @@ class KernelBasis:
     """Canonical basis of the saturated integer kernel of an exponent matrix."""
 
     vectors: tuple
-    saturated: bool
 
     @property
     def rank(self):
         return len(self.vectors)
+
+
+class LatticeWalk:
+    """Integer combinations ``sum_k c_k basis_k`` of independent rows in Z^nvars.
+
+    ``window`` walks the coordinate box and ``coords`` inverts it.  The
+    Hermite form that ``coords`` back-substitutes on is computed once, when
+    the walk is made.  An empty basis spans only the zero offset.
+    """
+
+    def __init__(self, basis, nvars):
+        self.basis = tuple(tuple(b) for b in basis)
+        self._solve = intlinalg.integer_solver(
+            [tuple(b[j] for b in self.basis) for j in range(nvars)]
+        )
+        self.nvars = nvars
+
+    def window(self, radius):
+        """``(coords, offset)`` for every coordinate vector of max norm at most
+        ``radius``, in lexicographic order of the coordinates."""
+        out = []
+        for c in product(range(-radius, radius + 1), repeat=len(self.basis)):
+            v = tuple(sum(ck * b[j] for ck, b in zip(c, self.basis)) for j in range(self.nvars))
+            out.append((c, v))
+        return out
+
+    def coords(self, v):
+        """Coordinates of the offset ``v``, or None when ``v`` is off the lattice."""
+        return self._solve(v)
 
 
 @dataclass(frozen=True)
@@ -138,11 +167,7 @@ def integer_kernel(em: ExponentMatrix) -> KernelBasis:
     The basis is Hermite-reduced with the first nonzero entry of every
     vector positive, so downstream operator generation is deterministic.
     """
-    vectors = intlinalg.kernel_basis(em.A)
-    saturated = True
-    if vectors:
-        saturated = all(d == 1 for d in intlinalg.smith_invariants(vectors))
-    return KernelBasis(vectors=tuple(vectors), saturated=saturated)
+    return KernelBasis(vectors=tuple(intlinalg.kernel_basis(em.A)))
 
 
 # -- convex hull and volumes -------------------------------------------------

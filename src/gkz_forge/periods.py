@@ -39,8 +39,8 @@ from .errors import (
     SingularOnContour,
     StencilOutOfDomain,
 )
-from .lattice import ExponentMatrix, integer_kernel
-from .series import LogSeries, OffsetLattice, _offsets_in_window
+from .lattice import ExponentMatrix, LatticeWalk, integer_kernel
+from .series import LogSeries
 
 # a section (or chart denominator) whose modulus falls below this fraction
 # of the sum of its terms' moduli counts as vanishing on a torus or a path
@@ -163,13 +163,11 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
             f"section {i0} has exponent {A.points[i0]}; the expansion base must be 0"
         )
     kernel = integer_kernel(A)
-    lat = OffsetLattice(kernel.vectors)
     p = A.nsections
     gamma = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(p))
     terms = {}
     zl = (0,) * p
-    for coords in _offsets_in_window(kernel.vectors, order):
-        v = lat.vector(coords) if kernel.vectors else (0,) * p
+    for _, v in LatticeWalk(kernel.vectors, p).window(order):
         if any(v[i] < 0 for i in range(p) if i != i0):
             continue
         total = -v[i0]

@@ -3,29 +3,27 @@
 Series live on a coset ``gamma + L`` of the relation lattice ``L`` of an
 exponent matrix.  A term is ``coeff * a^(gamma+v) * prod_i log(a_i)^m_i``
 keyed by the integer offset ``v`` and the log multi-index ``m``, with a
-Fraction (or float) coefficient.
+rational (``int`` or ``Fraction``) coefficient, so ranks and annihilation
+are decided exactly.
 
-Two coefficient conventions appear:
-
-* ``gamma_series`` uses raw reciprocal-gamma coefficients
-  ``1 / prod_i Gamma(gamma_i + v_i + 1)`` with ``1/Gamma`` equal to zero at
-  nonpositive integers.
+* ``gamma_series`` uses reciprocal-gamma coefficients
+  ``prod_i 1 / Gamma(gamma_i + v_i + 1)`` with ``1/Gamma`` equal to zero at
+  nonpositive integers.  A non-integral ``gamma_i`` contributes the same
+  constant ``1 / Gamma(gamma_i mod 1)`` to every term; it is dropped, which
+  leaves an exact Pochhammer factor.
 * ``frobenius_basis`` (the Frobenius method of Hosono, Klemm, Theisen and
   Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
   and works with ratios of gamma values at integer shifts, which are
   rational functions of ``eps``.  It expands them as exact eps-jets of
   order ``vol - 1`` and extracts the logarithmic solutions as their
-  eps-power coefficients.  This is the only place jets occur; everything
-  is exact rational arithmetic, so independence counts are exact.
+  eps-power coefficients.  This is the only place jets occur.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import (
     DegreeViolation,
@@ -33,7 +31,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from . import intlinalg
-from .lattice import integer_kernel, normalized_volume
+from .lattice import LatticeWalk, integer_kernel, normalized_volume
 from .tautsys import SystemSpec
 from .jets import Jet
 
@@ -42,14 +40,21 @@ from .jets import Jet
 
 
 def reciprocal_gamma_value(q):
-    """1/Gamma(q) for rational q; exact at integers, float elsewhere."""
+    """Exact ``Gamma(r) / Gamma(q)`` for rational ``q``, with ``r = q mod 1``.
+
+    At an integer this is ``1/Gamma(q)`` (zero at nonpositive integers).
+    Elsewhere it is ``1/Gamma(q)`` without the constant factor
+    ``1/Gamma(r)``: the Pochhammer factor ``1 / (r (r+1) ... (q-1))``, or
+    ``(r-1) (r-2) ... q`` when ``q < 0``.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        qi = int(q)
-        if qi <= 0:
-            return Fraction(0)
-        return Fraction(1, math.factorial(qi - 1))
-    return 1.0 / math.gamma(float(q))
+    n = math.floor(q)
+    if q == n:
+        return Fraction(0) if n <= 0 else Fraction(1, math.factorial(n - 1))
+    r = q - n
+    if n >= 0:
+        return 1 / math.prod((r + k for k in range(n)), start=Fraction(1))
+    return math.prod((r - k for k in range(1, 1 - n)), start=Fraction(1))
 
 
 def gamma_ratio_jet(base, slope, shift, order):
@@ -86,46 +91,6 @@ def gamma_ratio_jet(base, slope, shift, order):
     return val, unit
 
 
-# -- offset lattice helper ----------------------------------------------------
-
-
-class OffsetLattice:
-    """Membership and coordinates for the integer span of basis rows."""
-
-    def __init__(self, basis):
-        self.basis = tuple(tuple(b) for b in basis)
-        self._cache = {}
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def coords(self, v):
-        """Coordinates of v in the basis, or None when v is off-lattice."""
-        v = tuple(v)
-        if v in self._cache:
-            return self._cache[v]
-        if not self.basis:
-            out = () if all(x == 0 for x in v) else None
-        else:
-            rows = list(zip(*self.basis))  # p x r matrix with columns = basis
-            sol = intlinalg.solve_integer(rows, v)
-            if sol is None:
-                out = None
-            else:
-                # solve_integer guarantees rows @ sol = v
-                out = sol
-        self._cache[v] = out
-        return out
-
-    def vector(self, coords):
-        p = len(self.basis[0])
-        return tuple(
-            sum(coords[i] * self.basis[i][j] for i in range(len(self.basis)))
-            for j in range(p)
-        )
-
-
 # -- the series container -----------------------------------------------------
 
 
@@ -133,7 +98,8 @@ class OffsetLattice:
 class LogSeries:
     """Truncated series with fractional exponents and logarithm powers.
 
-    ``terms`` maps ``(offset, logpow)`` to a coefficient.  ``lattice`` and
+    ``terms`` maps ``(offset, logpow)`` to a rational (``int`` or
+    ``Fraction``) coefficient.  ``lattice`` and
     ``radius`` describe the guaranteed-complete region: every offset whose
     lattice coordinates are bounded by ``radius`` in max norm is either
     stored or exactly zero.  ``radius=None`` states that the stored terms
@@ -144,7 +110,6 @@ class LogSeries:
     terms: dict
     lattice: tuple = ()
     radius: object = None
-    direction: tuple = None
 
     @property
     def nvars(self):
@@ -156,37 +121,6 @@ class LogSeries:
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda kv: (sum(abs(x) for x in kv[0][0]), kv[0])
-        )
-
-    def eps_coefficient(self, j) -> "LogSeries":
-        """Extract the eps^j coefficient of a jet-valued deformed series.
-
-        The deformation multiplies every monomial by ``a^(eps*direction)``,
-        whose expansion contributes powers of ``sum_i direction_i log a_i``;
-        they are spread over log multi-indices here.
-        """
-        direction = self.direction
-        support = [i for i, d in enumerate(direction) if d != 0]
-        out = defaultdict(Fraction)
-        for (v, m), jet in self.terms.items():
-            if any(m):
-                raise ValueError("jet-valued series must not carry explicit logs")
-            for logtot in range(j + 1):
-                c = jet.coefficient(j - logtot)
-                if c == 0:
-                    continue
-                for alpha in _compositions(logtot, support, self.nvars):
-                    factor = Fraction(1)
-                    for i in support:
-                        if alpha[i]:
-                            factor *= direction[i] ** alpha[i] / math.factorial(alpha[i])
-                    out[(v, alpha)] += c * factor
-        terms = {k: c for k, c in out.items() if c != 0}
-        return LogSeries(
-            gamma=self.gamma,
-            terms=terms,
-            lattice=self.lattice,
-            radius=self.radius,
         )
 
     def evaluate(self, avec):
@@ -212,16 +146,96 @@ class LogSeries:
             terms={k: c * factor for k, c in self.terms.items()},
             lattice=self.lattice,
             radius=self.radius,
-            direction=self.direction,
         )
 
     def render(self):
         lines = ["gamma = (" + ", ".join(str(g) for g in self.gamma) + ")"]
         for (v, m), c in self.sorted_terms():
-            ctxt = str(c) if isinstance(c, Fraction) else repr(c)
             lines.append(f"  offset ({', '.join(str(x) for x in v)})"
-                         f" log ({', '.join(str(x) for x in m)}) : {ctxt}")
+                         f" log ({', '.join(str(x) for x in m)}) : {c}")
         return "\n".join(lines)
+
+
+def monomial_series(gamma, coeff=Fraction(1)) -> LogSeries:
+    """A single monomial (or finitely supported candidate) as a LogSeries."""
+    gamma = tuple(Fraction(g) for g in gamma)
+    p = len(gamma)
+    return LogSeries(
+        gamma=gamma,
+        terms={((0,) * p, (0,) * p): coeff},
+        lattice=(),
+        radius=None,
+    )
+
+
+def _check_degree(A, beta, gamma):
+    lhs = A.degree(gamma)
+    rhs = tuple(-Fraction(b) for b in beta)
+    if lhs != rhs:
+        raise DegreeViolation(
+            f"A.gamma = {lhs} does not equal -beta = {rhs}"
+        )
+
+
+def gamma_series(spec: SystemSpec, gamma, order) -> LogSeries:
+    """Truncated reciprocal-gamma series with base exponent ``gamma``.
+
+    Requires ``A.gamma = -beta``.  Coefficients are exact: each is
+    ``prod_i reciprocal_gamma_value(gamma_i + v_i + 1)``, which drops the
+    constant ``1/Gamma(gamma_i mod 1)`` of every non-integral ``gamma_i``.
+    """
+    gamma = tuple(Fraction(g) for g in gamma)
+    A = spec.A
+    _check_degree(A, spec.beta, gamma)
+    kernel = integer_kernel(A)
+    zero_log = (0,) * A.nsections
+    if not kernel.vectors:
+        # no offsets: the reciprocal-gamma prefactor is a single overall
+        # constant, so the series is normalized to the bare monomial
+        return LogSeries(
+            gamma=gamma,
+            terms={(zero_log, zero_log): Fraction(1)},
+            lattice=(),
+            radius=order,
+        )
+    terms = {}
+    for _, v in LatticeWalk(kernel.vectors, A.nsections).window(order):
+        coeff = Fraction(1)
+        for g, x in zip(gamma, v):
+            coeff *= reciprocal_gamma_value(g + x + 1)
+            if coeff == 0:
+                break
+        if coeff != 0:
+            terms[(v, zero_log)] = coeff
+    return LogSeries(gamma=gamma, terms=terms, lattice=kernel.vectors, radius=order)
+
+
+# -- Frobenius bases ----------------------------------------------------------
+
+
+def _ratio_jet_family(gamma0, slope, window, jet_order):
+    """Exact jets of the gamma-ratio coefficients over a window of offsets.
+
+    Returns ``(coords, offset, jet)`` triples with nonzero jets, or ``None``
+    when some coefficient has a pole at eps = 0 (the deformed family is then
+    not holomorphic and unusable).
+    """
+    family = []
+    for coords, v in window:
+        val = 0
+        unit = Jet.constant(Fraction(1), jet_order)
+        for g, s, x in zip(gamma0, slope, v):
+            vi, ui = gamma_ratio_jet(g, s, x, jet_order)
+            val += vi
+            unit = unit * ui
+        if val < 0:
+            return None
+        if val > jet_order:
+            continue
+        jet = unit.shifted(val)
+        if not jet.is_zero():
+            family.append((coords, v, jet))
+    return family
 
 
 def _compositions(total, support, nvars):
@@ -239,121 +253,44 @@ def _compositions(total, support, nvars):
             yield tuple(alpha)
 
 
-def monomial_series(gamma, coeff=Fraction(1)) -> LogSeries:
-    """A single monomial (or finitely supported candidate) as a LogSeries."""
-    gamma = tuple(Fraction(g) for g in gamma)
-    p = len(gamma)
-    return LogSeries(
-        gamma=gamma,
-        terms={((0,) * p, (0,) * p): coeff},
-        lattice=(),
-        radius=None,
-    )
+def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
+    """The eps^0 .. eps^(count-1) coefficients of a deformed family, as log series.
 
-
-def _offsets_in_window(basis, radius):
-    if not basis:
-        return [()]
-    ranges = [range(-radius, radius + 1) for _ in basis]
-    return sorted(product(*ranges))
-
-
-def _check_degree(A, beta, gamma):
-    lhs = A.degree(gamma)
-    rhs = tuple(-Fraction(b) for b in beta)
-    if lhs != rhs:
-        raise DegreeViolation(
-            f"A.gamma = {lhs} does not equal -beta = {rhs}"
-        )
-
-
-def gamma_series(spec: SystemSpec, gamma, order) -> LogSeries:
-    """Truncated reciprocal-gamma series with base exponent ``gamma``.
-
-    Requires ``A.gamma = -beta``.
+    The deformed series is ``sum_v c_v(eps) a^(gamma0 + v + eps*slope)``.  Its
+    factor ``a^(eps*slope)`` contributes ``prod_i (slope_i log a_i)^alpha_i /
+    alpha_i!`` to the power ``eps^|alpha|``, so the eps^j coefficient carries
+    the log multi-index ``alpha`` with the jet coefficient ``c_v[j - |alpha|]``.
     """
-    gamma = tuple(Fraction(g) for g in gamma)
-    A = spec.A
-    _check_degree(A, spec.beta, gamma)
-    kernel = integer_kernel(A)
-    if not kernel.vectors:
-        # no offsets: the reciprocal-gamma prefactor is a single overall
-        # constant, so the series is normalized to the bare monomial
-        return LogSeries(
-            gamma=gamma,
-            terms={((0,) * A.nsections, (0,) * A.nsections): Fraction(1)},
-            lattice=(),
-            radius=order,
-        )
-    lat = OffsetLattice(kernel.vectors)
-    terms = {}
-    zero_log = (0,) * A.nsections
-    for coords in _offsets_in_window(kernel.vectors, order):
-        v = lat.vector(coords)
-        coeff = Fraction(1)
-        for i in range(A.nsections):
-            f = reciprocal_gamma_value(gamma[i] + v[i] + 1)
-            if f == 0:
-                coeff = Fraction(0)
-                break
-            coeff = coeff * f
-        if coeff != 0:
-            terms[(v, zero_log)] = coeff
-    return LogSeries(gamma=gamma, terms=terms, lattice=kernel.vectors, radius=order)
+    support = [i for i, s in enumerate(slope) if s != 0]
+    logs = []  # (|alpha|, alpha, prod_i slope_i^alpha_i / alpha_i!)
+    for total in range(count):
+        for alpha in _compositions(total, support, len(gamma0)):
+            factor = Fraction(1)
+            for i in support:
+                if alpha[i]:
+                    factor *= Fraction(slope[i]) ** alpha[i] / math.factorial(alpha[i])
+            logs.append((total, alpha, factor))
+    terms = [{} for _ in range(count)]
+    for _, v, jet in family:
+        for total, alpha, factor in logs:
+            for j in range(total, count):
+                c = jet.coefficient(j - total)
+                if c != 0:
+                    terms[j][(v, alpha)] = c * factor
+    return [
+        LogSeries(gamma=tuple(gamma0), terms=t, lattice=lattice, radius=radius)
+        for t in terms
+    ]
 
 
-# -- Frobenius bases ----------------------------------------------------------
-
-
-def _ratio_jet_family(gamma0, slope, offsets, lat, jet_order):
-    """Exact jets of the gamma-ratio coefficients over a window of offsets.
-
-    Returns ``None`` when some coefficient has a pole at eps = 0 (the
-    deformed family is then not holomorphic and unusable).
-    """
-    p = len(gamma0)
-    family = {}
-    for coords in offsets:
-        v = lat.vector(coords) if lat.basis else (0,) * p
-        val = 0
-        unit = Jet.constant(Fraction(1), jet_order)
-        for i in range(p):
-            vi, ui = gamma_ratio_jet(gamma0[i], slope[i], v[i], jet_order)
-            val += vi
-            unit = unit * ui
-        if val < 0:
-            return None
-        if val > jet_order:
-            continue
-        jet = unit.shifted(val)
-        if not jet.is_zero():
-            family[v] = jet
-    return family
-
-
-def _deformed_series(gamma0, slope, family, lattice, radius):
-    return LogSeries(
-        gamma=tuple(Fraction(g) for g in gamma0),
-        terms={(v, (0,) * len(gamma0)): jet for v, jet in family.items()},
-        lattice=lattice,
-        radius=radius,
-        direction=tuple(Fraction(s) for s in slope),
-    )
-
-
-def _one_sided(family, lat):
+def _one_sided(family):
     """True when the eps^0 support does not straddle both lattice sides."""
-    pos = neg = False
-    for v, jet in family.items():
-        if jet.coefficient(0) == 0:
-            continue
-        coords = lat.coords(v)
-        s = next((x for x in coords if x != 0), 0)
-        if s > 0:
-            pos = True
-        elif s < 0:
-            neg = True
-    return not (pos and neg)
+    sides = set()
+    for coords, _, jet in family:
+        if jet.coefficient(0) != 0:
+            lead = next((x for x in coords if x != 0), 0)
+            sides.add((lead > 0) - (lead < 0))
+    return not {1, -1} <= sides
 
 
 def _candidate_classes(gamma_star, delta):
@@ -396,31 +333,25 @@ def frobenius_basis(spec: SystemSpec, order):
             f"kernel rank {rank} exceeds the supported {_MAX_KERNEL_RANK}"
         )
     neg_beta = [-Fraction(b) for b in spec.beta]
-    jet_order = vol - 1
+    gamma_star = intlinalg.solve_rational(A.A, neg_beta)
+    if gamma_star is None:
+        raise UnsupportedFamily("no exponent solves the degree constraints")
 
     if rank == 0:
-        gamma_star = intlinalg.solve_rational(A.A, neg_beta)
-        if gamma_star is None:
-            raise UnsupportedFamily("no exponent solves the degree constraints")
         if all(abs(g) <= order for g in gamma_star):
             return [monomial_series(gamma_star)]
         return []
 
-    gamma_star = intlinalg.solve_rational(A.A, neg_beta)
-    if gamma_star is None:
-        raise UnsupportedFamily("no exponent solves the degree constraints")
-    lat = OffsetLattice(kernel.vectors)
-    offsets = _offsets_in_window(kernel.vectors, order)
+    window = LatticeWalk(kernel.vectors, A.nsections).window(order)
 
     if rank == 1:
         delta = kernel.vectors[0]
         for lam in _candidate_classes(gamma_star, delta):
             gamma0 = tuple(g + lam * d for g, d in zip(gamma_star, delta))
-            family = _ratio_jet_family(gamma0, delta, offsets, lat, jet_order)
-            if family is None or not _one_sided(family, lat):
+            family = _ratio_jet_family(gamma0, delta, window, vol - 1)
+            if family is None or not _one_sided(family):
                 continue
-            deformed = _deformed_series(gamma0, delta, family, kernel.vectors, order)
-            basis = [deformed.eps_coefficient(j) for j in range(vol)]
+            basis = _eps_coefficients(gamma0, delta, family, kernel.vectors, order, vol)
             if count_independent(basis) == vol:
                 return basis
         raise UnsupportedFamily("no resonant exponent class yields a full basis")
@@ -443,12 +374,10 @@ def frobenius_basis(spec: SystemSpec, order):
     ]
     basis = []
     for slope in pool:
-        family = _ratio_jet_family(gamma0, slope, offsets, lat, jet_order)
+        family = _ratio_jet_family(gamma0, slope, window, vol - 1)
         if family is None:
             continue
-        deformed = _deformed_series(gamma0, slope, family, kernel.vectors, order)
-        for j in range(vol):
-            candidate = deformed.eps_coefficient(j)
+        for candidate in _eps_coefficients(gamma0, slope, family, kernel.vectors, order, vol):
             if not candidate.terms:
                 continue
             if count_independent(basis + [candidate]) > len(basis):
@@ -499,9 +428,6 @@ def apply_operator(op, series: LogSeries) -> dict:
     computed once per call in exact arithmetic and cached by
     ``(i, v_i, m_i, k)``, and an image term is keyed by the integer offset
     ``v - w + u`` and its log multi-index, so no exponent is ever formed.
-    Contributions to a key are summed in a fixed order (series terms in
-    ``sorted_terms`` order, then operator terms in sorted order), so float
-    summation is deterministic.
     """
     gamma = series.gamma
     op_terms = [
@@ -542,23 +468,23 @@ def apply_operator(op, series: LogSeries) -> dict:
     return out
 
 
-def annihilate_check(spec: SystemSpec, series: LogSeries, tol=None):
+def _require_rational(series: LogSeries):
+    for c in series.terms.values():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
+
+
+def annihilate_check(spec: SystemSpec, series: LogSeries):
     """Apply every operator of the system to the series and report residuals.
 
     A residual coefficient is only trusted when every lattice offset that
     could feed it lies inside the series' guaranteed-complete window; the
     frontier terms produced by truncation are counted but not judged.  The
-    report is ``clean`` when all trusted coefficients vanish (exactly for
-    rational coefficients, below ``tol`` for floats).
+    report is ``clean`` when every trusted coefficient vanishes exactly.
+    Raises TypeError on a coefficient that is not rational.
     """
-    lat = OffsetLattice(series.lattice)
-    exact = all(isinstance(c, Fraction) for c in series.terms.values())
-    if tol is None:
-        if exact:
-            tol = 0
-        else:
-            scale = max((abs(c) for c in series.terms.values()), default=1.0)
-            tol = 1e-12 * max(1.0, float(scale))
+    _require_rational(series)
+    walk = LatticeWalk(series.lattice, series.nvars)
     reports = []
     for op in spec.operators:
         if (
@@ -576,52 +502,41 @@ def annihilate_check(spec: SystemSpec, series: LogSeries, tol=None):
                 for (u, w) in op.constant_coefficients()
             }
         )
+        trusted = {}  # offset -> every offset that feeds it lies in the window
         kept = {}
         skipped = 0
         for (v2, m2), c in raw.items():
-            reliable = True
-            if series.radius is not None:
-                for s in shifts:
-                    pre = tuple(v2[i] + s[i] for i in range(series.nvars))
-                    coords = lat.coords(pre)
-                    if coords is not None and any(
-                        abs(x) > series.radius for x in coords
-                    ):
-                        reliable = False
-                        break
-            if reliable:
+            ok = trusted.get(v2)
+            if ok is None:
+                ok = True
+                if series.radius is not None:
+                    for s in shifts:
+                        coords = walk.coords([a + b for a, b in zip(v2, s)])
+                        if coords is not None and any(abs(x) > series.radius for x in coords):
+                            ok = False
+                            break
+                trusted[v2] = ok
+            if ok:
                 kept[(v2, m2)] = c
             else:
                 skipped += 1
-        max_abs = max((abs(float(c)) for c in kept.values()), default=0.0)
-        clean = all(
-            (c == 0 if isinstance(c, Fraction) and exact else abs(float(c)) <= tol)
-            for c in kept.values()
-        )
-        residual = LogSeries(
-            gamma=series.gamma,
-            terms={k: c for k, c in kept.items() if c != 0},
-            lattice=(),
-            radius=None,
-        )
         reports.append(
             OperatorResidual(
                 operator=op,
-                residual=residual,
-                clean=clean,
+                residual=LogSeries(gamma=series.gamma, terms=kept),
+                clean=not kept,
                 checked=len(kept),
                 skipped=skipped,
-                max_abs=max_abs,
+                max_abs=max((abs(float(c)) for c in kept.values()), default=0.0),
             )
         )
     return reports
 
 
 def count_independent(series_list) -> int:
-    """Rank of the coefficient matrix over the shared monomial/log basis.
+    """Exact rank of the coefficient matrix over the shared monomial/log basis.
 
-    Exact when every coefficient is rational; floats fall back to a
-    numerical rank.
+    Raises TypeError on a coefficient that is not rational.
     """
     series_list = list(series_list)
     if not series_list:
@@ -631,6 +546,7 @@ def count_independent(series_list) -> int:
     classes = {}
     keyed = []
     for s in series_list:
+        _require_rational(s)
         floor = tuple(math.floor(g) for g in s.gamma)
         cls = classes.setdefault(
             tuple(g - f for g, f in zip(s.gamma, floor)), len(classes)
@@ -642,20 +558,10 @@ def count_independent(series_list) -> int:
             }
         )
     column = {key: j for j, key in enumerate(sorted(set().union(*keyed)))}
-    exact = all(
-        isinstance(c, Fraction) for s in series_list for c in s.terms.values()
-    )
     rows = []
     for terms in keyed:
         row = [0] * len(column)
         for key, c in terms.items():
             row[column[key]] = c
         rows.append(row)
-    if exact:
-        return intlinalg.rank(rows)
-    import numpy as np
-
-    m = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    if m.size == 0:
-        return 0
-    return int(np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(abs(m).max()))))
+    return intlinalg.rank(rows)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -238,3 +239,85 @@ def test_import_does_not_load_mpmath():
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"
+QUINTIC_JOB = {
+    "schema_version": 1,
+    "dim": 4,
+    "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1], [0, 0, 0, 0]],
+    "options": {"order": 8},
+}
+# sha256 of the exact machine reports; a change to the series model, the
+# lattice walk or the operator rendering must leave every one of them intact
+MACHINE_REPORT_SHA256 = {
+    ("chain_131.json", "build"): "2f7fdff37d01a20824bf50bdb4c692e173131c4c23f8ac544bef3d66496b8844",
+    ("chain_131.json", "rank"): "26532913dfc7af564f65daad5f96ed5833edb10738ff70d591379e01e44a4cec",
+    ("chain_131.json", "series"): "ff455308ee5e4ce6f34169a98aa569f74ac6abbc8e0997adb482cbabdd572acd",
+    ("hesse.json", "build"): "df9b5920d61670ab883ff40d2fc0c08f988747d0c80e633efea9c02d551f42c3",
+    ("hesse.json", "rank"): "02bb7b68f28177e117abc57f471abc5be4f0f803006699b1c69de9afc12f23f8",
+    ("hesse.json", "series"): "aa1f0c90de54f17d650b75e261cb3832cbf89549c8f61df0c39865c9e480dce2",
+    ("p1_cy.json", "build"): "2f7fdff37d01a20824bf50bdb4c692e173131c4c23f8ac544bef3d66496b8844",
+    ("p1_cy.json", "rank"): "26532913dfc7af564f65daad5f96ed5833edb10738ff70d591379e01e44a4cec",
+    ("p1_cy.json", "series"): "ff455308ee5e4ce6f34169a98aa569f74ac6abbc8e0997adb482cbabdd572acd",
+    ("p1_unipotent_verify.json", "build"): "0c71c6ffaaeda9386afed5fd23551468e62d85ae17d594270d2320437ee0d296",
+    ("p1_unipotent_verify.json", "rank"): "26532913dfc7af564f65daad5f96ed5833edb10738ff70d591379e01e44a4cec",
+    ("quintic_mirror.json", "series"): "f1f6b3ab3f5473b6824e9e0fb3cba109d8a4d2feab8da6efb3ede2262b28a54c",
+}
+
+
+@pytest.mark.parametrize("job,command", sorted(MACHINE_REPORT_SHA256))
+def test_exact_machine_reports_are_pinned(tmp_path, capsys, job, command):
+    if job == "quintic_mirror.json":
+        path = write_job(tmp_path, QUINTIC_JOB, job)
+    else:
+        path = str(JOBS / job)
+    code, out, _ = run(capsys, [command, "--input", path, "--report", "machine"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MACHINE_REPORT_SHA256[job, command]
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("series", ["--order", "-1"]),
+        ("period", ["--tol", "0"]),
+        ("period", ["--tol", "-1"]),
+        ("period", ["--tol", "nan"]),
+    ],
+)
+def test_cli_overrides_are_checked_like_options(tmp_path, capsys, command, flags):
+    path = write_job(tmp_path, P1_JOB)
+    code, out, err = run(capsys, [command, "--input", path] + flags)
+    assert code == 2
+    assert out == "" and "options." in err
+
+
+_SEGMENT = {
+    "start": [[1.0, 0.0]], "end": [[1.0, 0.0]], "start_flags": [-1], "end_flags": [0],
+}
+MALFORMED = {
+    "radius is not a number": ("period", {"section": dict(P1_JOB["section"], radii=["a"])}),
+    "radius is negative": ("period", {"section": dict(P1_JOB["section"], radii=[-1.0])}),
+    "radius is zero": ("period", {"section": dict(P1_JOB["section"], radii=[0])}),
+    "section a is a number": ("period", {"section": {"a": 5}}),
+    "symmetry is a number": ("build", {"symmetry": 3}),
+    "chains is a number": ("chain", {"chains": 3}),
+    "segment is a list": ("chain", {"chains": [{"segments": [[[1.0, 0.0]]]}]}),
+    "chain without segments": ("chain", {"chains": [{"segments": []}]}),
+    "segment flag 2": ("chain", {"chains": [{"segments": [dict(_SEGMENT, start_flags=[2])]}]}),
+    "segment flag x": ("chain", {"chains": [{"segments": [dict(_SEGMENT, end_flags=["x"])]}]}),
+    "tol is NaN": ("period", {"options": {"tol": float("nan")}}),
+    "true as a point entry": ("build", {"points": [[-1], [True], [1]]}),
+    "true as the order": ("series", {"options": {"order": True}}),
+    "rays key": ("build", {"rays": [[1], [-1]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_job_exits_2(tmp_path, capsys, case):
+    command, patch = MALFORMED[case]
+    job = dict(P1_JOB, **patch)
+    code, out, err = run(capsys, [command, "--input", write_job(tmp_path, job)])
+    assert code == 2
+    assert out == "" and err.startswith("error: ")

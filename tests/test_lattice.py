@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkz_forge import lattice
+from gkz_forge import intlinalg, lattice
 from gkz_forge.errors import (
     DegenerateConfiguration,
     DuplicatePoint,
@@ -57,7 +58,6 @@ class TestIntegerKernel:
         em = lattice.homogenize(SEGMENT, 1)
         k = lattice.integer_kernel(em)
         assert k.vectors == ((1, -2, 1),)
-        assert k.saturated
 
     def test_square_invertible_is_empty(self):
         em = lattice.homogenize([(0, 0), (1, 0), (0, 1)], 2)
@@ -97,6 +97,49 @@ class TestIntegerKernel:
             from gkz_forge.intlinalg import hermite_form
 
             assert hermite_form(sorted(base)) == hermite_form(permuted)
+
+
+small_matrices = st.integers(1, 2).flatmap(
+    lambda m: st.integers(m + 1, m + 3).flatmap(
+        lambda p: st.lists(
+            st.lists(st.integers(-3, 3), min_size=p, max_size=p), min_size=m, max_size=m
+        )
+    )
+)
+
+
+class TestLatticeWalk:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(small_matrices, st.data())
+    def test_coordinates_round_trip(self, rows, data):
+        basis = intlinalg.kernel_basis(rows)
+        p = len(rows[0])
+        walk = lattice.LatticeWalk(basis, p)
+        columns = [tuple(b[j] for b in basis) for j in range(p)]
+        window = walk.window(1)
+        assert [c for c, _ in window] == sorted(c for c, _ in window)
+        assert len(window) == 3 ** len(basis)
+        for coords, v in window:
+            assert v == tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(p))
+            assert walk.coords(v) == coords
+            if basis:
+                assert intlinalg.solve_integer(columns, v) == coords
+        # the kernel is saturated: off the kernel means off the lattice
+        e = data.draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
+        if any(sum(r[j] * e[j] for j in range(p)) for r in rows):
+            _, v = data.draw(st.sampled_from(window))
+            assert walk.coords([x + y for x, y in zip(v, e)]) is None
+        # a vector of the rational span outside a sublattice has no coordinates
+        if basis:
+            doubled = lattice.LatticeWalk([[2 * x for x in b] for b in basis], p)
+            assert doubled.coords(basis[0]) is None
+            assert doubled.coords([2 * x for x in basis[0]]) == (1,) + (0,) * (len(basis) - 1)
+
+    def test_empty_basis_spans_the_zero_offset(self):
+        walk = lattice.LatticeWalk((), 3)
+        assert walk.window(4) == [((), (0, 0, 0))]
+        assert walk.coords((0, 0, 0)) == ()
+        assert walk.coords((0, 1, 0)) is None
 
 
 class TestVolumes:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,32 @@ class TestGammaSeries:
             ((k, -2 * k, k), (0, 0, 0)): Fraction(math.comb(2 * k, k))
             for k in range(7)
         }
+
+    @pytest.mark.parametrize(
+        "pts,dim,gamma",
+        [
+            (SEGMENT, 1, ("-1/2", "0", "-1/2")),
+            (SEGMENT, 1, ("-1/3", "-1/3", "-1/3")),
+            (HESSE, 2, ("0", "-1/3", "-1/3", "-1/3")),
+            (HESSE, 2, ("1/2", "-1/2", "-1/2", "-1/2")),
+            (CROSS, 2, ("-1/4", "-1/4", "-1/4", "-1/4")),
+        ],
+    )
+    def test_fractional_gamma_is_exact(self, pts, dim, gamma):
+        # exact up to the dropped constant prod 1/Gamma(gamma_i mod 1)
+        spec = make_spec(pts, dim)
+        gamma = tuple(Fraction(g) for g in gamma)
+        s = gamma_series(spec, gamma, 6)
+        assert s.terms and all(isinstance(c, Fraction) for c in s.terms.values())
+        assert all(r.clean for r in annihilate_check(spec, s))
+        with mp.workdps(40):
+            dropped = mp.fprod(mp.rgamma(mp.mpf(g.numerator) / g.denominator % 1)
+                               for g in gamma if g.denominator != 1)
+            for (v, _), c in s.terms.items():
+                want = mp.fprod(mp.rgamma(mp.mpf(e.numerator) / e.denominator + 1)
+                                for e in s.exponent(v))
+                got = mp.mpf(c.numerator) / c.denominator * dropped
+                assert abs(got - want) <= mp.mpf(10) ** -35 * abs(want)
 
     def test_offset_reindexing_invariance(self):
         spec = make_spec(SEGMENT, 1)
@@ -282,7 +309,12 @@ class TestCountIndependent:
     def test_empty(self):
         assert count_independent([]) == 0
 
-    def test_float_fallback(self):
-        a = monomial_series((-1, 0, 0), 1.0)
+    def test_float_coefficient_is_rejected(self):
+        # ranks and annihilation are decided exactly: no float fallback
+        a = monomial_series((-1, 0, 0))
         b = monomial_series((0, -1, 0), 0.5)
-        assert count_independent([a, b, a.scaled(3.0)]) == 2
+        with pytest.raises(TypeError):
+            count_independent([a, b])
+        with pytest.raises(TypeError):
+            annihilate_check(make_spec(SEGMENT, 1), a.scaled(3.0))
+        assert count_independent([a, a.scaled(3)]) == 1

@@ -151,7 +151,7 @@ class TestSaturation:
         k = lattice.integer_kernel(lattice.homogenize(SEGMENT, 1))
         once = tautsys.saturate_lattice_ideal(k)
         again = tautsys.saturate_lattice_ideal(
-            lattice.KernelBasis(vectors=once, saturated=True)
+            lattice.KernelBasis(vectors=once)
         )
         assert once == again
 
