@@ -33,14 +33,6 @@ class Jet:
     def constant(cls, value, order=0):
         return cls((value,), order)
 
-    @classmethod
-    def linear(cls, c0, c1, order):
-        return cls((c0, c1), order)
-
-    @classmethod
-    def zero(cls, order=0):
-        return cls((Fraction(0),), order)
-
     # -- basic queries --------------------------------------------------
 
     @property
@@ -53,13 +45,6 @@ class Jet:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def valuation(self):
-        """Index of the first nonzero coefficient, or None for the zero jet."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -77,15 +62,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         other = self._lift(other)
         n = max(self.order, other.order)
@@ -102,27 +78,14 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("jet with zero constant term has no inverse")
-        n = self.order
-        inv = [Fraction(1) / c0]
-        for k in range(1, n + 1):
-            acc = sum(
-                (self.coefficient(j) * inv[k - j] for j in range(1, k + 1)),
-                start=Fraction(0),
-            )
-            inv.append(-acc / c0)
-        return Jet(inv)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
+    def over_linear(self, c0, c1):
+        """Quotient by ``c0 + c1*eps`` in closed form; requires ``c0 != 0``."""
+        out = []
+        prev = 0
+        for c in self.coeffs:
+            prev = (c - c1 * prev) / c0
+            out.append(prev)
+        return Jet(out)
 
     def shifted(self, k):
         """Multiply by ``eps^k``, keeping the stored order."""

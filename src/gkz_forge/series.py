@@ -16,7 +16,12 @@ are decided exactly.
   and works with ratios of gamma values at integer shifts, which are
   rational functions of ``eps``.  It expands them as exact eps-jets of
   order ``vol - 1`` and extracts the logarithmic solutions as their
-  eps-power coefficients.  This is the only place jets occur.
+  eps-power coefficients.  This is the only place jets occur.  Each
+  coordinate keeps one prefix table of ratios over the window's shifts,
+  built one linear factor at a time, so a coefficient is a product of
+  table entries.
+* ``annihilate_check`` works in integers: the series is cleared of
+  denominators once, and each residual coefficient is divided once.
 """
 
 from __future__ import annotations
@@ -57,38 +62,37 @@ def reciprocal_gamma_value(q):
     return math.prod((r - k for k in range(1, 1 - n)), start=Fraction(1))
 
 
-def gamma_ratio_jet(base, slope, shift, order):
-    """Exact jet of Gamma(g+1)/Gamma(g+shift+1) at g = base + slope*eps.
+def _ratio_table(base, slope, lo, hi, order):
+    """Prefix table of ``R(x) = Gamma(g+1)/Gamma(g+x+1)`` at ``g = base + slope*eps``.
 
-    Returned as ``(valuation, unit)`` with ``unit`` a Jet whose constant
-    term is nonzero; the ratio itself is ``eps^valuation * unit``.  Negative
-    valuation means the ratio has a pole at eps = 0.
+    Maps each shift ``x`` in ``lo..hi`` to ``(valuation, unit)``: the ratio
+    is ``eps^valuation * unit`` with ``unit`` a Jet of the given order.  Built
+    by ``R(x) = R(x-1) / (g+x)`` upward and ``R(x) = R(x+1) * (g+x+1)``
+    downward, one linear factor per step.  A factor ``g+x`` with zero slope
+    that vanishes in the denominator is a pole no deformation resolves: the
+    shifts from there up are missing, so lookups return ``None``.
     """
-    base = Fraction(base)
-    slope = Fraction(slope)
-    num = []  # linear factors in the numerator
-    den = []
-    if shift >= 0:
-        for j in range(1, shift + 1):
-            den.append((base + j, slope))
-    else:
-        for j in range(-shift):
-            num.append((base - j, slope))
-    val = 0
-    unit = Jet.constant(Fraction(1), order)
-    for c0, c1 in num:
+    one = Jet.constant(Fraction(1), order)
+    table = {0: (0, one)}
+    val, unit = 0, one
+    for x in range(1, hi + 1):
+        c0 = base + x
         if c0 == 0:
-            val += 1
-            unit = unit * Jet.constant(c1, order)
+            if slope == 0:
+                break
+            val, unit = val - 1, unit.over_linear(slope, 0)
         else:
-            unit = unit * Jet.linear(c0, c1, order)
-    for c0, c1 in den:
+            unit = unit.over_linear(c0, slope)
+        table[x] = (val, unit)
+    val, unit = 0, one
+    for x in range(-1, lo - 1, -1):
+        c0 = base + x + 1
         if c0 == 0:
-            val -= 1
-            unit = unit / Jet.constant(c1, order)
+            val, unit = val + 1, unit * slope
         else:
-            unit = unit / Jet.linear(c0, c1, order)
-    return val, unit
+            unit = unit * Jet((c0, slope), order)
+        table[x] = (val, unit)
+    return table
 
 
 # -- the series container -----------------------------------------------------
@@ -218,16 +222,24 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
 
     Returns ``(coords, offset, jet)`` triples with nonzero jets, or ``None``
     when some coefficient has a pole at eps = 0 (the deformed family is then
-    not holomorphic and unusable).
+    not holomorphic and unusable).  Each coefficient is a product of entries
+    of one prefix ratio table per coordinate.
     """
+    tables = [
+        _ratio_table(Fraction(g), Fraction(s), min(xs), max(xs), jet_order)
+        for g, s, xs in zip(gamma0, slope, zip(*(v for _, v in window)))
+    ]
+    one = Jet.constant(Fraction(1), jet_order)
     family = []
     for coords, v in window:
-        val = 0
-        unit = Jet.constant(Fraction(1), jet_order)
-        for g, s, x in zip(gamma0, slope, v):
-            vi, ui = gamma_ratio_jet(g, s, x, jet_order)
-            val += vi
-            unit = unit * ui
+        val, unit = 0, one
+        for table, x in zip(tables, v):
+            entry = table.get(x)
+            if entry is None:
+                return None
+            if x:
+                val += entry[0]
+                unit = unit * entry[1]
         if val < 0:
             return None
         if val > jet_order:
@@ -402,21 +414,76 @@ class OperatorResidual:
     max_abs: float
 
 
-def _derivative_table(e, m, k):
-    """One variable's factor of ``d^k (a^e log(a)^m)`` as ``(log power, K)`` pairs.
+def _integer_derivative_table(qe, q, m, k):
+    """``q^k`` times one variable's factor of ``d^k (a^e log(a)^m)``, for ``qe = q*e``.
 
-    ``d^k (a^e log^m a) = sum_j K_j a^(e-k) log^(m-j) a``; only the nonzero
-    ``K_j`` are listed, as ints when the exponent ``e`` is an integer.
+    ``d^k (a^e log^m a) = sum_j K_j a^(e-k) log^(m-j) a``.  ``q^k K_j`` is a
+    polynomial in ``qe`` with integer coefficients, so for an integer ``qe``
+    the nonzero ``(m - j, q^k K_j)`` pairs listed are integers.
     """
-    if e.denominator == 1:
-        e = int(e)
     coeffs = [1] + [0] * min(k, m)
     for t in range(k):
         # d (a^(e-t) log^(m-j)) = (e-t) a^(e-t-1) log^(m-j) + (m-j) a^(e-t-1) log^(m-j-1)
+        qet = qe - q * t
         for j in range(len(coeffs) - 1, 0, -1):
-            coeffs[j] = (e - t) * coeffs[j] + (m - j + 1) * coeffs[j - 1]
-        coeffs[0] *= e - t
+            coeffs[j] = qet * coeffs[j] + q * (m - j + 1) * coeffs[j - 1]
+        coeffs[0] *= qet
     return tuple((m - j, c) for j, c in enumerate(coeffs) if c != 0)
+
+
+def _integer_images(ops, series: LogSeries):
+    """Each operator applied to ``series`` in integers, as ``(totals, scale)``.
+
+    The image coefficient of ``(offset, logpow)`` is ``totals[key] / scale``
+    with ``scale = D * O * q^r``: ``D`` clears the series' coefficients once,
+    ``O`` the operator's, and ``q`` the exponents'.  The one-variable tables
+    ``q^k K`` (``_integer_derivative_table``) are integers, and a term of
+    derivative order ``|w|`` is scaled by ``q^(r-|w|)``, ``r`` the operator's
+    order.  The tables are cached by ``(i, v_i, m_i, k)`` and shared by all
+    operators.  Yields one pair per operator, in order.
+    """
+    q = math.lcm(*(g.denominator for g in series.gamma))
+    qgamma = [int(q * g) for g in series.gamma]
+    D = math.lcm(*(c.denominator for c in series.terms.values()))
+    by_offset = {}
+    for (v, m), c in series.terms.items():
+        by_offset.setdefault(v, []).append((m, c.numerator * (D // c.denominator)))
+    tables = {}
+    for op in ops:
+        coeffs = op.constant_coefficients()
+        order = max((sum(w) for _, w in coeffs), default=0)
+        O = math.lcm(*(c.denominator for c in coeffs.values()))
+        op_terms = [
+            (
+                tuple(ui - wi for ui, wi in zip(u, w)),
+                tuple((i, k) for i, k in enumerate(w) if k),
+                c.numerator * (O // c.denominator) * q ** (order - sum(w)),
+            )
+            for (u, w), c in coeffs.items()
+        ]
+        acc = {}
+        for v, group in by_offset.items():
+            for shift, active, c in op_terms:
+                v2 = tuple([a + b for a, b in zip(v, shift)])
+                for m, n in group:
+                    images = [(m, n * c)]
+                    for i, k in active:
+                        key = (i, v[i], m[i], k)
+                        table = tables.get(key)
+                        if table is None:
+                            table = tables[key] = _integer_derivative_table(
+                                qgamma[i] + q * v[i], q, m[i], k
+                            )
+                        mi = m[i]
+                        images = [
+                            (m2 if mj == mi else m2[:i] + (mj,) + m2[i + 1 :], f * K)
+                            for m2, f in images
+                            for mj, K in table
+                        ]
+                    for m2, f in images:
+                        key = (v2, m2)
+                        acc[key] = acc.get(key, 0) + f
+        yield acc, D * O * q**order
 
 
 def apply_operator(op, series: LogSeries) -> dict:
@@ -424,48 +491,13 @@ def apply_operator(op, series: LogSeries) -> dict:
 
     The operator term ``c a^u d^w`` sends ``a^(gamma+v) log^m`` to a product
     of one-variable factors: ``d_i^k`` maps ``a_i^e log^(m_i) a_i`` to
-    ``sum_j K(e, m_i, k, j) a_i^(e-k) log^(m_i-j) a_i``.  Each factor table is
-    computed once per call in exact arithmetic and cached by
-    ``(i, v_i, m_i, k)``, and an image term is keyed by the integer offset
-    ``v - w + u`` and its log multi-index, so no exponent is ever formed.
+    ``sum_j K(e, m_i, k, j) a_i^(e-k) log^(m_i-j) a_i``.  The sum is formed
+    in integers (``_integer_images``) and divided once per image term; an
+    image term is keyed by the integer offset ``v - w + u`` and its log
+    multi-index, so no exponent is ever formed.
     """
-    gamma = series.gamma
-    op_terms = [
-        (
-            tuple(ui - wi for ui, wi in zip(u, w)),
-            tuple((i, k) for i, k in enumerate(w) if k),
-            int(oc) if oc.denominator == 1 else oc,
-        )
-        for (u, w), oc in sorted(op.constant_coefficients().items())
-    ]
-    tables = {}
-    acc = {}
-    for (v, m), coeff in series.sorted_terms():
-        for shift, active, oc in op_terms:
-            images = [(m, oc)]
-            for i, k in active:
-                key = (i, v[i], m[i], k)
-                table = tables.get(key)
-                if table is None:
-                    table = tables[key] = _derivative_table(gamma[i] + v[i], m[i], k)
-                mi = m[i]
-                images = [
-                    (m2 if mj == mi else m2[:i] + (mj,) + m2[i + 1 :], f * K)
-                    for m2, f in images
-                    for mj, K in table
-                ]
-            v2 = tuple([a + b for a, b in zip(v, shift)])
-            for m2, f in images:
-                c = coeff * f
-                key = (v2, m2)
-                prev = acc.get(key)
-                acc[key] = c if prev is None else prev + c
-    out = {}
-    for key in sorted(acc):
-        total = acc[key]
-        if total != 0:
-            out[key] = total
-    return out
+    ((totals, scale),) = _integer_images([op], series)
+    return {key: Fraction(totals[key], scale) for key in sorted(totals) if totals[key]}
 
 
 def _require_rational(series: LogSeries):
@@ -485,7 +517,6 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
     """
     _require_rational(series)
     walk = LatticeWalk(series.lattice, series.nvars)
-    reports = []
     for op in spec.operators:
         if (
             series.radius is not None
@@ -495,7 +526,8 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
             raise TruncationTooSmall(
                 f"operator order {op.order()} exceeds truncation {series.radius}"
             )
-        raw = apply_operator(op, series)
+    reports = []
+    for op, (totals, scale) in zip(spec.operators, _integer_images(spec.operators, series)):
         shifts = sorted(
             {
                 tuple(w[i] - u[i] for i in range(series.nvars))
@@ -505,7 +537,10 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
         trusted = {}  # offset -> every offset that feeds it lies in the window
         kept = {}
         skipped = 0
-        for (v2, m2), c in raw.items():
+        for v2, m2 in sorted(totals):
+            c = totals[v2, m2]
+            if c == 0:
+                continue
             ok = trusted.get(v2)
             if ok is None:
                 ok = True
@@ -517,7 +552,7 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
                             break
                 trusted[v2] = ok
             if ok:
-                kept[(v2, m2)] = c
+                kept[(v2, m2)] = Fraction(c, scale)
             else:
                 skipped += 1
         reports.append(

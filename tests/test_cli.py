@@ -104,6 +104,21 @@ def test_series_counts(tmp_path, capsys):
     assert "2 series, 2 independent" in out
 
 
+@pytest.mark.parametrize(
+    "points,code",
+    [([[-1], [0], [1], [2]], 0), ([[-2], [-1], [0], [1]], 0),
+     ([[1, 0], [0, 1], [-1, 0], [-1, -1], [0, 0]], 3)],
+)
+def test_series_rank_two_pole_exits_cleanly(tmp_path, capsys, points, code):
+    job = {"schema_version": 1, "dim": len(points[0]), "points": points, "options": {"order": 6}}
+    got, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
+    assert got == code
+    if code == 0:
+        assert "3 series, 3 independent" in out
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
 def test_verify_unipotent_golden(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--input", write_job(tmp_path, UNIPOTENT_JOB)])
     assert code == 0

@@ -1,10 +1,12 @@
+import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkz_forge import lattice, series, tautsys
 from gkz_forge.errors import DegreeViolation, TruncationTooSmall, UnsupportedFamily
@@ -22,10 +24,48 @@ from gkz_forge.series import (
 SEGMENT = [(-1,), (0,), (1,)]
 HESSE = [(0, 0), (1, 0), (0, 1), (-1, -1)]
 CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+QUINTIC = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1), (0, 0, 0, 0)]
+# kernel-rank-2 families whose deformation directions include poles; the
+# flag says whether another direction still yields a full basis
+RANK_TWO_POLES = [
+    ([(-1,), (0,), (1,), (2,)], True),
+    ([(-2,), (-1,), (0,), (1,)], True),
+    ([(1, 0), (0, 1), (-1, 0), (-1, -1), (0, 0)], False),
+]
+# the families and orders of the series-certify benchmark workload
+PINNED_PAIRS = [
+    (SEGMENT, 8), (SEGMENT, 32), (HESSE, 8), (HESSE, 16), (CROSS, 8),
+    ([(0,), (1,), (2,), (3,)], 6), ([(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)], 5),
+    (QUINTIC, 8),
+]
 
 
 def make_spec(pts, dim):
     return tautsys.gkz_system(lattice.homogenize(pts, dim), tautsys.cy_beta(dim))
+
+
+def _series_text(s):
+    """Exact text of a series: its terms sorted, every rational by ``str``."""
+    terms = sorted((k, str(c)) for k, c in s.terms.items())
+    return repr((tuple(str(g) for g in s.gamma), terms, s.lattice, s.radius))
+
+
+def _report_text(r):
+    return repr((r.operator.render(), _series_text(r.residual), r.clean, r.checked,
+                 r.skipped, r.max_abs))
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_bases():
+    out = []
+    for pts, order in PINNED_PAIRS:
+        spec = make_spec(pts, len(pts[0]))
+        out.append((spec, frobenius_basis(spec, order)))
+    return out
 
 
 class TestReciprocalGammaJet:
@@ -177,6 +217,21 @@ class TestFrobeniusBasis:
         for s in basis:
             assert all(r.clean for r in annihilate_check(spec, s))
 
+    @pytest.mark.parametrize("pts,solved", RANK_TWO_POLES)
+    def test_rank_two_pole_directions_are_skipped(self, pts, solved):
+        # a direction with a zero-slope factor vanishing in a denominator
+        # has a pole eps cannot resolve; it is skipped, not divided by
+        spec = make_spec(pts, len(pts[0]))
+        assert lattice.integer_kernel(spec.A).rank == 2
+        if not solved:
+            with pytest.raises(UnsupportedFamily):
+                frobenius_basis(spec, order=6)
+            return
+        basis = frobenius_basis(spec, order=6)
+        assert len(basis) == count_independent(basis) == lattice.normalized_volume(pts)
+        for s in basis:
+            assert all(r.clean for r in annihilate_check(spec, s))
+
     def test_kernel_rank_cap(self):
         # five points on a line: kernel rank 3, beyond the supported 2
         spec = make_spec([(0,), (1,), (2,), (3,), (4,)], 1)
@@ -217,6 +272,30 @@ class TestAnnihilateCheck:
         for s in frobenius_basis(spec, order=5):
             for (v, m) in s.terms:
                 assert sum(s.exponent(v)) == -1
+
+
+# sha256 of exact outputs; a faster construction or certification kernel
+# must leave every one of them intact
+BASES_SHA256 = "379f5e3e1ccdf4059995e44b80413bc309c30d83f6448f4bb2b609e697001669"
+PERTURBED_REPORTS_SHA256 = "c5c54f959d02f25508c4dea3248616a8f5164fc476cb27b41b02154deb882a37"
+
+
+class TestPinnedOutputs:
+    def test_bases_are_pinned(self, pinned_bases):
+        lines = [_series_text(s) for _, basis in pinned_bases for s in basis]
+        assert _sha256(lines) == BASES_SHA256
+
+    def test_perturbed_reports_are_pinned(self, pinned_bases):
+        # quintic mirror at order 8: its exponents have denominator 5
+        spec, basis = pinned_bases[-1]
+        s = basis[-1]
+        key = next(k for k, _ in s.sorted_terms() if any(k[1]))
+        bumped = replace(s, terms={**s.terms, key: s.terms[key] + Fraction(1, 7)})
+        reports = [annihilate_check(spec, t) for t in basis[:-1] + [bumped]]
+        assert all(r.clean for element in reports[:-1] for r in element)
+        assert not all(r.clean for r in reports[-1])
+        lines = [_report_text(r) for element in reports for r in element]
+        assert _sha256(lines) == PERTURBED_REPORTS_SHA256
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -261,9 +340,56 @@ def _rational(q):
     return sp.Rational(q.numerator, q.denominator)
 
 
+class TestRatioTable:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        st.one_of(st.integers(-8, 8).map(Fraction), rationals),
+        st.one_of(st.just(Fraction(0)), rationals),
+        st.integers(-8, 8),
+        st.integers(0, 4),
+    )
+    def test_against_sympy_series(self, base, slope, x, order):
+        # R(x) = Gamma(g+1)/Gamma(g+x+1) = num(eps)/den(eps), products of
+        # linear factors; the entry is eps^val * unit with unit = N/Q mod
+        # eps^(order+1), where num = eps^a N and den = eps^b Q, val = a - b
+        table = series._ratio_table(base, slope, -8, 8, order)
+        eps = sp.Symbol("eps")
+        g = _rational(base) + _rational(slope) * eps
+        num = sp.Poly(sp.Mul(*(g - j for j in range(-x))), eps)
+        den = sp.Poly(sp.Mul(*(g + j for j in range(1, x + 1))), eps)
+        if den.is_zero:
+            assert table.get(x) is None
+            return
+        val, unit = table[x]
+        got = sp.Poly(sum(_rational(Fraction(c)) * eps**k for k, c in enumerate(unit.coeffs)), eps)
+        if num.is_zero:
+            assert got.is_zero
+            return
+        a, b = (min(m for (m,) in p.monoms()) for p in (num, den))
+        assert val == a - b
+        N, Q = sp.quo(num, sp.Poly(eps**a, eps)), sp.quo(den, sp.Poly(eps**b, eps))
+        mod = sp.Poly(eps ** (order + 1), eps)
+        assert sp.rem(N * sp.invert(Q, mod) - got, mod).is_zero
+
+
 class TestApplyOperator:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(log_series_and_operator())
+    @example((  # the zero operator
+        series.LogSeries(gamma=(Fraction(-1, 5),), terms={((0,), (1,)): Fraction(3, 2)}),
+        WeylElement(1, {}),
+    ))
+    @example((  # exponents with denominator 5, terms of derivative orders 3 and 1
+        series.LogSeries(
+            gamma=(Fraction(-1, 5), Fraction(2, 5)),
+            terms={((1, -1), (2, 0)): Fraction(7, 3), ((0, 0), (0, 1)): Fraction(-1, 2)},
+        ),
+        WeylElement(2, {((1, 0), (2, 1)): 1, ((0, 0), (1, 0)): 3}),
+    ))
+    @example((  # operator coefficients that are not integers
+        series.LogSeries(gamma=(Fraction(1, 2), Fraction(-1, 3)), terms={((0, 1), (1, 1)): 4}),
+        WeylElement(2, {((0, 1), (1, 2)): Fraction(-5, 6), ((1, 1), (0, 0)): Fraction(2, 3)}),
+    ))
     def test_against_sympy_diff(self, case):
         s, op = case
         syms = sp.symbols(f"a1:{s.nvars + 1}", positive=True)
