@@ -6,7 +6,8 @@ matrices, section coefficients, chains) and runs one of the subcommands
 Reports are deterministic: identical job files and options produce
 byte-identical output.  Exit codes: 0 success, 2 job-file problems,
 3 mathematical degeneracy, 4 numerical non-convergence, 5 a ``verify``
-candidate with a nonzero symbolic residual.
+candidate with a nonzero symbolic residual or a ``rank`` whose Ehrhart
+oracle disagrees with the normalized volume.
 """
 
 from __future__ import annotations
@@ -301,6 +302,8 @@ def cmd_rank(job, args):
         "agree": vol == oracle,
     }
     _emit(args, text, machine)
+    if vol != oracle:
+        raise CertificateFailed(f"normalized volume {vol} but Ehrhart oracle {oracle}")
 
 
 def cmd_series(job, args):
@@ -310,14 +313,15 @@ def cmd_series(job, args):
     basis = series.frobenius_basis(spec, order=job.order)
     # frobenius_basis only returns linearly independent lists
     count = len(basis)
+    rendered = [s.render() for s in basis]
     text = [f"frobenius basis: {len(basis)} series, {count} independent"]
-    for k, s in enumerate(basis):
+    for k, r in enumerate(rendered):
         text.append(f"-- series {k} --")
-        text.append(s.render())
+        text.append(r)
     machine = {
         "command": "series",
         "count": count,
-        "series": [s.render() for s in basis],
+        "series": rendered,
     }
     _emit(args, text, machine)
 

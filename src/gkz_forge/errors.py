@@ -2,7 +2,7 @@
 
 The command line tool maps these onto exit codes: job-file problems exit
 with 2, mathematical degeneracies with 3, numerical non-convergence with 4,
-a failed annihilation certificate with 5.
+a failed annihilation or Ehrhart certificate with 5.
 """
 
 
@@ -31,7 +31,7 @@ class NumericalError(GkzForgeError):
 
 
 class CertificateFailed(GkzForgeError):
-    """A candidate has a nonzero trusted symbolic residual under the system."""
+    """A nonzero trusted symbolic residual, or an Ehrhart count off the volume."""
 
     exit_code = 5
 

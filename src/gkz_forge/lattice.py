@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from .errors import (
     DegenerateConfiguration,
     DuplicatePoint,
@@ -292,6 +294,33 @@ def normalized_volume(points) -> int:
     return total
 
 
+def _dilate_counts(pts, facets):
+    """Lattice points of k*conv(pts) for k = 0..n, counted by int64 numpy
+    passes over bounding boxes, one slice of the first coordinate at a time."""
+    n = len(pts[0])
+    lo = [min(p[j] for p in pts) for j in range(n)]
+    hi = [max(p[j] for p in pts) for j in range(n)]
+    reach = [n * max(-a, b) for a, b in zip(lo, hi)]
+    # |c.x| and k*c0 over every dilate's box must fit int64, or numpy wraps
+    largest = max(n * abs(c0) + sum(abs(x) * r for x, r in zip(c, reach)) for c, c0, _ in facets)
+    if largest > np.iinfo(np.int64).max:
+        raise LimitExceeded(f"Ehrhart counting box reaches {largest}, beyond int64")
+    normals = np.array([c for c, _, _ in facets], dtype=np.int64)
+    offsets = np.array([c0 for _, c0, _ in facets], dtype=np.int64)
+    counts = []
+    for k in range(n + 1):
+        rest = np.zeros((1, 0), dtype=np.int64)  # the box of coordinates 2..n
+        for j in range(1, n):
+            axis = np.arange(k * lo[j], k * hi[j] + 1, dtype=np.int64)
+            rest = np.column_stack([np.repeat(rest, len(axis), axis=0), np.tile(axis, len(rest))])
+        partial = rest @ normals[:, 1:].T
+        counts.append(sum(
+            int((partial + x0 * normals[:, 0] <= k * offsets).all(axis=1).sum())
+            for x0 in range(k * lo[0], k * hi[0] + 1)
+        ))
+    return counts
+
+
 def ehrhart_volume_oracle(points) -> int:
     """Normalized volume from Ehrhart interpolation, independent of the hull path.
 
@@ -308,20 +337,7 @@ def ehrhart_volume_oracle(points) -> int:
         raise LimitExceeded(f"dimension {n} outside supported range 1..{MAX_DIM}")
     if _affine_rank(pts) != n:
         raise LowerDimensionalPolytope("points do not span the ambient dimension")
-    facets = _facet_hyperplanes(pts)
-    lo = [min(p[j] for p in pts) for j in range(n)]
-    hi = [max(p[j] for p in pts) for j in range(n)]
-    counts = []
-    for k in range(n + 1):
-        ranges = [range(k * lo[j], k * hi[j] + 1) for j in range(n)]
-        count = 0
-        for x in product(*ranges):
-            if all(
-                sum(c * v for c, v in zip(normal, x)) <= k * offset
-                for normal, offset, _ in facets
-            ):
-                count += 1
-        counts.append(count)
+    counts = _dilate_counts(pts, _facet_hyperplanes(pts))
     # solve the Vandermonde system for the Ehrhart coefficients
     vander = [[Fraction(k) ** i for i in range(n + 1)] for k in range(n + 1)]
     coeffs = intlinalg.solve_rational(vander, [Fraction(c) for c in counts])

@@ -26,9 +26,12 @@ are decided exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DegreeViolation,
@@ -128,20 +131,36 @@ class LogSeries:
         )
 
     def evaluate(self, avec):
-        """Numeric value at a point of the torus (principal branches)."""
-        import cmath
+        """Numeric value at a point of the torus (principal branches).
 
-        logs = [cmath.log(complex(a)) for a in avec]
-        total = 0j
-        for (v, m), c in self.sorted_terms():
-            term = complex(c)
-            for i in range(self.nvars):
-                e = self.gamma[i] + v[i]
-                if e:
-                    term *= cmath.exp(float(e) * logs[i])
-                if m[i]:
-                    term *= logs[i] ** m[i]
-            total += term
+        The first call keeps the terms' numeric form on the instance, so
+        ``terms`` must not be mutated in place; each call is one numpy pass.
+        A zero coordinate raises ValueError, a non-finite value OverflowError.
+        """
+        form = self.__dict__.get("_numeric")
+        if form is None:
+            rows = self.sorted_terms()
+            shape = (len(rows), self.nvars)
+            # complex exponents gamma + v spare the matrix product a cast
+            exps = [[complex(g + x) for g, x in zip(self.gamma, v)] for (v, _), _ in rows]
+            logpows = np.array([m for (_, m), _ in rows], dtype=np.int64).reshape(shape)
+            form = (
+                np.array(exps, dtype=complex).reshape(shape),
+                logpows if logpows.any() else None,
+                np.array([complex(c) for _, c in rows], dtype=complex),
+            )
+            object.__setattr__(self, "_numeric", form)
+        exps, logpows, coeffs = form
+        if 0 in avec:
+            raise ValueError("series evaluated at a zero coordinate")
+        logs = np.log(np.asarray(avec, dtype=complex))  # C99 clog, as in cmath
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = coeffs * np.exp(exps @ logs)
+            if logpows is not None:
+                values *= np.prod(logs**logpows, axis=1)
+            total = complex(values.sum())
+        if not cmath.isfinite(total):
+            raise OverflowError(f"series value {total} is not finite")
         return total
 
     def scaled(self, factor):

@@ -96,6 +96,21 @@ def test_rank_families(tmp_path, capsys):
     assert code == 0 and "rank = 1" in out
 
 
+def test_rank_exits_5_when_ehrhart_disagrees(tmp_path, capsys, monkeypatch):
+    path = write_job(tmp_path, P1_JOB)
+    reports = {r: run(capsys, ["rank", "--input", path, "--report", r]) for r in ("text", "machine")}
+    real_oracle = cli.lattice.ehrhart_volume_oracle
+    monkeypatch.setattr(cli.lattice, "ehrhart_volume_oracle", lambda pts: real_oracle(pts) + 1)
+    code, out, err = run(capsys, ["rank", "--input", path])
+    assert code == 5
+    assert out == reports["text"][1] + "WARNING: Ehrhart oracle disagrees: 3\n"
+    assert "Ehrhart" in err
+    code, out, _ = run(capsys, ["rank", "--input", path, "--report", "machine"])
+    assert code == 5
+    expected = {**json.loads(reports["machine"][1]), "ehrhart": 3, "agree": False}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_series_counts(tmp_path, capsys):
     code, out, _ = run(
         capsys, ["series", "--input", write_job(tmp_path, P1_JOB), "--order", "5"]

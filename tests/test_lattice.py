@@ -1,8 +1,10 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkz_forge import intlinalg, lattice
 from gkz_forge.errors import (
@@ -142,6 +144,30 @@ class TestLatticeWalk:
         assert walk.coords((0, 1, 0)) is None
 
 
+def plain_dilate_counts(pts, facets):
+    """Reference: lattice points of k*conv(pts), k = 0..n, one by one with itertools.product."""
+    n = len(pts[0])
+    lo = [min(p[j] for p in pts) for j in range(n)]
+    hi = [max(p[j] for p in pts) for j in range(n)]
+    counts = []
+    for k in range(n + 1):
+        box = itertools.product(*(range(k * lo[j], k * hi[j] + 1) for j in range(n)))
+        counts.append(sum(
+            all(sum(c * v for c, v in zip(normal, x)) <= k * offset for normal, offset, _ in facets)
+            for x in box
+        ))
+    return counts
+
+
+@st.composite
+def full_dimensional_points(draw):
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2) if n < 4 else st.integers(-1, 1)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4, unique=True))
+    assume(lattice._affine_rank(pts) == n)
+    return pts
+
+
 class TestVolumes:
     def test_examples(self):
         assert lattice.normalized_volume(SEGMENT) == 2
@@ -174,6 +200,23 @@ class TestVolumes:
                 )
             )
         assert counts == [3, 5]
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(full_dimensional_points())
+    def test_ehrhart_counts_match_plain_enumeration(self, pts):
+        n = len(pts[0])
+        facets = lattice._facet_hyperplanes(pts)
+        counts = plain_dilate_counts(pts, facets)
+        assert lattice._dilate_counts(pts, facets) == counts
+        # n! times the Ehrhart leading coefficient is the n-th difference of the counts
+        volume = sum((-1) ** (n - k) * math.comb(n, k) * counts[k] for k in range(n + 1))
+        assert lattice.ehrhart_volume_oracle(pts) == volume
+
+    def test_ehrhart_box_beyond_int64_is_refused(self):
+        with pytest.raises(LimitExceeded):
+            lattice.ehrhart_volume_oracle([(0,), (2**63,)])
+        with pytest.raises(LimitExceeded):
+            lattice.ehrhart_volume_oracle([(0, 0), (1, 0), (0, 2**61)])
 
     def test_lower_dimensional(self):
         with pytest.raises(LowerDimensionalPolytope):

@@ -503,6 +503,13 @@ class TestFiniteDifference:
         finer = finite_difference_residual(spec, F, (1.0, 3.0, 1.0), h=0.01)
         assert finer.max_residual < rep.max_residual
 
+    def test_stencil_reaching_a_zero_coordinate(self):
+        spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
+        s = torus_period_series(A_SEG, order=8)
+        # the first-derivative stencil's node -2 lands on a1 = 0.004 - 2 * 0.002 = 0
+        with pytest.raises(StencilOutOfDomain):
+            finite_difference_residual(spec, s.evaluate, (0.004, 1.0, 0.03), h=0.002)
+
     def test_out_of_domain(self):
         spec = tautsys.unipotent_p1_system()
 

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 from dataclasses import replace
@@ -425,6 +426,81 @@ class TestApplyOperator:
             radius=s.radius,
         )
         assert not all(r.clean for r in annihilate_check(spec, bumped))
+
+
+@st.composite
+def series_and_point(draw):
+    """Up to six terms c a^(gamma+v) log^m on 1-3 variables (exponent
+    denominators <= 5, log powers <= 2) and a torus point whose coordinates
+    may sit on the negative real axis with a +0.0 or -0.0 imaginary part."""
+    n = draw(st.integers(1, 3))
+    gamma = tuple(draw(st.lists(
+        st.builds(Fraction, st.integers(-10, 10), st.integers(1, 5)), min_size=n, max_size=n
+    )))
+    offsets = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    logs = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    terms = draw(
+        st.dictionaries(st.tuples(offsets, logs), rationals.filter(bool), max_size=6)
+    )
+    coordinate = st.one_of(
+        st.builds(complex, st.floats(-3.0, -0.05), st.sampled_from([0.0, -0.0])),
+        st.builds(cmath.rect, st.floats(0.05, 3.0), st.floats(-math.pi, math.pi)),
+    )
+    point = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    return series.LogSeries(gamma=gamma, terms=terms), point
+
+
+def _mp_log(z):
+    # principal branch at 40 digits; mpmath has no signed zero, so the
+    # negative real axis takes the side of the imaginary part's sign, as C99 clog
+    if z.imag == 0 and z.real < 0:
+        return mp.mpc(mp.log(-z.real), math.copysign(1.0, z.imag) * mp.pi)
+    return mp.log(mp.mpc(z.real, z.imag))
+
+
+class TestEvaluate:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(series_and_point())
+    def test_against_mpmath(self, case):
+        s, point = case
+        with mp.workdps(40):
+            logs = [_mp_log(z) for z in point]
+            values = []
+            for (v, m), c in s.terms.items():
+                term = mp.mpf(c.numerator) / c.denominator
+                for g, x, k, L in zip(s.gamma, v, m, logs):
+                    e = g + x
+                    term *= mp.exp(mp.mpf(e.numerator) / e.denominator * L) * L**k
+                values.append(term)
+            exact = complex(mp.fsum(values))
+            scale = float(mp.fsum(abs(t) for t in values))
+        assert abs(s.evaluate(point) - exact) <= 1e-12 * scale
+
+    def test_zero_coordinate_raises(self):
+        s = monomial_series((Fraction(1, 2), Fraction(0)))
+        with pytest.raises(ValueError):
+            s.evaluate((0.0, 1.0))
+        with pytest.raises(ValueError):
+            s.evaluate((1.0, complex(-0.0, -0.0)))
+
+    def test_overflow_raises(self):
+        s = series.LogSeries(gamma=(Fraction(0),), terms={((800,), (0,)): Fraction(1)})
+        with pytest.raises(OverflowError):
+            s.evaluate((10.0,))
+
+    def test_empty_series_is_zero(self):
+        s = series.LogSeries(gamma=(Fraction(1, 3), Fraction(0)), terms={})
+        assert s.evaluate((2.0, -1.0)) == 0j
+
+    def test_replaced_series_evaluates_its_own_terms(self):
+        s = monomial_series((Fraction(1, 2),))
+        text = repr(s)
+        assert s.evaluate((4.0,)) == 2
+        t = replace(s, terms={((1,), (1,)): Fraction(3)})
+        assert t.evaluate((4.0,)) == pytest.approx(3 * 4**1.5 * math.log(4), rel=1e-15)
+        # the numeric form rides outside the fields: ==, repr and the old value hold
+        assert s.evaluate((4.0,)) == 2
+        assert repr(s) == text and s == monomial_series((Fraction(1, 2),))
 
 
 class TestCountIndependent:
