@@ -9,9 +9,7 @@ from .errors import GkzForgeError
 from .jets import Jet
 from .lattice import (
     ExponentMatrix,
-    FanRays,
     KernelBasis,
-    check_property_star,
     ehrhart_volume_oracle,
     homogenize,
     integer_kernel,
@@ -57,12 +55,10 @@ __all__ = [
     "Jet",
     "ExponentMatrix",
     "KernelBasis",
-    "FanRays",
     "homogenize",
     "integer_kernel",
     "normalized_volume",
     "ehrhart_volume_oracle",
-    "check_property_star",
     "WeylElement",
     "multiply",
     "commutator",

@@ -4,8 +4,7 @@ Everything here works on plain Python ints / Fractions, organized as tuples
 of row tuples.  Matrices are tiny (dimensions a handful, at most a couple of
 dozen columns), so the classical algorithms are used directly: Bareiss for
 determinants, row Hermite normal form with a unimodular transform for
-kernels and for the one integer solver (back substitution on that form),
-and elementary Smith reduction for invariant factors.
+kernels and for the one integer solver (back substitution on that form).
 """
 
 from __future__ import annotations
@@ -149,68 +148,6 @@ def kernel_basis(rows):
         return ()
     reduced = [r for r in hermite_form(kernel) if any(x != 0 for x in r)]
     return tuple(tuple(r) for r in reduced)
-
-
-def smith_invariants(rows):
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    invariants = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[top], r[j0] = r[j0], r[top]
-        while True:
-            # clear row and column `top` by gcd steps
-            done = True
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    for j in range(n):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        done = False
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        done = False
-            if done:
-                break
-        invariants.append(abs(a[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(invariants) - 1):
-            x, y = invariants[i], invariants[i + 1]
-            if y % x:
-                import math
-
-                g = math.gcd(x, y)
-                invariants[i], invariants[i + 1] = g, x * y // g
-                changed = True
-    return tuple(invariants)
 
 
 def solve_rational(rows, rhs):

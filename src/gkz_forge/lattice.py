@@ -3,8 +3,8 @@
 This module owns the combinatorial seed of every system built by the
 package: homogenized exponent matrices, their saturated integer kernels,
 the walk over a kernel lattice (window offsets and their coordinates),
-normalized polytope volumes (the rank prediction), the independent Ehrhart
-counting oracle, and the resonance check on fan rays.
+normalized polytope volumes (the rank prediction) and the independent
+Ehrhart counting oracle.
 
 All arithmetic in this module is exact.  Floating point is deliberately
 banned here: the normalized volume *is* the predicted solution rank and a
@@ -96,40 +96,6 @@ class LatticeWalk:
     def coords(self, v):
         """Coordinates of the offset ``v``, or None when ``v`` is off the lattice."""
         return self._solve(v)
-
-
-@dataclass(frozen=True)
-class FanRays:
-    """Primitive generators of the 1-cones of a fan."""
-
-    rays: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for v in self.rays:
-            if all(x == 0 for x in v):
-                raise DegenerateConfiguration("fan ray must be nonzero")
-            if math.gcd(*(abs(x) for x in v)) != 1:
-                raise DegenerateConfiguration(f"fan ray {v} is not primitive")
-            if v in seen:
-                raise DuplicatePoint(f"duplicate fan ray {v}")
-            seen.add(v)
-
-
-@dataclass(frozen=True)
-class RayCheck:
-    ray: tuple
-    value: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PropertyStarReport:
-    checks: tuple
-
-    @property
-    def all_ok(self):
-        return all(c.ok for c in self.checks)
 
 
 def homogenize(points, dim):
@@ -345,18 +311,3 @@ def ehrhart_volume_oracle(points) -> int:
     if leading.denominator != 1 or leading <= 0:
         raise NonIntegerVolume(f"Ehrhart leading coefficient {leading} is not a positive integer")
     return int(leading)
-
-
-def check_property_star(alpha, rays: FanRays) -> PropertyStarReport:
-    """Check the resonance-avoidance condition on every fan ray.
-
-    A ray passes when the pairing of ``alpha`` with it is not a nonpositive
-    integer; the overall verdict is the conjunction of the per-ray checks.
-    """
-    alpha = tuple(Fraction(x) for x in alpha)
-    checks = []
-    for v in rays.rays:
-        value = sum(a * x for a, x in zip(alpha, v))
-        bad = value.denominator == 1 and value <= 0
-        checks.append(RayCheck(ray=tuple(v), value=value, ok=not bad))
-    return PropertyStarReport(checks=tuple(checks))

@@ -689,17 +689,23 @@ def finite_difference_residual(
     accuracy; each residual is recomputed at h/2 for an observed convergence
     order and a Richardson extrapolation.  ``F`` takes a coefficient tuple
     and returns a complex value.
+
+    The observed order is None when either residual lies at or below its
+    rounding floor: eps * max|sample| times the sum over the operator's
+    terms of |coefficient * monomial| * (sum of |stencil weight products|) /
+    step^|w|, the size of the last-bit errors of the samples after the
+    stencils have amplified them.
     """
     a0 = tuple(complex(z) for z in a0)
     reports = []
-    noise = 1e-14
     orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
     stencils = {
         k: central_stencil(k, accuracy) if k else ((0,), (Fraction(1),)) for k in orders
     }
+    mass = {k: float(sum(abs(x) for x in weights)) for k, (_, weights) in stencils.items()}
 
     def residual_at(op, step, cache):
-        total = 0j
+        total, gain = 0j, 0.0
         for (u, w), oc in sorted(op.constant_coefficients().items()):
             mono = 1.0 + 0j
             for j, uj in enumerate(u):
@@ -707,14 +713,16 @@ def finite_difference_residual(
                     mono *= a0[j] ** uj
             dw = _derivative_at(F, a0, w, step, stencils, cache)
             total += float(oc) * mono * dw
-        return total
+            gain += abs(float(oc) * mono) * math.prod(mass[k] for k in w) / step ** sum(w)
+        # the cache holds exactly the samples this operator used at this step
+        return total, _EPS * gain * max(map(abs, cache.values()), default=0.0)
 
     for op in spec.operators:
         cache_h, cache_h2 = {}, {}
-        r1 = residual_at(op, h, cache_h)
-        r2 = residual_at(op, h / 2.0, cache_h2)
-        if abs(r1) > noise and abs(r2) > noise:
-            order = math.log2(abs(r1) / abs(r2)) if abs(r2) else None
+        r1, floor1 = residual_at(op, h, cache_h)
+        r2, floor2 = residual_at(op, h / 2.0, cache_h2)
+        if abs(r1) > floor1 and abs(r2) > floor2:
+            order = math.log2(abs(r1) / abs(r2))
         else:
             order = None
         # the leading error term is O(h^accuracy), so halving h divides it by 2^accuracy

@@ -20,8 +20,18 @@ are decided exactly.
   coordinate keeps one prefix table of ratios over the window's shifts,
   built one linear factor at a time, so a coefficient is a product of
   table entries.
-* ``annihilate_check`` works in integers: the series is cleared of
-  denominators once, and each residual coefficient is divided once.
+* ``annihilate_check`` and ``apply_operator`` share one columnar integer
+  kernel.  The series is cleared of denominators once and held as int64
+  offset and log-index columns beside an object column of Python-int
+  numerators.  An image term is keyed by one int64 mixed-radix code of its
+  (offset, log index), so a shift or a log lowering is one integer add; a
+  key space too large for int64 codes is keyed by int64 rows instead.  Equal
+  keys are summed by sorting, one block of rows at a time, and each
+  nonzero total is divided once.
+* ``count_independent`` certifies independence by a rank mod the prime
+  2^61 - 1 of the cleared rows; a modular rank below the row count, or a
+  denominator divisible by the prime, falls back to exact rational
+  elimination.
 """
 
 from __future__ import annotations
@@ -433,21 +443,41 @@ class OperatorResidual:
     max_abs: float
 
 
-def _integer_derivative_table(qe, q, m, k):
+def _derivative_columns(qe, q, m, k):
     """``q^k`` times one variable's factor of ``d^k (a^e log(a)^m)``, for ``qe = q*e``.
 
     ``d^k (a^e log^m a) = sum_j K_j a^(e-k) log^(m-j) a``.  ``q^k K_j`` is a
-    polynomial in ``qe`` with integer coefficients, so for an integer ``qe``
-    the nonzero ``(m - j, q^k K_j)`` pairs listed are integers.
+    polynomial in ``qe`` with integer coefficients.  ``qe`` and ``m`` are
+    object arrays of Python ints, one entry per (exponent, log power) pair;
+    returns the columns ``q^k K_0 .. q^k K_J``, ``J = min(k, max m)``, as
+    object arrays (``K_j`` is zero where ``j > m``).
     """
-    coeffs = [1] + [0] * min(k, m)
+    cols = [np.ones(len(qe), dtype=object)]
+    cols += [np.zeros(len(qe), dtype=object) for _ in range(min(k, max(m, default=0)))]
     for t in range(k):
         # d (a^(e-t) log^(m-j)) = (e-t) a^(e-t-1) log^(m-j) + (m-j) a^(e-t-1) log^(m-j-1)
         qet = qe - q * t
-        for j in range(len(coeffs) - 1, 0, -1):
-            coeffs[j] = qet * coeffs[j] + q * (m - j + 1) * coeffs[j - 1]
-        coeffs[0] *= qet
-    return tuple((m - j, c) for j, c in enumerate(coeffs) if c != 0)
+        for j in range(len(cols) - 1, 0, -1):
+            cols[j] = qet * cols[j] + q * (m - (j - 1)) * cols[j - 1]
+        cols[0] = qet * cols[0]
+    return cols
+
+
+# image terms expanded per block before they are summed by key; bounds the
+# Python ints alive at once
+_BLOCK = 1 << 12
+
+
+def _merge(keys, values, blocks):
+    """Sum the values of equal keys (int64 codes or int64 rows) over the sums
+    so far and new ``(keys, values)`` blocks; sorted keys, zero sums dropped."""
+    keys = np.concatenate([keys] + [k for k, _ in blocks])
+    values = np.concatenate([values] + [v for _, v in blocks])
+    keys, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=object)
+    np.add.at(sums, inverse.ravel(), values)
+    keep = np.flatnonzero(sums)
+    return keys[keep], sums[keep]
 
 
 def _integer_images(ops, series: LogSeries):
@@ -455,54 +485,99 @@ def _integer_images(ops, series: LogSeries):
 
     The image coefficient of ``(offset, logpow)`` is ``totals[key] / scale``
     with ``scale = D * O * q^r``: ``D`` clears the series' coefficients once,
-    ``O`` the operator's, and ``q`` the exponents'.  The one-variable tables
-    ``q^k K`` (``_integer_derivative_table``) are integers, and a term of
-    derivative order ``|w|`` is scaled by ``q^(r-|w|)``, ``r`` the operator's
-    order.  The tables are cached by ``(i, v_i, m_i, k)`` and shared by all
-    operators.  Yields one pair per operator, in order.
+    ``O`` the operator's, and ``q`` the exponents'; a term of derivative order
+    ``|w|`` is scaled by ``q^(r-|w|)``, ``r`` the operator's order.  ``totals``
+    holds the nonzero coefficients in ascending key order.
+
+    An operator term expands the rows one active variable at a time by that
+    variable's derivative columns (``_derivative_columns``, shared by all
+    operators).  Keys are int64 mixed-radix codes of (offset, log index), or
+    int64 rows when the radix product does not fit in int64; equal keys are
+    summed by sorting, about ``_BLOCK`` expanded rows at a time.  Yields one
+    pair per operator, in order.
     """
     q = math.lcm(*(g.denominator for g in series.gamma))
     qgamma = [int(q * g) for g in series.gamma]
     D = math.lcm(*(c.denominator for c in series.terms.values()))
-    by_offset = {}
-    for (v, m), c in series.terms.items():
-        by_offset.setdefault(v, []).append((m, c.numerator * (D // c.denominator)))
-    tables = {}
+    p = series.nvars
+    rows = len(series.terms)
+    V = np.array([v for v, _ in series.terms], dtype=np.int64).reshape(rows, p)
+    M = np.array([m for _, m in series.terms], dtype=np.int64).reshape(rows, p)
+    C = np.array(
+        [c.numerator * (D // c.denominator) for c in series.terms.values()], dtype=object
+    )
+    top = M.max(axis=0, initial=0).tolist()  # highest log power per variable
+    distinct, tables = {}, {}
+
+    def columns(i, k):
+        # each row's (offset, log power) pair of variable i, and the
+        # derivative columns over the distinct pairs
+        if i not in distinct:
+            distinct[i] = np.unique(V[:, i] * (top[i] + 1) + M[:, i], return_inverse=True)
+        if (i, k) not in tables:
+            v, m = (x.astype(object) for x in np.divmod(distinct[i][0], top[i] + 1))
+            cols = _derivative_columns(qgamma[i] + q * v, q, m, k)
+            tables[i, k] = [(col, col != 0) for col in cols]
+        return distinct[i][1], tables[i, k]
+
     for op in ops:
         coeffs = op.constant_coefficients()
         order = max((sum(w) for _, w in coeffs), default=0)
         O = math.lcm(*(c.denominator for c in coeffs.values()))
-        op_terms = [
-            (
-                tuple(ui - wi for ui, wi in zip(u, w)),
-                tuple((i, k) for i, k in enumerate(w) if k),
-                c.numerator * (O // c.denominator) * q ** (order - sum(w)),
-            )
-            for (u, w), c in coeffs.items()
+        scale = D * O * q**order
+        if not rows or not coeffs:
+            yield {}, scale
+            continue
+        shifts = np.array([[ui - wi for ui, wi in zip(u, w)] for u, w in coeffs], dtype=np.int64)
+        # the radices cover the rows and their shifted images, so every
+        # partial code lies in [0, prod(radix))
+        lo = V.min(axis=0) + shifts.min(axis=0, initial=0)
+        hi = V.max(axis=0) + shifts.max(axis=0, initial=0)
+        radix = (hi - lo + 1).tolist() + [t + 1 for t in top]
+        if math.prod(radix) < 2**63:
+            weight = np.array([math.prod(radix[j + 1 :]) for j in range(2 * p)], dtype=np.int64)
+        else:
+            weight = np.eye(2 * p, dtype=np.int64)  # keys are the rows themselves
+        base = np.concatenate([V - lo, M], axis=1) @ weight
+        shift_keys = shifts @ weight[:p]
+        terms = [
+            (shift_key, [(i, k) for i, k in enumerate(w) if k],
+             c.numerator * (O // c.denominator) * q ** (order - sum(w)))
+            for ((u, w), c), shift_key in zip(coeffs.items(), shift_keys)
         ]
-        acc = {}
-        for v, group in by_offset.items():
-            for shift, active, c in op_terms:
-                v2 = tuple([a + b for a, b in zip(v, shift)])
-                for m, n in group:
-                    images = [(m, n * c)]
-                    for i, k in active:
-                        key = (i, v[i], m[i], k)
-                        table = tables.get(key)
-                        if table is None:
-                            table = tables[key] = _integer_derivative_table(
-                                qgamma[i] + q * v[i], q, m[i], k
+        spread = sum(math.prod(min(k, top[i]) + 1 for i, k in active) for _, active, _ in terms)
+        step = max(1, _BLOCK // spread)
+        acc_keys, acc_vals = base[:0], C[:0]
+        # row blocks in series order, all terms at once: an image is complete,
+        # and dropped if it cancelled, once the rows feeding it are merged
+        for start in range(0, rows, step):
+            block = np.arange(start, min(start + step, rows))
+            images = []
+            for shift_key, active, factor in terms:
+                idx, keys, vals = block, base[block] + shift_key, C[block] * factor
+                for i, k in active:
+                    pair_of, cols = columns(i, k)
+                    pairs = pair_of[idx]
+                    parts = []
+                    for j, (col, nonzero) in enumerate(cols):
+                        sel = np.flatnonzero(nonzero[pairs])
+                        if sel.size:
+                            parts.append(
+                                (idx[sel], keys[sel] - j * weight[p + i], vals[sel] * col[pairs[sel]])
                             )
-                        mi = m[i]
-                        images = [
-                            (m2 if mj == mi else m2[:i] + (mj,) + m2[i + 1 :], f * K)
-                            for m2, f in images
-                            for mj, K in table
-                        ]
-                    for m2, f in images:
-                        key = (v2, m2)
-                        acc[key] = acc.get(key, 0) + f
-        yield acc, D * O * q**order
+                    if not parts:
+                        break  # every image of this term vanishes
+                    idx, keys, vals = (np.concatenate(x) for x in zip(*parts))
+                else:
+                    images.append((keys, vals))
+            acc_keys, acc_vals = _merge(acc_keys, acc_vals, images)
+        if acc_keys.ndim == 1:
+            acc_keys = np.stack(np.unravel_index(acc_keys, radix), axis=1)
+        acc_keys[:, :p] += lo
+        yield {
+            (tuple(key[:p]), tuple(key[p:])): total
+            for key, total in zip(acc_keys.tolist(), acc_vals.tolist())
+        }, scale
 
 
 def apply_operator(op, series: LogSeries) -> dict:
@@ -516,7 +591,7 @@ def apply_operator(op, series: LogSeries) -> dict:
     multi-index, so no exponent is ever formed.
     """
     ((totals, scale),) = _integer_images([op], series)
-    return {key: Fraction(totals[key], scale) for key in sorted(totals) if totals[key]}
+    return {key: Fraction(total, scale) for key, total in totals.items()}
 
 
 def _require_rational(series: LogSeries):
@@ -556,10 +631,7 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
         trusted = {}  # offset -> every offset that feeds it lies in the window
         kept = {}
         skipped = 0
-        for v2, m2 in sorted(totals):
-            c = totals[v2, m2]
-            if c == 0:
-                continue
+        for (v2, m2), c in totals.items():
             ok = trusted.get(v2)
             if ok is None:
                 ok = True
@@ -587,35 +659,69 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
     return reports
 
 
+# the Mersenne prime 2^61 - 1: a full rank mod P is the full rank over Q
+_P = 2**61 - 1
+
+
+def _rank_mod_p(rows, ncols):
+    """Rank mod ``_P`` of integer rows given as ``(columns, values)`` pairs."""
+    echelon = []  # (pivot column, row scaled to 1 there), in insertion order
+    for cols, values in rows:
+        row = np.zeros(ncols, dtype=object)
+        row[cols] = values
+        row %= _P
+        for col, pivot_row in echelon:
+            f = row[col]
+            if f:
+                row = (row - f * pivot_row) % _P
+        nonzero = np.flatnonzero(row)
+        if nonzero.size:
+            col = nonzero[0]
+            echelon.append((col, row * pow(int(row[col]), -1, _P) % _P))
+    return len(echelon)
+
+
 def count_independent(series_list) -> int:
     """Exact rank of the coefficient matrix over the shared monomial/log basis.
 
-    Raises TypeError on a coefficient that is not rational.
+    The rows are cleared of denominators and ranked mod the prime ``_P``
+    first: a full rank there is the rank over Q, since a nonzero minor mod
+    ``_P`` is nonzero.  A lower modular rank, or a denominator divisible by
+    ``_P``, falls back to exact rational elimination.  Raises TypeError on a
+    coefficient that is not rational.
     """
     series_list = list(series_list)
     if not series_list:
         return 0
     # a^(gamma+v) with gamma = floor + frac is keyed by the index of the
-    # fractional class frac and the integer exponent floor + v
-    classes = {}
+    # fractional class frac and the integer exponent floor + v, counted from
+    # the floor of the class's first series
+    classes = {}  # frac -> (index, floor)
+    column = {}
     keyed = []
     for s in series_list:
         _require_rational(s)
         floor = tuple(math.floor(g) for g in s.gamma)
-        cls = classes.setdefault(
-            tuple(g - f for g, f in zip(s.gamma, floor)), len(classes)
+        cls, first = classes.setdefault(
+            tuple(g - f for g, f in zip(s.gamma, floor)), (len(classes), floor)
         )
-        keyed.append(
-            {
-                (cls, tuple([f + x for f, x in zip(floor, v)]), m): c
-                for (v, m), c in s.terms.items()
-            }
+        shift = tuple(f - f0 for f, f0 in zip(floor, first))
+        keys = s.terms if not any(shift) else (
+            (tuple([d + x for d, x in zip(shift, v)]), m) for v, m in s.terms
         )
-    column = {key: j for j, key in enumerate(sorted(set().union(*keyed)))}
+        keyed.append([column.setdefault((cls, v, m), len(column)) for v, m in keys])
+    scales = [math.lcm(*(c.denominator for c in s.terms.values())) for s in series_list]
+    if all(D % _P for D in scales):
+        cleared = [
+            (cols, [c.numerator * (D // c.denominator) for c in s.terms.values()])
+            for s, cols, D in zip(series_list, keyed, scales)
+        ]
+        if _rank_mod_p(cleared, len(column)) == len(series_list):
+            return len(series_list)
     rows = []
-    for terms in keyed:
+    for s, cols in zip(series_list, keyed):
         row = [0] * len(column)
-        for key, c in terms.items():
-            row[column[key]] = c
+        for j, c in zip(cols, s.terms.values()):
+            row[j] = c
         rows.append(row)
     return intlinalg.rank(rows)

@@ -162,6 +162,22 @@ def test_verify_period_series_clean(tmp_path, capsys):
     assert data["all_clean"] is True
 
 
+def test_verify_period_series_rounding_floor_has_no_order(tmp_path, capsys):
+    # the box residual of the P1 period series is last-bit rounding of the
+    # samples amplified by the stencil: no convergence order to observe
+    job = dict(P1_JOB)
+    job["candidate"] = {"type": "period-series"}
+    code, out, _ = run(capsys, ["verify", "--input", write_job(tmp_path, job)])
+    assert code == 0
+    fd = {
+        line.split("]")[0].strip(" ["): line.split("observed order ")[1]
+        for line in out.split("finite-difference residuals")[1].splitlines()
+        if "observed order" in line
+    }
+    assert fd["d1 d3 - d2^2"] == "n/a"
+    assert 3.5 < float(fd["a1 d1 + a2 d2 + a3 d3 + 1"]) < 4.5
+
+
 def test_exit_code_5_on_failed_certificate(tmp_path, capsys):
     job = dict(UNIPOTENT_JOB)
     job["candidate"] = {"type": "monomial", "exponents": ["-2", "0", "0"]}

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -262,28 +261,3 @@ class TestVolumes:
                 for x, y in pts
             ]
             assert lattice.normalized_volume(moved) == base
-
-
-class TestPropertyStar:
-    def test_half_on_pm_one(self):
-        rays = lattice.FanRays(rays=((1,), (-1,)))
-        report = lattice.check_property_star([Fraction(1, 2)], rays)
-        assert report.all_ok
-
-    def test_zero_fails_everywhere(self):
-        rays = lattice.FanRays(rays=((1, 0), (0, 1), (-1, -1)))
-        report = lattice.check_property_star([0, 0], rays)
-        assert not report.all_ok
-        assert all(not c.ok for c in report.checks)
-
-    def test_individual_reporting(self):
-        rays = lattice.FanRays(rays=((1, 0), (0, 1)))
-        report = lattice.check_property_star([-2, Fraction(1, 3)], rays)
-        assert [c.ok for c in report.checks] == [False, True]
-        assert report.checks[0].value == -2
-
-    def test_ray_validation(self):
-        with pytest.raises(DegenerateConfiguration):
-            lattice.FanRays(rays=((2, 2),))
-        with pytest.raises(DuplicatePoint):
-            lattice.FanRays(rays=((1, 0), (1, 0)))
