@@ -6,7 +6,6 @@ numerically that period and chain integrals solve the system.
 """
 
 from .errors import GkzForgeError
-from .jets import Jet
 from .lattice import (
     ExponentMatrix,
     KernelBasis,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GkzForgeError",
-    "Jet",
     "ExponentMatrix",
     "KernelBasis",
     "homogenize",

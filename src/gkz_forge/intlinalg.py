@@ -4,7 +4,11 @@ Everything here works on plain Python ints / Fractions, organized as tuples
 of row tuples.  Matrices are tiny (dimensions a handful, at most a couple of
 dozen columns), so the classical algorithms are used directly: Bareiss for
 determinants, row Hermite normal form with a unimodular transform for
-kernels and for the one integer solver (back substitution on that form).
+kernels and for the one integer solver (back substitution on that form),
+and Gauss-Jordan elimination for ranks and for the one rational solver.
+That solver also gives the Ehrhart polynomial coefficients of the volume
+oracle and the exact finite-difference stencil weights, both from small
+Vandermonde systems.
 """
 
 from __future__ import annotations

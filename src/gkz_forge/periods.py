@@ -17,7 +17,8 @@ returned error is never above tol.
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
 finite-difference stencils, which certifies "this integral solves the
-system" at a point without symbolic access to the function.
+system" at a point without symbolic access to the function.  The stencil
+weights solve a small Vandermonde system with ``intlinalg``'s exact solver.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     SingularOnContour,
     StencilOutOfDomain,
 )
+from . import intlinalg
 from .lattice import ExponentMatrix, LatticeWalk, integer_kernel
 from .series import LogSeries
 
@@ -595,27 +597,20 @@ def loop_chain(center, radius, points=12) -> ChainSpec:
 
 
 def fd_weights(derivative, nodes):
-    """Exact finite-difference weights at 0 for the given integer nodes."""
-    nodes = [Fraction(x) for x in nodes]
+    """Exact finite-difference weights at 0 for the given distinct nodes.
+
+    The weights solve the Vandermonde system ``sum_j w_j x_j^k = k! [k ==
+    derivative]`` for ``k < len(nodes)``: the stencil differentiates every
+    polynomial of degree below the node count exactly.
+    """
     n = len(nodes)
     if derivative >= n:
         raise ValueError("not enough nodes for the requested derivative")
-    d = [[[Fraction(0)] * (derivative + 1) for _ in range(n)] for _ in range(n)]
-    d[0][0][0] = Fraction(1)
-    c1 = Fraction(1)
-    for i in range(1, n):
-        c2 = Fraction(1)
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            for k in range(min(i, derivative) + 1):
-                prev = d[i - 1][j][k - 1] if k else Fraction(0)
-                d[i][j][k] = (nodes[i] * d[i - 1][j][k] - k * prev) / c3
-        for k in range(min(i, derivative) + 1):
-            prev = d[i - 1][i - 1][k - 1] if k else Fraction(0)
-            d[i][i][k] = c1 / c2 * (k * prev - nodes[i - 1] * d[i - 1][i - 1][k])
-        c1 = c2
-    return [d[n - 1][j][derivative] for j in range(n)]
+    if len(set(nodes)) != n:
+        raise ValueError("finite-difference nodes must be distinct")
+    rows = [[Fraction(x) ** k for x in nodes] for k in range(n)]
+    rhs = [math.factorial(derivative) if k == derivative else 0 for k in range(n)]
+    return list(intlinalg.solve_rational(rows, rhs))
 
 
 def central_stencil(derivative, accuracy=4):
@@ -648,12 +643,14 @@ class FDReport:
         return max((abs(r.residual) for r in self.reports), default=0.0)
 
 
-def _derivative_at(F, a0, w, h, stencils, cache):
+def _derivative_at(F, a0, w, h, stencils, samples, used):
     # The weighted sum is accumulated in exact rationals (the sampled values
     # are binary floats, hence exactly representable), so stencil identities
     # like "sum of weights is zero" hold exactly and directions the function
     # does not depend on contribute no rounding noise.  ``stencils[k]`` is
-    # the (nodes, weights) pair of the k-th derivative.
+    # the (nodes, weights) pair of the k-th derivative.  ``samples`` holds
+    # every value of F taken at this step, ``used`` the ones this call's
+    # operator has read.
     acc_re = Fraction(0)
     acc_im = Fraction(0)
     axes = [stencils[wi] for wi in w]
@@ -663,12 +660,12 @@ def _derivative_at(F, a0, w, h, stencils, cache):
         nonlocal acc_re, acc_im
         if i == len(w):
             point = tuple(a0[j] + h * offset[j] for j in range(len(w)))
-            if point not in cache:
+            if point not in samples:
                 try:
-                    cache[point] = complex(F(point))
+                    samples[point] = complex(F(point))
                 except Exception as exc:  # the sampled function left its domain
                     raise StencilOutOfDomain(str(exc)) from exc
-            v = cache[point]
+            v = used[point] = samples[point]
             acc_re += weight * Fraction(v.real)
             acc_im += weight * Fraction(v.imag)
             return
@@ -690,11 +687,13 @@ def finite_difference_residual(
     order and a Richardson extrapolation.  ``F`` takes a coefficient tuple
     and returns a complex value.
 
-    The observed order is None when either residual lies at or below its
-    rounding floor: eps * max|sample| times the sum over the operator's
-    terms of |coefficient * monomial| * (sum of |stencil weight products|) /
-    step^|w|, the size of the last-bit errors of the samples after the
-    stencils have amplified them.
+    Each stencil point is sampled once per step, whichever operators read
+    it.  The observed order is None when either residual lies at or below
+    its rounding floor: eps * max|sample| over the samples the operator
+    read, times the sum over the operator's terms of |coefficient *
+    monomial| * (sum of |stencil weight products|) / step^|w|, the size of
+    the last-bit errors of the samples after the stencils have amplified
+    them.
     """
     a0 = tuple(complex(z) for z in a0)
     reports = []
@@ -704,23 +703,23 @@ def finite_difference_residual(
     }
     mass = {k: float(sum(abs(x) for x in weights)) for k, (_, weights) in stencils.items()}
 
-    def residual_at(op, step, cache):
-        total, gain = 0j, 0.0
+    def residual_at(op, step, samples):
+        total, gain, used = 0j, 0.0, {}
         for (u, w), oc in sorted(op.constant_coefficients().items()):
             mono = 1.0 + 0j
             for j, uj in enumerate(u):
                 if uj:
                     mono *= a0[j] ** uj
-            dw = _derivative_at(F, a0, w, step, stencils, cache)
+            dw = _derivative_at(F, a0, w, step, stencils, samples, used)
             total += float(oc) * mono * dw
             gain += abs(float(oc) * mono) * math.prod(mass[k] for k in w) / step ** sum(w)
-        # the cache holds exactly the samples this operator used at this step
-        return total, _EPS * gain * max(map(abs, cache.values()), default=0.0)
+        return total, _EPS * gain * max(map(abs, used.values()), default=0.0)
 
+    # each stencil point is sampled once per step, whichever operators read it
+    samples_h, samples_h2 = {}, {}
     for op in spec.operators:
-        cache_h, cache_h2 = {}, {}
-        r1, floor1 = residual_at(op, h, cache_h)
-        r2, floor2 = residual_at(op, h / 2.0, cache_h2)
+        r1, floor1 = residual_at(op, h, samples_h)
+        r2, floor2 = residual_at(op, h / 2.0, samples_h2)
         if abs(r1) > floor1 and abs(r2) > floor2:
             order = math.log2(abs(r1) / abs(r2))
         else:

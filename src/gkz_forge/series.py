@@ -15,7 +15,8 @@ are decided exactly.
   Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
   and works with ratios of gamma values at integer shifts, which are
   rational functions of ``eps``.  It expands them as exact eps-jets of
-  order ``vol - 1`` and extracts the logarithmic solutions as their
+  order ``vol - 1``, plain tuples of the ``Fraction`` coefficients of
+  ``eps^0 .. eps^(vol-1)``, and extracts the logarithmic solutions as their
   eps-power coefficients.  This is the only place jets occur.  Each
   coordinate keeps one prefix table of ratios over the window's shifts,
   built one linear factor at a time, so a coefficient is a product of
@@ -51,7 +52,6 @@ from .errors import (
 from . import intlinalg
 from .lattice import LatticeWalk, integer_kernel, normalized_volume
 from .tautsys import SystemSpec
-from .jets import Jet
 
 
 # -- reciprocal gamma values and gamma-ratio jets ----------------------------
@@ -75,35 +75,67 @@ def reciprocal_gamma_value(q):
     return math.prod((r - k for k in range(1, 1 - n)), start=Fraction(1))
 
 
+# An eps-jet of order k is the tuple of the exact coefficients of eps^0 ..
+# eps^k of a power series in eps; everything beyond eps^k is forgotten.
+
+
+def _jet_product(a, b):
+    """Truncated product of two jets of one order, skipping zero coefficients."""
+    out = [Fraction(0)] * len(a)
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                if i + j >= len(out):
+                    break
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _jet_times_linear(a, c0, c1):
+    """Product of a jet with ``c0 + c1*eps``."""
+    return tuple(c0 * x + c1 * y for x, y in zip(a, (0,) + a[:-1]))
+
+
+def _jet_over_linear(a, c0, c1):
+    """Quotient of a jet by ``c0 + c1*eps`` in closed form; requires ``c0 != 0``."""
+    out = []
+    prev = 0
+    for c in a:
+        prev = (c - c1 * prev) / c0
+        out.append(prev)
+    return tuple(out)
+
+
 def _ratio_table(base, slope, lo, hi, order):
     """Prefix table of ``R(x) = Gamma(g+1)/Gamma(g+x+1)`` at ``g = base + slope*eps``.
 
     Maps each shift ``x`` in ``lo..hi`` to ``(valuation, unit)``: the ratio
-    is ``eps^valuation * unit`` with ``unit`` a Jet of the given order.  Built
+    is ``eps^valuation * unit`` with ``unit`` a jet of the given order.  Built
     by ``R(x) = R(x-1) / (g+x)`` upward and ``R(x) = R(x+1) * (g+x+1)``
-    downward, one linear factor per step.  A factor ``g+x`` with zero slope
-    that vanishes in the denominator is a pole no deformation resolves: the
-    shifts from there up are missing, so lookups return ``None``.
+    downward, one linear factor per step; a factor whose constant term
+    vanishes moves one power of eps into the valuation.  A factor ``g+x``
+    with zero slope that vanishes in the denominator is a pole no
+    deformation resolves: the shifts from there up are missing, so lookups
+    return ``None``.
     """
-    one = Jet.constant(Fraction(1), order)
+    one = (Fraction(1),) + (Fraction(0),) * order
     table = {0: (0, one)}
     val, unit = 0, one
     for x in range(1, hi + 1):
-        c0 = base + x
+        c0, c1 = base + x, slope
         if c0 == 0:
             if slope == 0:
                 break
-            val, unit = val - 1, unit.over_linear(slope, 0)
-        else:
-            unit = unit.over_linear(c0, slope)
+            val, c0, c1 = val - 1, slope, 0
+        unit = _jet_over_linear(unit, c0, c1)
         table[x] = (val, unit)
     val, unit = 0, one
     for x in range(-1, lo - 1, -1):
-        c0 = base + x + 1
+        c0, c1 = base + x + 1, slope
         if c0 == 0:
-            val, unit = val + 1, unit * slope
-        else:
-            unit = unit * Jet((c0, slope), order)
+            val, c0, c1 = val + 1, slope, 0
+        unit = _jet_times_linear(unit, c0, c1)
         table[x] = (val, unit)
     return table
 
@@ -258,7 +290,7 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
         _ratio_table(Fraction(g), Fraction(s), min(xs), max(xs), jet_order)
         for g, s, xs in zip(gamma0, slope, zip(*(v for _, v in window)))
     ]
-    one = Jet.constant(Fraction(1), jet_order)
+    one = (Fraction(1),) + (Fraction(0),) * jet_order
     family = []
     for coords, v in window:
         val, unit = 0, one
@@ -268,13 +300,13 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
                 return None
             if x:
                 val += entry[0]
-                unit = unit * entry[1]
+                unit = _jet_product(unit, entry[1])
         if val < 0:
             return None
         if val > jet_order:
             continue
-        jet = unit.shifted(val)
-        if not jet.is_zero():
+        jet = (Fraction(0),) * val + unit[: len(unit) - val]
+        if any(jet):
             family.append((coords, v, jet))
     return family
 
@@ -315,7 +347,7 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
     for _, v, jet in family:
         for total, alpha, factor in logs:
             for j in range(total, count):
-                c = jet.coefficient(j - total)
+                c = jet[j - total]
                 if c != 0:
                     terms[j][(v, alpha)] = c * factor
     return [
@@ -328,7 +360,7 @@ def _one_sided(family):
     """True when the eps^0 support does not straddle both lattice sides."""
     sides = set()
     for coords, _, jet in family:
-        if jet.coefficient(0) != 0:
+        if jet[0] != 0:
             lead = next((x for x in coords if x != 0), 0)
             sides.add((lead > 0) - (lead < 0))
     return not {1, -1} <= sides

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import gkz_forge
 from gkz_forge import cli
 
 
@@ -285,6 +286,13 @@ def test_import_does_not_load_mpmath():
         [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_resolve_once():
+    names = gkz_forge.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    missing = [name for name in names if not hasattr(gkz_forge, name)]
+    assert not missing, f"stale exports: {missing}"
 
 
 JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"

@@ -2,12 +2,10 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from gkz_forge import intlinalg
-from gkz_forge.jets import Jet
 
 
 def smith_invariants(rows):
@@ -71,41 +69,6 @@ def smith_invariants(rows):
                 invariants[i], invariants[i + 1] = g, x * y // g
                 changed = True
     return tuple(invariants)
-
-
-class TestJet:
-    def test_constant_behaves_like_scalar(self):
-        j = Jet.constant(Fraction(3, 2), 2)
-        assert (j + 1).coefficient(0) == Fraction(5, 2)
-        assert (2 * j).coefficient(0) == 3
-        assert j.render() == "3/2"
-
-    def test_truncated_product(self):
-        a = Jet((1, 1), 1)  # 1 + eps
-        b = Jet((1, -1), 1)  # 1 - eps
-        assert (a * b) == Jet((1, 0), 1)
-
-    def test_over_linear_roundtrip(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(4)]
-            c0, c1 = Fraction(rng.randint(1, 5)), Fraction(rng.randint(-4, 4))
-            j = Jet(coeffs)
-            assert j.over_linear(c0, c1) * Jet((c0, c1), 3) == j
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            Jet((1, 1), 1).over_linear(0, 1)
-
-    def test_shifted(self):
-        j = Jet((Fraction(2), Fraction(3)), 3).shifted(2)
-        assert j.coeffs == (0, 0, Fraction(2), Fraction(3))
-
-    def test_render(self):
-        assert Jet((Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(1))).render() == (
-            "1/2 - 2 eps + eps^3"
-        )
-        assert Jet((Fraction(0),), 3).render() == "0"
 
 
 class TestIntLinAlg:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy.calculus.finite_diff import finite_diff_weights
 
 from gkz_forge import lattice, periods, series, tautsys
 from gkz_forge.errors import (
@@ -425,6 +427,8 @@ class TestFiniteDifference:
             Fraction(1, 2),
         ]
         assert fd_weights(2, [-1, 0, 1]) == [Fraction(1), Fraction(-2), Fraction(1)]
+        with pytest.raises(ValueError):
+            fd_weights(1, [0, 1, 1])
         nodes, w = central_stencil(1, 4)
         assert nodes == [-2, -1, 0, 1, 2]
         assert w == [
@@ -434,6 +438,20 @@ class TestFiniteDifference:
             Fraction(2, 3),
             Fraction(-1, 12),
         ]
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(0, 4),
+        st.lists(st.integers(-6, 6), min_size=2, max_size=9, unique=True),
+    )
+    def test_weights_match_sympy(self, derivative, nodes):
+        # an independent oracle: sympy's implementation of Fornberg's recursion
+        if derivative >= len(nodes):
+            with pytest.raises(ValueError):
+                fd_weights(derivative, nodes)
+            return
+        expected = finite_diff_weights(derivative, nodes, 0)[derivative][-1]
+        assert fd_weights(derivative, nodes) == [Fraction(str(w)) for w in expected]
 
     def test_stencils_exact_on_polynomials(self):
         # a stencil of accuracy q differentiates degree < q + m exactly
@@ -463,6 +481,23 @@ class TestFiniteDifference:
         euler = rep.reports[1]
         assert euler.observed_order is not None
         assert 3.5 < euler.observed_order < 4.5
+
+    def test_each_stencil_point_sampled_once_per_step(self):
+        spec = tautsys.gkz_system(A_HESSE, tautsys.cy_beta(2))
+        calls = []
+
+        def F(a):
+            calls.append(a)
+            return 1.0 / a[0]
+
+        finite_difference_residual(spec, F, (1.0, 0.05, 0.06, 0.07), h=0.002)
+        # the stencil offsets every operator term reads, merged over operators
+        offsets = set()
+        for op in spec.operators:
+            for _, w in op.terms:
+                axes = [central_stencil(k)[0] if k else [0] for k in w]
+                offsets.update(itertools.product(*axes))
+        assert len(calls) == 2 * len(offsets)  # steps h and h/2
 
     @pytest.mark.parametrize("accuracy", [4, 6])
     def test_richardson_factor_is_two_to_the_accuracy(self, accuracy):

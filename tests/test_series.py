@@ -348,13 +348,18 @@ class TestRatioTable:
         st.one_of(st.just(Fraction(0)), rationals),
         st.integers(-8, 8),
         st.integers(0, 4),
+        st.tuples(rationals, rationals, st.integers(-8, 8)),
     )
-    def test_against_sympy_series(self, base, slope, x, order):
+    def test_against_sympy_series(self, base, slope, x, order, other):
         # R(x) = Gamma(g+1)/Gamma(g+x+1) = num(eps)/den(eps), products of
         # linear factors; the entry is eps^val * unit with unit = N/Q mod
         # eps^(order+1), where num = eps^a N and den = eps^b Q, val = a - b
         table = series._ratio_table(base, slope, -8, 8, order)
         eps = sp.Symbol("eps")
+
+        def as_poly(unit):
+            return sp.Poly(sum(_rational(Fraction(c)) * eps**k for k, c in enumerate(unit)), eps)
+
         g = _rational(base) + _rational(slope) * eps
         num = sp.Poly(sp.Mul(*(g - j for j in range(-x))), eps)
         den = sp.Poly(sp.Mul(*(g + j for j in range(1, x + 1))), eps)
@@ -362,14 +367,20 @@ class TestRatioTable:
             assert table.get(x) is None
             return
         val, unit = table[x]
-        got = sp.Poly(sum(_rational(Fraction(c)) * eps**k for k, c in enumerate(unit.coeffs)), eps)
+        got = as_poly(unit)
+        mod = sp.Poly(eps ** (order + 1), eps)
+        # the truncated product with an entry of a second table
+        base2, slope2, x2 = other
+        entry = series._ratio_table(base2, slope2, -8, 8, order).get(x2)
+        if entry is not None:
+            product = as_poly(series._jet_product(unit, entry[1]))
+            assert sp.rem(got * as_poly(entry[1]) - product, mod).is_zero
         if num.is_zero:
             assert got.is_zero
             return
         a, b = (min(m for (m,) in p.monoms()) for p in (num, den))
         assert val == a - b
         N, Q = sp.quo(num, sp.Poly(eps**a, eps)), sp.quo(den, sp.Poly(eps**b, eps))
-        mod = sp.Poly(eps ** (order + 1), eps)
         assert sp.rem(N * sp.invert(Q, mod) - got, mod).is_zero
 
 
