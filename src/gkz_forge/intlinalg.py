@@ -207,7 +207,3 @@ def integer_solver(rows):
 
     return solve
 
-
-def solve_integer(rows, rhs):
-    """One integer solution of ``rows @ x = rhs`` or None."""
-    return integer_solver(rows)(rhs)

@@ -31,6 +31,8 @@ from . import intlinalg
 
 MAX_DIM = 4
 MAX_POINTS = 24
+# offsets in one lattice window, (2 * radius + 1) ** kernel rank
+MAX_WINDOW = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,17 @@ class LatticeWalk:
 
     def window(self, radius):
         """``(coords, offset)`` for every coordinate vector of max norm at most
-        ``radius``, in lexicographic order of the coordinates."""
+        ``radius``, in lexicographic order of the coordinates.
+
+        Raises LimitExceeded, before enumerating anything, when the window
+        has more than ``MAX_WINDOW`` offsets.
+        """
+        size = (2 * radius + 1) ** len(self.basis)
+        if size > MAX_WINDOW:
+            raise LimitExceeded(
+                f"lattice window of {size} offsets (radius {radius}, kernel rank "
+                f"{len(self.basis)}) exceeds the supported cap of {MAX_WINDOW}"
+            )
         out = []
         for c in product(range(-radius, radius + 1), repeat=len(self.basis)):
             v = tuple(sum(ck * b[j] for ck, b in zip(c, self.basis)) for j in range(self.nvars))

@@ -20,7 +20,9 @@ are decided exactly.
   eps-power coefficients.  This is the only place jets occur.  Each
   coordinate keeps one prefix table of ratios over the window's shifts,
   built one linear factor at a time, so a coefficient is a product of
-  table entries.
+  table entries.  One search over (base exponent, kernel basis vector)
+  pairs serves every kernel rank; the lattice window, not the rank, is
+  capped (``lattice.MAX_WINDOW``).
 * ``annihilate_check`` and ``apply_operator`` share one columnar integer
   kernel.  The series is cleared of denominators once and held as int64
   offset and log-index columns beside an object column of Python-int
@@ -357,7 +359,11 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
 
 
 def _one_sided(family):
-    """True when the eps^0 support does not straddle both lattice sides."""
+    """True when the eps^0 support does not straddle both lattice sides.
+
+    The side of an offset is the sign of its first nonzero lattice
+    coordinate; with kernel rank 1 that is the sign of its one coordinate.
+    """
     sides = set()
     for coords, _, jet in family:
         if jet[0] != 0:
@@ -378,88 +384,62 @@ def _candidate_classes(gamma_star, delta):
     return sorted(seen)
 
 
-# kernel ranks above 2 have no deformation strategy below
-_MAX_KERNEL_RANK = 2
-
-
 def frobenius_basis(spec: SystemSpec, order):
     """A basis of series solutions near the large complex structure limit.
 
     The system must consist of box and Euler operators of its exponent
-    matrix (only ``spec.A`` and ``spec.beta`` enter the construction), and
-    its kernel rank must be at most 2.  Deforms a resonant base exponent
-    along kernel directions with an exact eps-jet, and returns the
-    eps-power coefficients ``eps^0 .. eps^(vol-1)`` as logarithmic series.
-    The jets have order ``vol - 1``: a lower order would read truncated
-    coefficients as zero and yield non-solutions, a higher one computes
-    coefficients nobody reads.  The list has length
-    equal to the normalized volume of the exponent polytope and is linearly
-    independent (checked by ``count_independent``).  Exact rational
-    coefficients throughout.
+    matrix (only ``spec.A`` and ``spec.beta`` enter the construction).
+    Deforms a base exponent ``gamma0`` along a kernel basis vector with an
+    exact eps-jet, and returns the eps-power coefficients ``eps^0 ..
+    eps^(vol-1)`` as logarithmic series.  The jets have order ``vol - 1``:
+    a lower order would read truncated coefficients as zero and yield
+    non-solutions, a higher one computes coefficients nobody reads.
+
+    One search serves every kernel rank.  The bases are the resonant
+    classes of a rational solution of the degree constraints along the
+    first kernel vector; with kernel rank 2 or more, ``-e_i0`` (the large
+    complex structure point of the origin ``i0``, the base of
+    ``torus_period_series``) comes first when the origin is a point and
+    ``-e_i0`` solves the constraints.  The directions are the kernel basis
+    vectors, in order.  The first pair whose family is holomorphic and
+    one-sided and whose ``vol`` coefficients are independent (checked by
+    ``count_independent``) gives the basis, so its length is the normalized
+    volume of the exponent polytope.  Exact rational coefficients
+    throughout.  The lattice window is capped by ``lattice.MAX_WINDOW``.
     """
     A = spec.A
     vol = normalized_volume(A.points)
     kernel = integer_kernel(A)
-    rank = kernel.rank
-    if rank > _MAX_KERNEL_RANK:
-        raise UnsupportedFamily(
-            f"kernel rank {rank} exceeds the supported {_MAX_KERNEL_RANK}"
-        )
-    neg_beta = [-Fraction(b) for b in spec.beta]
+    neg_beta = tuple(-Fraction(b) for b in spec.beta)
     gamma_star = intlinalg.solve_rational(A.A, neg_beta)
     if gamma_star is None:
         raise UnsupportedFamily("no exponent solves the degree constraints")
-
-    if rank == 0:
+    if not kernel.vectors:
         if all(abs(g) <= order for g in gamma_star):
             return [monomial_series(gamma_star)]
         return []
 
     window = LatticeWalk(kernel.vectors, A.nsections).window(order)
-
-    if rank == 1:
-        delta = kernel.vectors[0]
-        for lam in _candidate_classes(gamma_star, delta):
-            gamma0 = tuple(g + lam * d for g, d in zip(gamma_star, delta))
-            family = _ratio_jet_family(gamma0, delta, window, vol - 1)
+    delta = kernel.vectors[0]
+    bases = [
+        tuple(g + lam * d for g, d in zip(gamma_star, delta))
+        for lam in _candidate_classes(gamma_star, delta)
+    ]
+    origin = (0,) * A.dim
+    if kernel.rank > 1 and origin in A.points:
+        i0 = A.points.index(origin)
+        lcs = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(A.nsections))
+        if A.degree(lcs) == neg_beta:
+            bases.insert(0, lcs)
+    for gamma0 in bases:
+        for slope in kernel.vectors:
+            family = _ratio_jet_family(gamma0, slope, window, vol - 1)
             if family is None or not _one_sided(family):
                 continue
-            basis = _eps_coefficients(gamma0, delta, family, kernel.vectors, order, vol)
+            basis = _eps_coefficients(gamma0, slope, family, kernel.vectors, order, vol)
             if count_independent(basis) == vol:
                 return basis
-        raise UnsupportedFamily("no resonant exponent class yields a full basis")
-
-    # rank 2: fixed integral base exponent, several deformation directions
-    if any(b.denominator != 1 for b in neg_beta):
-        raise UnsupportedFamily("rank-2 families need an integral parameter vector")
-    gamma0 = intlinalg.solve_integer(A.A, [int(b) for b in neg_beta])
-    if gamma0 is None:
-        raise UnsupportedFamily("rank-2 families need an integral base exponent")
-    gamma0 = tuple(Fraction(g) for g in gamma0)
-    b1, b2 = kernel.vectors
-    pool = [
-        b1,
-        b2,
-        tuple(x + y for x, y in zip(b1, b2)),
-        tuple(x - y for x, y in zip(b1, b2)),
-        tuple(2 * x + y for x, y in zip(b1, b2)),
-        tuple(x + 2 * y for x, y in zip(b1, b2)),
-    ]
-    basis = []
-    for slope in pool:
-        family = _ratio_jet_family(gamma0, slope, window, vol - 1)
-        if family is None:
-            continue
-        for candidate in _eps_coefficients(gamma0, slope, family, kernel.vectors, order, vol):
-            if not candidate.terms:
-                continue
-            if count_independent(basis + [candidate]) > len(basis):
-                basis.append(candidate)
-            if len(basis) == vol:
-                return basis
-    raise UnsupportedFamily(
-        "deformation directions did not produce a volume-sized basis"
-    )
+    raise UnsupportedFamily("no base exponent and kernel direction yields a full basis")
 
 
 # -- residuals and independence ------------------------------------------------

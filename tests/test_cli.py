@@ -123,16 +123,22 @@ def test_series_counts(tmp_path, capsys):
 @pytest.mark.parametrize(
     "points,code",
     [([[-1], [0], [1], [2]], 0), ([[-2], [-1], [0], [1]], 0),
-     ([[1, 0], [0, 1], [-1, 0], [-1, -1], [0, 0]], 3)],
+     ([[1, 0], [0, 1], [-1, 0], [-1, -1], [0, 0]], 0)],
 )
 def test_series_rank_two_pole_exits_cleanly(tmp_path, capsys, points, code):
     job = {"schema_version": 1, "dim": len(points[0]), "points": points, "options": {"order": 6}}
     got, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
     assert got == code
-    if code == 0:
-        assert "3 series, 3 independent" in out
-    else:
-        assert out == "" and err.startswith("error: ")
+    count = 4 if len(points[0]) == 2 else 3  # the normalized volume
+    assert f"{count} series, {count} independent" in out
+
+
+def test_series_window_over_the_cap_exits_3(tmp_path, capsys):
+    # six points on a line: kernel rank 4, a window of 17^4 offsets at order 8
+    job = {"schema_version": 1, "dim": 1, "points": [[k] for k in range(6)]}
+    code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job), "--order", "8"])
+    assert code == 3
+    assert out == "" and err.startswith("error: lattice window of 83521 offsets")
 
 
 def test_verify_unipotent_golden(tmp_path, capsys):

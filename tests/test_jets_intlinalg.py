@@ -138,11 +138,11 @@ class TestIntLinAlg:
 
     def test_solve_integer(self):
         rows = [[1, 1, 1, 1], [0, 1, 0, -1], [0, 0, 1, -1]]
-        x = intlinalg.solve_integer(rows, [-1, 0, 0])
+        x = intlinalg.integer_solver(rows)([-1, 0, 0])
         assert x is not None
         assert [sum(r[j] * x[j] for j in range(4)) for r in rows] == [-1, 0, 0]
         # unsolvable over the integers: parity obstruction
-        assert intlinalg.solve_integer([[2]], [1]) is None
+        assert intlinalg.integer_solver([[2]])([1]) is None
 
 
 ENTRY = st.one_of(

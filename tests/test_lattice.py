@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -124,7 +125,7 @@ class TestLatticeWalk:
             assert v == tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(p))
             assert walk.coords(v) == coords
             if basis:
-                assert intlinalg.solve_integer(columns, v) == coords
+                assert intlinalg.integer_solver(columns)(v) == coords
         # the kernel is saturated: off the kernel means off the lattice
         e = data.draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
         if any(sum(r[j] * e[j] for j in range(p)) for r in rows):
@@ -141,6 +142,28 @@ class TestLatticeWalk:
         assert walk.window(4) == [((), (0, 0, 0))]
         assert walk.coords((0, 0, 0)) == ()
         assert walk.coords((0, 1, 0)) is None
+
+    def test_window_over_the_cap_raises_before_enumerating(self):
+        # 13^5 = 371,293 offsets: refused at once, not built
+        walk = lattice.LatticeWalk(
+            [tuple(int(i == k) for i in range(5)) for k in range(5)], 5
+        )
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="window of 371293 offsets"):
+            walk.window(6)
+        assert time.perf_counter() - start < 0.1
+
+    def test_window_at_the_cap_enumerates(self, monkeypatch):
+        segment = lattice.LatticeWalk([(1,)], 1)
+        assert len(segment.window((lattice.MAX_WINDOW - 1) // 2)) == lattice.MAX_WINDOW - 1
+        with pytest.raises(LimitExceeded):
+            segment.window(lattice.MAX_WINDOW // 2)
+        # a cap of exactly 3^3 offsets admits the rank-3 window of radius 1
+        monkeypatch.setattr(lattice, "MAX_WINDOW", 27)
+        cube = lattice.LatticeWalk([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert len(cube.window(1)) == 27
+        with pytest.raises(LimitExceeded):
+            cube.window(2)
 
 
 def plain_dilate_counts(pts, facets):

@@ -27,11 +27,11 @@ HESSE = [(0, 0), (1, 0), (0, 1), (-1, -1)]
 CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 QUINTIC = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1), (0, 0, 0, 0)]
 # kernel-rank-2 families whose deformation directions include poles; the
-# flag says whether another direction still yields a full basis
+# flag says whether another base or direction still yields a full basis
 RANK_TWO_POLES = [
     ([(-1,), (0,), (1,), (2,)], True),
     ([(-2,), (-1,), (0,), (1,)], True),
-    ([(1, 0), (0, 1), (-1, 0), (-1, -1), (0, 0)], False),
+    ([(1, 0), (0, 1), (-1, 0), (-1, -1), (0, 0)], True),
 ]
 # the families and orders of the series-certify benchmark workload
 PINNED_PAIRS = [
@@ -234,11 +234,32 @@ class TestFrobeniusBasis:
             assert all(r.clean for r in annihilate_check(spec, s))
 
     def test_kernel_rank_cap(self):
-        # five points on a line: kernel rank 3, beyond the supported 2
+        # five points on a line: kernel rank 3, no longer capped
         spec = make_spec([(0,), (1,), (2,), (3,), (4,)], 1)
         assert lattice.integer_kernel(spec.A).rank == 3
-        with pytest.raises(UnsupportedFamily):
-            frobenius_basis(spec, order=4)
+        basis = frobenius_basis(spec, order=4)
+        assert len(basis) == count_independent(basis) == 4
+        for s in basis:
+            assert all(r.clean for r in annihilate_check(spec, s))
+
+    def test_rank_three_family(self):
+        pts = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)]
+        spec = make_spec(pts, 2)
+        assert lattice.integer_kernel(spec.A).rank == 3
+        basis = frobenius_basis(spec, order=4)
+        assert len(basis) == count_independent(basis) == lattice.normalized_volume(pts) == 5
+        for s in basis:
+            assert all(r.clean for r in annihilate_check(spec, s))
+
+    def test_origin_base_is_one_sided(self):
+        # {-2,-1,0,1} starts from -e_i0 at the origin, where the eps^0
+        # series lies on one side of the lattice
+        spec = make_spec([(-2,), (-1,), (0,), (1,)], 1)
+        s0 = frobenius_basis(spec, order=6)[0]
+        assert s0.gamma == (0, 0, -1, 0)
+        walk = lattice.LatticeWalk(s0.lattice, s0.nvars)
+        leads = {next(x for x in walk.coords(v) if x) for v, _ in s0.terms if any(v)}
+        assert leads and (all(x > 0 for x in leads) or all(x < 0 for x in leads))
 
 
 class TestAnnihilateCheck:
