@@ -8,7 +8,6 @@ numerically that period and chain integrals solve the system.
 from .errors import GkzForgeError
 from .lattice import (
     ExponentMatrix,
-    KernelBasis,
     ehrhart_volume_oracle,
     homogenize,
     integer_kernel,
@@ -18,7 +17,6 @@ from .weyl import WeylElement, commutator, fourier_box, multiply
 from .tautsys import (
     SystemSpec,
     cy_beta,
-    euler_operator,
     gkz_system,
     saturate_lattice_ideal,
     symmetry_operator,
@@ -29,7 +27,6 @@ from .series import (
     annihilate_check,
     count_independent,
     frobenius_basis,
-    gamma_series,
     monomial_series,
 )
 from .periods import (
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GkzForgeError",
     "ExponentMatrix",
-    "KernelBasis",
     "homogenize",
     "integer_kernel",
     "normalized_volume",
@@ -64,12 +60,10 @@ __all__ = [
     "SystemSpec",
     "gkz_system",
     "cy_beta",
-    "euler_operator",
     "symmetry_operator",
     "unipotent_p1_system",
     "saturate_lattice_ideal",
     "LogSeries",
-    "gamma_series",
     "frobenius_basis",
     "annihilate_check",
     "count_independent",

@@ -72,10 +72,6 @@ class SaturationBudgetExceeded(DegeneracyError):
 
 # -- series ----------------------------------------------------------------
 
-class DegreeViolation(DegeneracyError):
-    pass
-
-
 class UnsupportedFamily(DegeneracyError):
     pass
 

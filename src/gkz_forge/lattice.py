@@ -60,17 +60,6 @@ class ExponentMatrix:
         )
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Canonical basis of the saturated integer kernel of an exponent matrix."""
-
-    vectors: tuple
-
-    @property
-    def rank(self):
-        return len(self.vectors)
-
-
 class LatticeWalk:
     """Integer combinations ``sum_k c_k basis_k`` of independent rows in Z^nvars.
 
@@ -141,13 +130,14 @@ def homogenize(points, dim):
     return ExponentMatrix(dim=dim, points=pts, A=a)
 
 
-def integer_kernel(em: ExponentMatrix) -> KernelBasis:
-    """Canonical saturated basis of the integer kernel of ``em.A``.
+def integer_kernel(em: ExponentMatrix) -> tuple:
+    """Canonical saturated basis of the integer kernel of ``em.A``, a tuple
+    of integer vectors (empty when the kernel is zero).
 
     The basis is Hermite-reduced with the first nonzero entry of every
     vector positive, so downstream operator generation is deterministic.
     """
-    return KernelBasis(vectors=tuple(intlinalg.kernel_basis(em.A)))
+    return intlinalg.kernel_basis(em.A)
 
 
 # -- convex hull and volumes -------------------------------------------------
@@ -162,6 +152,26 @@ def _dedupe(points):
             seen.add(t)
             out.append(t)
     return out
+
+
+def _polytope_points(points):
+    """The distinct points of a full-dimensional polytope within the
+    desk-scale caps.
+
+    Raises LowerDimensionalPolytope for an empty or flat point set and
+    LimitExceeded outside dimensions 1..MAX_DIM or beyond MAX_POINTS points.
+    """
+    pts = _dedupe(points)
+    if not pts:
+        raise LowerDimensionalPolytope("empty point set")
+    n = len(pts[0])
+    if not 1 <= n <= MAX_DIM:
+        raise LimitExceeded(f"dimension {n} outside supported range 1..{MAX_DIM}")
+    if len(pts) > MAX_POINTS:
+        raise LimitExceeded(f"{len(pts)} points exceed the supported cap of {MAX_POINTS}")
+    if _affine_rank(pts) != n:
+        raise LowerDimensionalPolytope("points do not span the ambient dimension")
+    return pts
 
 
 def _affine_rank(pts):
@@ -254,16 +264,7 @@ def normalized_volume(points) -> int:
     is an exact integer.  Raises LowerDimensionalPolytope when the hull is
     not full-dimensional.
     """
-    pts = _dedupe(points)
-    if not pts:
-        raise LowerDimensionalPolytope("empty point set")
-    n = len(pts[0])
-    if not 1 <= n <= MAX_DIM:
-        raise LimitExceeded(f"dimension {n} outside supported range 1..{MAX_DIM}")
-    if len(pts) > MAX_POINTS:
-        raise LimitExceeded(f"{len(pts)} points exceed the supported cap of {MAX_POINTS}")
-    if _affine_rank(pts) != n:
-        raise LowerDimensionalPolytope("points do not span the ambient dimension")
+    pts = _polytope_points(points)
     total = 0
     for simplex in _triangulate(pts):
         base = pts[simplex[0]]
@@ -307,14 +308,8 @@ def ehrhart_volume_oracle(points) -> int:
     facet inequalities), interpolates the Ehrhart polynomial, and returns
     n! times its leading coefficient.
     """
-    pts = _dedupe(points)
-    if not pts:
-        raise LowerDimensionalPolytope("empty point set")
+    pts = _polytope_points(points)
     n = len(pts[0])
-    if not 1 <= n <= MAX_DIM:
-        raise LimitExceeded(f"dimension {n} outside supported range 1..{MAX_DIM}")
-    if _affine_rank(pts) != n:
-        raise LowerDimensionalPolytope("points do not span the ambient dimension")
     counts = _dilate_counts(pts, _facet_hyperplanes(pts))
     # solve the Vandermonde system for the Ehrhart coefficients
     vander = [[Fraction(k) ** i for i in range(n + 1)] for k in range(n + 1)]

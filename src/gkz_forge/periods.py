@@ -169,7 +169,7 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
     gamma = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(p))
     terms = {}
     zl = (0,) * p
-    for _, v in LatticeWalk(kernel.vectors, p).window(order):
+    for _, v in LatticeWalk(kernel, p).window(order):
         if any(v[i] < 0 for i in range(p) if i != i0):
             continue
         total = -v[i0]
@@ -182,7 +182,7 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
         if total % 2:
             coeff = -coeff
         terms[(v, zl)] = coeff
-    return LogSeries(gamma=gamma, terms=terms, lattice=kernel.vectors, radius=order)
+    return LogSeries(gamma=gamma, terms=terms, lattice=kernel, radius=order)
 
 
 # -- torus-cycle quadrature ------------------------------------------------------

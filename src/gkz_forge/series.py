@@ -1,4 +1,4 @@
-"""Gamma series and Frobenius logarithmic series solutions.
+"""Frobenius logarithmic series solutions.
 
 Series live on a coset ``gamma + L`` of the relation lattice ``L`` of an
 exponent matrix.  A term is ``coeff * a^(gamma+v) * prod_i log(a_i)^m_i``
@@ -6,11 +6,6 @@ keyed by the integer offset ``v`` and the log multi-index ``m``, with a
 rational (``int`` or ``Fraction``) coefficient, so ranks and annihilation
 are decided exactly.
 
-* ``gamma_series`` uses reciprocal-gamma coefficients
-  ``prod_i 1 / Gamma(gamma_i + v_i + 1)`` with ``1/Gamma`` equal to zero at
-  nonpositive integers.  A non-integral ``gamma_i`` contributes the same
-  constant ``1 / Gamma(gamma_i mod 1)`` to every term; it is dropped, which
-  leaves an exact Pochhammer factor.
 * ``frobenius_basis`` (the Frobenius method of Hosono, Klemm, Theisen and
   Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
   and works with ratios of gamma values at integer shifts, which are
@@ -46,36 +41,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegreeViolation,
-    TruncationTooSmall,
-    UnsupportedFamily,
-)
+from .errors import TruncationTooSmall, UnsupportedFamily
 from . import intlinalg
 from .lattice import LatticeWalk, integer_kernel, normalized_volume
 from .tautsys import SystemSpec
 
 
-# -- reciprocal gamma values and gamma-ratio jets ----------------------------
-
-
-def reciprocal_gamma_value(q):
-    """Exact ``Gamma(r) / Gamma(q)`` for rational ``q``, with ``r = q mod 1``.
-
-    At an integer this is ``1/Gamma(q)`` (zero at nonpositive integers).
-    Elsewhere it is ``1/Gamma(q)`` without the constant factor
-    ``1/Gamma(r)``: the Pochhammer factor ``1 / (r (r+1) ... (q-1))``, or
-    ``(r-1) (r-2) ... q`` when ``q < 0``.
-    """
-    q = Fraction(q)
-    n = math.floor(q)
-    if q == n:
-        return Fraction(0) if n <= 0 else Fraction(1, math.factorial(n - 1))
-    r = q - n
-    if n >= 0:
-        return 1 / math.prod((r + k for k in range(n)), start=Fraction(1))
-    return math.prod((r - k for k in range(1, 1 - n)), start=Fraction(1))
-
+# -- gamma-ratio jets --------------------------------------------------------
 
 # An eps-jet of order k is the tuple of the exact coefficients of eps^0 ..
 # eps^k of a power series in eps; everything beyond eps^k is forgotten.
@@ -235,48 +207,6 @@ def monomial_series(gamma, coeff=Fraction(1)) -> LogSeries:
     )
 
 
-def _check_degree(A, beta, gamma):
-    lhs = A.degree(gamma)
-    rhs = tuple(-Fraction(b) for b in beta)
-    if lhs != rhs:
-        raise DegreeViolation(
-            f"A.gamma = {lhs} does not equal -beta = {rhs}"
-        )
-
-
-def gamma_series(spec: SystemSpec, gamma, order) -> LogSeries:
-    """Truncated reciprocal-gamma series with base exponent ``gamma``.
-
-    Requires ``A.gamma = -beta``.  Coefficients are exact: each is
-    ``prod_i reciprocal_gamma_value(gamma_i + v_i + 1)``, which drops the
-    constant ``1/Gamma(gamma_i mod 1)`` of every non-integral ``gamma_i``.
-    """
-    gamma = tuple(Fraction(g) for g in gamma)
-    A = spec.A
-    _check_degree(A, spec.beta, gamma)
-    kernel = integer_kernel(A)
-    zero_log = (0,) * A.nsections
-    if not kernel.vectors:
-        # no offsets: the reciprocal-gamma prefactor is a single overall
-        # constant, so the series is normalized to the bare monomial
-        return LogSeries(
-            gamma=gamma,
-            terms={(zero_log, zero_log): Fraction(1)},
-            lattice=(),
-            radius=order,
-        )
-    terms = {}
-    for _, v in LatticeWalk(kernel.vectors, A.nsections).window(order):
-        coeff = Fraction(1)
-        for g, x in zip(gamma, v):
-            coeff *= reciprocal_gamma_value(g + x + 1)
-            if coeff == 0:
-                break
-        if coeff != 0:
-            terms[(v, zero_log)] = coeff
-    return LogSeries(gamma=gamma, terms=terms, lattice=kernel.vectors, radius=order)
-
-
 # -- Frobenius bases ----------------------------------------------------------
 
 
@@ -414,29 +344,29 @@ def frobenius_basis(spec: SystemSpec, order):
     gamma_star = intlinalg.solve_rational(A.A, neg_beta)
     if gamma_star is None:
         raise UnsupportedFamily("no exponent solves the degree constraints")
-    if not kernel.vectors:
+    if not kernel:
         if all(abs(g) <= order for g in gamma_star):
             return [monomial_series(gamma_star)]
         return []
 
-    window = LatticeWalk(kernel.vectors, A.nsections).window(order)
-    delta = kernel.vectors[0]
+    window = LatticeWalk(kernel, A.nsections).window(order)
+    delta = kernel[0]
     bases = [
         tuple(g + lam * d for g, d in zip(gamma_star, delta))
         for lam in _candidate_classes(gamma_star, delta)
     ]
     origin = (0,) * A.dim
-    if kernel.rank > 1 and origin in A.points:
+    if len(kernel) > 1 and origin in A.points:
         i0 = A.points.index(origin)
         lcs = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(A.nsections))
         if A.degree(lcs) == neg_beta:
             bases.insert(0, lcs)
     for gamma0 in bases:
-        for slope in kernel.vectors:
+        for slope in kernel:
             family = _ratio_jet_family(gamma0, slope, window, vol - 1)
             if family is None or not _one_sided(family):
                 continue
-            basis = _eps_coefficients(gamma0, slope, family, kernel.vectors, order, vol)
+            basis = _eps_coefficients(gamma0, slope, family, kernel, order, vol)
             if count_independent(basis) == vol:
                 return basis
     raise UnsupportedFamily("no base exponent and kernel direction yields a full basis")

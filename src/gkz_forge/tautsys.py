@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SaturationBudgetExceeded
-from .lattice import ExponentMatrix, KernelBasis, homogenize, integer_kernel
+from .lattice import ExponentMatrix, homogenize, integer_kernel
 from .weyl import WeylElement, fourier_box
 
 
@@ -31,34 +31,28 @@ class SystemSpec:
         return self.A.nsections
 
 
-def euler_operator(row, beta_k, nvars) -> WeylElement:
-    """First-order operator sum_j row[j] a_j d_j + beta_k."""
-    op = WeylElement.constant(Fraction(beta_k), nvars)
-    for j, c in enumerate(row):
-        if c:
-            u = tuple(1 if i == j else 0 for i in range(nvars))
-            op = op + WeylElement.monomial(u, u, Fraction(c))
-    return op
-
-
 def symmetry_operator(xi, beta_xi=Fraction(0)) -> WeylElement:
     """First-order operator sum_ij xi[i][j] a_i d_j + beta_xi.
 
     The convention is pinned so that xi = identity with beta_xi = 1
-    reproduces the Euler operator sum_i a_i d_i + 1.
+    reproduces the Euler operator sum_i a_i d_i + 1; the Euler operator of
+    a row of the exponent matrix is that of the row's diagonal matrix.
     """
     p = len(xi)
-    op = WeylElement.constant(Fraction(beta_xi), p)
-    for i in range(p):
-        if len(xi[i]) != p:
-            raise ValueError("symmetry matrix must be square")
-        for j in range(p):
-            c = Fraction(xi[i][j])
+    if any(len(r) != p for r in xi):
+        raise ValueError("symmetry matrix must be square")
+    unit = [tuple(1 if k == i else 0 for k in range(p)) for i in range(p)]
+    # the WeylElement constructor makes every value a Fraction and drops zeros
+    terms = {((0,) * p, (0,) * p): beta_xi}
+    for i, row in enumerate(xi):
+        for j, c in enumerate(row):
             if c:
-                u = tuple(1 if k == i else 0 for k in range(p))
-                w = tuple(1 if k == j else 0 for k in range(p))
-                op = op + WeylElement.monomial(u, w, c)
-    return op
+                terms[unit[i], unit[j]] = c
+    return WeylElement(p, terms)
+
+
+def _diagonal(row):
+    return tuple(tuple(c if i == j else 0 for j in range(len(row))) for i, c in enumerate(row))
 
 
 def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
@@ -72,9 +66,9 @@ def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
     if len(beta) != A.dim + 1:
         raise ValueError(f"beta must have length {A.dim + 1}")
     p = A.nsections
-    ops = [fourier_box(ell, p) for ell in integer_kernel(A).vectors]
+    ops = [fourier_box(ell, p) for ell in integer_kernel(A)]
     for k, row in enumerate(A.A):
-        ops.append(euler_operator(row, beta[k], p))
+        ops.append(symmetry_operator(_diagonal(row), beta[k]))
     return SystemSpec(operators=tuple(ops), A=A, beta=beta, label="GKZ")
 
 
@@ -94,7 +88,7 @@ def unipotent_p1_system() -> SystemSpec:
     """
     A = homogenize([(2,), (1,), (0,)], 1)
     box = fourier_box((1, -2, 1), 3)
-    scaling = euler_operator((1, 1, 1), Fraction(1), 3)
+    scaling = symmetry_operator(_diagonal((1, 1, 1)), Fraction(1))
     xi = ((0, 2, 0), (0, 0, 1), (0, 0, 0))
     translation = symmetry_operator(xi, Fraction(0))
     return SystemSpec(
@@ -221,7 +215,7 @@ def _eliminate_first_variable(gens, budget):
     return out
 
 
-def saturate_lattice_ideal(kernel: KernelBasis, step_cap=20000):
+def saturate_lattice_ideal(kernel, step_cap=20000):
     """Generating set of the saturated lattice ideal, as exponent vectors.
 
     Starting from the binomials of the kernel basis, the ideal is saturated
@@ -231,12 +225,11 @@ def saturate_lattice_ideal(kernel: KernelBasis, step_cap=20000):
     generating set; for already-saturated principal families this is the
     kernel basis itself.
     """
-    vectors = list(kernel.vectors)
-    if not vectors:
+    if not kernel:
         return ()
-    p = len(vectors[0])
+    p = len(kernel[0])
     budget = [step_cap]
-    gens = [_binomial_from_vector(ell, p) for ell in vectors]
+    gens = [_binomial_from_vector(ell, p) for ell in kernel]
     for i in range(p):
         # work in k[t, x1..xp] with t as the (eliminated) first variable
         lifted = [{(0,) + m: c for m, c in g.items()} for g in gens]
@@ -261,7 +254,7 @@ def saturate_lattice_ideal(kernel: KernelBasis, step_cap=20000):
             vec = tuple(-x for x in vec)
         out.append(vec)
     out = sorted(set(out))
-    canon = sorted(set(kernel.vectors))
+    canon = sorted(set(kernel))
     if out == canon:
-        return tuple(kernel.vectors)
+        return tuple(kernel)
     return tuple(out)

@@ -224,7 +224,7 @@ def test_criterion_7_algebra_suite():
     for pts, dim in [(SEGMENT, 1), (HESSE, 2), (CROSS, 2)]:
         A = lattice.homogenize(pts, dim)
         spec = tautsys.gkz_system(A, tautsys.cy_beta(dim))
-        kernel = lattice.integer_kernel(A).vectors
+        kernel = lattice.integer_kernel(A)
         for ell, box in zip(kernel, spec.operators):
             for row, e_op in zip(A.A, spec.operators[len(kernel):]):
                 cp = sum(r * max(x, 0) for r, x in zip(row, ell))

@@ -294,11 +294,28 @@ def test_import_does_not_load_mpmath():
     assert out.stdout.strip() == "False"
 
 
+# the public API, pinned so that a retired name (the reciprocal-gamma series
+# engine, the kernel-basis wrapper, the separate Euler-operator constructor)
+# cannot come back unnoticed
+PUBLIC_API = {
+    "ChainSpec", "ExponentMatrix", "GkzForgeError", "IntegrationResult", "LogSeries",
+    "QuadratureSettings", "SectionData", "Segment", "SystemSpec", "WeylElement",
+    "annihilate_check", "commutator", "count_independent", "cy_beta",
+    "ehrhart_volume_oracle", "finite_difference_residual", "fourier_box",
+    "frobenius_basis", "general_type_integral", "gkz_system", "homogenize",
+    "integer_kernel", "loop_chain", "monomial_series", "multiply", "normalized_volume",
+    "numeric_chain_integral", "numeric_cycle_integral", "residue_period",
+    "saturate_lattice_ideal", "symmetry_operator", "torus_period_series",
+    "unipotent_p1_system",
+}
+
+
 def test_package_exports_resolve_once():
     names = gkz_forge.__all__
     assert len(names) == len(set(names)), "a name is exported twice"
     missing = [name for name in names if not hasattr(gkz_forge, name)]
     assert not missing, f"stale exports: {missing}"
+    assert set(names) == PUBLIC_API
 
 
 JOBS = pathlib.Path(__file__).resolve().parents[1] / "jobs"

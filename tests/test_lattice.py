@@ -53,21 +53,29 @@ class TestHomogenize:
     def test_desk_limits(self):
         with pytest.raises(LimitExceeded):
             lattice.homogenize([(0,) * 5, tuple(range(5))], 5)
+        # 30 sections exceed MAX_POINTS on every path, the Ehrhart oracle too
+        many = [(i,) for i in range(30)]
+        with pytest.raises(LimitExceeded):
+            lattice.homogenize(many, 1)
+        with pytest.raises(LimitExceeded):
+            lattice.normalized_volume(many)
+        with pytest.raises(LimitExceeded):
+            lattice.ehrhart_volume_oracle(many)
 
 
 class TestIntegerKernel:
     def test_segment_kernel(self):
         em = lattice.homogenize(SEGMENT, 1)
         k = lattice.integer_kernel(em)
-        assert k.vectors == ((1, -2, 1),)
+        assert k == ((1, -2, 1),)
 
     def test_square_invertible_is_empty(self):
         em = lattice.homogenize([(0, 0), (1, 0), (0, 1)], 2)
-        assert lattice.integer_kernel(em).vectors == ()
+        assert lattice.integer_kernel(em) == ()
 
     def test_hesse_kernel_up_to_sign(self):
         em = lattice.homogenize(HESSE, 2)
-        (v,) = lattice.integer_kernel(em).vectors
+        (v,) = lattice.integer_kernel(em)
         assert v in ((3, -1, -1, -1), (-3, 1, 1, 1))
         assert v[0] > 0  # canonical sign
 
@@ -76,7 +84,7 @@ class TestIntegerKernel:
             em = lattice.homogenize(pts, dim)
             k = lattice.integer_kernel(em)
             brute = brute_force_kernel(em.A)
-            for v in k.vectors:
+            for v in k:
                 assert all(
                     sum(r[j] * v[j] for j in range(len(v))) == 0 for r in em.A
                 )
@@ -86,12 +94,12 @@ class TestIntegerKernel:
         rng = random.Random(7)
         pts = HESSE
         em = lattice.homogenize(pts, 2)
-        base = lattice.integer_kernel(em).vectors
+        base = lattice.integer_kernel(em)
         for _ in range(5):
             perm = list(range(len(pts)))
             rng.shuffle(perm)
             em2 = lattice.homogenize([pts[i] for i in perm], 2)
-            k2 = lattice.integer_kernel(em2).vectors
+            k2 = lattice.integer_kernel(em2)
             # permuting points permutes kernel coordinates: compare spans
             permuted = sorted(
                 tuple(v[perm.index(j)] for j in range(len(pts))) for v in k2

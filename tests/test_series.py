@@ -10,14 +10,13 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from gkz_forge import lattice, series, tautsys
-from gkz_forge.errors import DegreeViolation, TruncationTooSmall, UnsupportedFamily
+from gkz_forge.errors import TruncationTooSmall, UnsupportedFamily
 from gkz_forge.weyl import WeylElement
 from gkz_forge.series import (
     annihilate_check,
     apply_operator,
     count_independent,
     frobenius_basis,
-    gamma_series,
     monomial_series,
 )
 
@@ -69,29 +68,7 @@ def pinned_bases():
     return out
 
 
-class TestReciprocalGammaJet:
-    def test_plain_values(self):
-        assert series.reciprocal_gamma_value(3) == Fraction(1, 2)
-        assert series.reciprocal_gamma_value(0) == 0
-        assert series.reciprocal_gamma_value(-4) == 0
-
-
-class TestGammaSeries:
-    def test_empty_kernel_monomial(self):
-        spec = make_spec([(0, 0), (1, 0), (0, 1)], 2)
-        s = gamma_series(spec, (-1, 0, 0), 5)
-        assert s.terms == {((0, 0, 0), (0, 0, 0)): Fraction(1)}
-
-    def test_degree_violation(self):
-        spec = make_spec(SEGMENT, 1)
-        with pytest.raises(DegreeViolation):
-            gamma_series(spec, (0, 0, 0), 3)
-
-    def test_resonant_plain_series_vanishes(self):
-        spec = make_spec(SEGMENT, 1)
-        s = gamma_series(spec, (0, -1, 0), 6)
-        assert s.terms == {}
-
+class TestFrobeniusBasis:
     def test_eps_coefficient_is_multiple_of_period(self):
         # the eps^0 coefficient of the deformed resonant series is the
         # period sum_k C(2k, k) a1^k a3^k / a2^(2k+1), exactly
@@ -102,51 +79,6 @@ class TestGammaSeries:
             for k in range(7)
         }
 
-    @pytest.mark.parametrize(
-        "pts,dim,gamma",
-        [
-            (SEGMENT, 1, ("-1/2", "0", "-1/2")),
-            (SEGMENT, 1, ("-1/3", "-1/3", "-1/3")),
-            (HESSE, 2, ("0", "-1/3", "-1/3", "-1/3")),
-            (HESSE, 2, ("1/2", "-1/2", "-1/2", "-1/2")),
-            (CROSS, 2, ("-1/4", "-1/4", "-1/4", "-1/4")),
-        ],
-    )
-    def test_fractional_gamma_is_exact(self, pts, dim, gamma):
-        # exact up to the dropped constant prod 1/Gamma(gamma_i mod 1)
-        spec = make_spec(pts, dim)
-        gamma = tuple(Fraction(g) for g in gamma)
-        s = gamma_series(spec, gamma, 6)
-        assert s.terms and all(isinstance(c, Fraction) for c in s.terms.values())
-        assert all(r.clean for r in annihilate_check(spec, s))
-        with mp.workdps(40):
-            dropped = mp.fprod(mp.rgamma(mp.mpf(g.numerator) / g.denominator % 1)
-                               for g in gamma if g.denominator != 1)
-            for (v, _), c in s.terms.items():
-                want = mp.fprod(mp.rgamma(mp.mpf(e.numerator) / e.denominator + 1)
-                                for e in s.exponent(v))
-                got = mp.mpf(c.numerator) / c.denominator * dropped
-                assert abs(got - want) <= mp.mpf(10) ** -35 * abs(want)
-
-    def test_offset_reindexing_invariance(self):
-        spec = make_spec(SEGMENT, 1)
-        gamma = (Fraction(-1, 2), Fraction(0), Fraction(-1, 2))
-        shifted = (Fraction(1, 2), Fraction(-2), Fraction(1, 2))
-        a = gamma_series(spec, gamma, 6)
-        b = gamma_series(spec, shifted, 6)  # shifted by one kernel vector
-        common = {}
-        for (v, m), c in a.terms.items():
-            common[(a.exponent(v), m)] = c
-        overlap = 0
-        for (v, m), c in b.terms.items():
-            key = (b.exponent(v), m)
-            if key in common:
-                assert common[key] == c
-                overlap += 1
-        assert overlap >= 5
-
-
-class TestFrobeniusBasis:
     @pytest.mark.parametrize(
         "pts,dim,vol", [(SEGMENT, 1, 2), (HESSE, 2, 3), (CROSS, 2, 4)]
     )
@@ -211,7 +143,7 @@ class TestFrobeniusBasis:
         # five points with interior: kernel rank 2, volume 4
         pts = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
         spec = make_spec(pts, 2)
-        assert lattice.integer_kernel(spec.A).rank == 2
+        assert len(lattice.integer_kernel(spec.A)) == 2
         basis = frobenius_basis(spec, order=5)
         assert len(basis) == 4
         assert count_independent(basis) == 4
@@ -223,7 +155,7 @@ class TestFrobeniusBasis:
         # a direction with a zero-slope factor vanishing in a denominator
         # has a pole eps cannot resolve; it is skipped, not divided by
         spec = make_spec(pts, len(pts[0]))
-        assert lattice.integer_kernel(spec.A).rank == 2
+        assert len(lattice.integer_kernel(spec.A)) == 2
         if not solved:
             with pytest.raises(UnsupportedFamily):
                 frobenius_basis(spec, order=6)
@@ -236,7 +168,7 @@ class TestFrobeniusBasis:
     def test_kernel_rank_cap(self):
         # five points on a line: kernel rank 3, no longer capped
         spec = make_spec([(0,), (1,), (2,), (3,), (4,)], 1)
-        assert lattice.integer_kernel(spec.A).rank == 3
+        assert len(lattice.integer_kernel(spec.A)) == 3
         basis = frobenius_basis(spec, order=4)
         assert len(basis) == count_independent(basis) == 4
         for s in basis:
@@ -245,7 +177,7 @@ class TestFrobeniusBasis:
     def test_rank_three_family(self):
         pts = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)]
         spec = make_spec(pts, 2)
-        assert lattice.integer_kernel(spec.A).rank == 3
+        assert len(lattice.integer_kernel(spec.A)) == 3
         basis = frobenius_basis(spec, order=4)
         assert len(basis) == count_independent(basis) == lattice.normalized_volume(pts) == 5
         for s in basis:
@@ -282,7 +214,7 @@ class TestAnnihilateCheck:
         s = series.LogSeries(
             gamma=(Fraction(-1), Fraction(0), Fraction(0), Fraction(0)),
             terms={((0, 0, 0, 0), (0, 0, 0, 0)): Fraction(1)},
-            lattice=lattice.integer_kernel(spec.A).vectors,
+            lattice=lattice.integer_kernel(spec.A),
             radius=2,
         )
         with pytest.raises(TruncationTooSmall):

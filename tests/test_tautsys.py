@@ -114,7 +114,7 @@ def test_box_euler_commutator_identity():
     for pts, dim in [(SEGMENT, 1), (HESSE, 2), ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)]:
         A = lattice.homogenize(pts, dim)
         spec = tautsys.gkz_system(A, tautsys.cy_beta(dim))
-        kernel = lattice.integer_kernel(A).vectors
+        kernel = lattice.integer_kernel(A)
         boxes = spec.operators[: len(kernel)]
         eulers = spec.operators[len(kernel) :]
         for ell, box in zip(kernel, boxes):
@@ -131,7 +131,7 @@ class TestSaturation:
     def test_principal_families_fixed(self):
         for pts, dim in [(SEGMENT, 1), (HESSE, 2)]:
             k = lattice.integer_kernel(lattice.homogenize(pts, dim))
-            assert tautsys.saturate_lattice_ideal(k) == k.vectors
+            assert tautsys.saturate_lattice_ideal(k) == k
 
     def test_empty_kernel(self):
         k = lattice.integer_kernel(lattice.homogenize([(0, 0), (1, 0), (0, 1)], 2))
@@ -150,9 +150,7 @@ class TestSaturation:
         # saturating twice changes nothing
         k = lattice.integer_kernel(lattice.homogenize(SEGMENT, 1))
         once = tautsys.saturate_lattice_ideal(k)
-        again = tautsys.saturate_lattice_ideal(
-            lattice.KernelBasis(vectors=once)
-        )
+        again = tautsys.saturate_lattice_ideal(once)
         assert once == again
 
     def test_budget_cap(self):

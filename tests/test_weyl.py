@@ -126,7 +126,7 @@ def test_variable_mismatch():
         multiply(WeylElement.one(2), WeylElement.one(3))
 
 
-def test_render_jets_and_fractions():
+def test_render_fractions():
     x = WeylElement.monomial((1,), (0,), Fraction(3, 4))
     assert x.render() == "3/4 a1"
     assert WeylElement.zero(2).render() == "0"
