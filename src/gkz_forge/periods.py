@@ -6,25 +6,33 @@ quadrature on a product torus (spectrally accurate for analytic
 integrands).  Chain integrals over paths reaching the toric boundary are
 integrated in a chart in which the integrand extends holomorphically across
 the flagged endpoints (reaching infinity is handled by inverting the
-coordinate), by one global adaptive Gauss-Kronrod (7, 15) integrator that
-evaluates the chart's rational form by Horner's rule on whole node arrays.
-It stops when the summed error estimate is at most tol and raises
-NonConvergent when tol is below the roundoff floor (eps times the integral
-of |f| (50 + cond), cond the condition number of the Horner sums), when its
-evaluation budget runs out, or when an interval can no longer be split; a
-returned error is never above tol.
+coordinate), by one global adaptive Gauss-Kronrod (7, 15) integrator.  The
+segments of a chain form one stacked integrand: each segment is a row of
+path parameters and dense chart coefficients, and each round evaluates the
+nodes of every new interval at once by Horner's rule.  It stops when the
+summed error estimate is at most tol and raises NonConvergent when tol is
+below the roundoff floor (eps times the integral of |f| (50 + cond), cond
+the condition number of the Horner sums), when its evaluation budget runs
+out, or when an interval can no longer be split; a returned error is never
+above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
 finite-difference stencils, which certifies "this integral solves the
 system" at a point without symbolic access to the function.  The stencil
-weights solve a small Vandermonde system with ``intlinalg``'s exact solver.
+weights solve a small Vandermonde system with ``intlinalg``'s exact solver,
+once per derivative order and accuracy.  Each stencil sum is formed exactly
+in integers, and each stencil point is sampled once per certificate: the
+steps h and h/2 and all operators share the samples.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -246,16 +254,29 @@ def numeric_cycle_integral(
 # -- chart rational forms (one-dimensional chains) --------------------------------
 
 
-def _horner(poly, x):
-    """Laurent polynomial ``{exponent: coefficient}`` at ``x`` by Horner's rule.
+def _horner(columns, x, low=0):
+    """Laurent polynomial at ``x`` by Horner's rule, times ``x**low``.
 
-    ``x`` may be a scalar or a numpy array of any shape.
+    ``columns`` are the coefficients from the highest degree down to
+    ``low``; each is a scalar or an array broadcasting against ``x`` (one
+    row of coefficients per interval of a chain).
     """
-    low, high = min(poly), max(poly)
-    value = poly[high]
-    for e in range(high - 1, low - 1, -1):
-        value = value * x + poly.get(e, 0)
+    value = columns[0]
+    for c in columns[1:]:
+        value = value * x + c
     return value * x**low if low else value
+
+
+def _dense(polys):
+    """Coefficient rows of Laurent polynomials over one common exponent window.
+
+    Returns the rows (highest degree first, one per polynomial, zero where a
+    polynomial has no term) and the lowest exponent of the window.
+    """
+    low = min(min(p) for p in polys)
+    high = max(max(p) for p in polys)
+    rows = [[p.get(e, 0j) for e in range(high, low - 1, -1)] for p in polys]
+    return np.array(rows, dtype=complex), low
 
 
 def _chart_pair(s: SectionData, general_type=False):
@@ -304,13 +325,15 @@ def _normalize_pair(num, den):
     return {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
 
 
-def _segment_integrand(num, den, seg: Segment):
-    """The chart integrand of one segment as a function of ``t`` in [0, 1].
+def _segment_piece(num, den, seg: Segment):
+    """Chart data and path of one segment, for the stacked chain integrand.
 
-    The returned function maps an array of parameters to the array of
-    ``num(x) / den(x) * dx/dt`` by Horner's rule on the whole array.  Raises
-    PoleNearPath when the denominator nearly vanishes at one of 129 equally
-    spaced parameters.
+    Returns the normalized chart numerator and denominator and the path
+    parameters ``(p, c0, c1, dx)`` with an arc flag.  A segment reaching the
+    boundary is linear in its chart, ``x = p (c0 + c1 t)`` with constant
+    ``dx/dt = dx``: ``(c0, c1) = (0, 1)`` from a flagged start, ``(1, -1)``
+    towards a flagged end.  An unflagged segment is the multiplicative arc
+    ``x = p exp(c1 t)`` with ``dx/dt = c1 x``.
     """
     if seg.start_flags[0] and seg.end_flags[0]:
         raise DegeneracyError(
@@ -333,40 +356,68 @@ def _segment_integrand(num, den, seg: Segment):
         raise DivergentAtBoundary(
             "the integrand has a pole at a flagged boundary endpoint"
         )
-
+    # dx is stored rather than formed as p c1, which can flip the sign of
+    # a zero part of b or -a
     if aflag:
-        path = lambda t: (b * t, b)
-    elif bflag:
-        path = lambda t: (a * (1.0 - t), -a)
-    else:
-        w = cmath.log(b / a)
+        return num, den, (b, 0j, 1 + 0j, b), False
+    if bflag:
+        return num, den, (a, 1 + 0j, -1 + 0j, -a), False
+    return num, den, (a, 0j, cmath.log(b / a), 0j), True
 
-        def path(t):
-            x = a * np.exp(t * w)
-            return x, w * x
 
-    num_abs = {e: abs(c) for e, c in num.items()}
-    den_abs = {e: abs(c) for e, c in den.items()}
-    # pole clearance along the path
+def _chain_integrand(pieces):
+    """The chart integrands of all segments of a chain as one function.
+
+    ``pieces`` come from ``_segment_piece``.  The returned function maps
+    interval rows ``piece`` (the segment of each row) and parameters ``t``
+    in [0, 1] (one row of nodes per interval) to ``num(x) / den(x) * dx/dt``
+    and an estimate of its rounding error, evaluating every row at once by
+    Horner's rule on the rows' chart coefficients.  Raises PoleNearPath when
+    a denominator nearly vanishes at one of 129 equally spaced parameters of
+    its segment.
+    """
+    nums, dens, paths, arcs = zip(*pieces)
+    num, low = _dense(nums)
+    den, _ = _dense(dens)
+    # one row per segment: path parameters p, c0, c1, dx, then the chart
+    # numerator's coefficients from column 4 and the denominator's from k
+    rows = np.concatenate([np.array(paths), num, den], axis=1)
+    rows_abs = np.abs(rows)
+    arcs = np.array(arcs)
+    k = 4 + num.shape[1]
+
+    def path(c, arc, t):
+        # x = p (c0 + c1 t) on a linear segment, p exp(c1 t) on an arc
+        p, c0, c1 = c[:3]
+        u = t * c1
+        x = c0 + u
+        np.exp(u, out=x, where=arc)
+        return p * x
+
+    # pole clearance along every path
     t = np.arange(129) / 128.0
-    x, _ = path(t)
-    scale = _horner(den_abs, np.abs(x))
-    near = np.abs(_horner(den, x)) < _CLEARANCE * np.maximum(scale, 1e-300)
+    x = path(rows.T[..., None], arcs[:, None], t)
+    scale = _horner(rows_abs[:, k:].T[..., None], np.abs(x))
+    value = _horner(rows[:, k:].T[..., None], x)
+    near = np.abs(value) < _CLEARANCE * np.maximum(scale, 1e-300)
     if near.any():
-        raise PoleNearPath(
-            f"denominator nearly vanishes at t = {t[np.argmax(near)]:.4f}"
-        )
+        first = near[near.any(axis=1)][0]
+        raise PoleNearPath(f"denominator nearly vanishes at t = {t[np.argmax(first)]:.4f}")
 
-    def integrand(t):
-        x, dx = path(t)
-        top, bottom = _horner(num, x), _horner(den, x)
+    def integrand(piece, t):
+        c, c_abs = rows[piece].T[..., None], rows_abs[piece].T[..., None]
+        arc = arcs[piece, None]
+        x = path(c, arc, t)
+        dx = np.where(arc, c[2] * x, c[3])
+        top, bottom = _horner(c[4:k], x, low), _horner(c[k:], x)
+        size = np.abs(x)
         # an estimate of the rounding error of f: 50 eps |f| for the sums,
         # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
         # of numerator and denominator, which blow up beside a pole (Higham,
         # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
-        cond = _horner(den_abs, np.abs(x)) / np.abs(bottom)
+        cond = _horner(c_abs[k:], size) / np.abs(bottom)
         noise = _EPS * np.abs(dx / bottom) * (
-            (_ROUNDOFF + cond) * np.abs(top) + _horner(num_abs, np.abs(x))
+            (_ROUNDOFF + cond) * np.abs(top) + _horner(c_abs[4:k], size, low)
         )
         return top / bottom * dx, noise
 
@@ -399,25 +450,19 @@ _ROUNDOFF = 50
 _MIN_WIDTH = 1000 * _EPS
 
 
-def _gauss_kronrod_intervals(integrands, piece, lo, hi):
+def _gauss_kronrod_intervals(integrand, piece, lo, hi):
     """Value, error estimate and roundoff floor on each interval.
 
-    ``piece[i]`` names the integrand of interval ``[lo[i], hi[i]]``; the
-    nodes of all intervals of one integrand are evaluated in one call, and
-    each integrand returns its values and estimates of their rounding errors.
-    The floor is the integral of that bound.  The error estimate is
+    ``piece[i]`` names the segment of interval ``[lo[i], hi[i]]``; the
+    nodes of all intervals are evaluated in one call of the chain's
+    integrand, which returns its values and estimates of their rounding
+    errors.  The floor is the integral of that bound.  The error estimate is
     QUADPACK's: the Kronrod-Gauss difference rescaled by the integrand's
     variation, and never below the floor.
     """
     half = (hi - lo) / 2.0
     t = ((hi + lo) / 2.0)[:, None] + half[:, None] * _GK_NODES
-    f = np.empty(t.shape, dtype=complex)
-    noise = np.empty(t.shape)
-    with np.errstate(all="ignore"):  # a node on a pole is reported below
-        for j, fn in enumerate(integrands):
-            rows = piece == j
-            if rows.any():
-                f[rows], noise[rows] = fn(t[rows])
+    f, noise = integrand(piece, t)
     finite = np.isfinite(f) & np.isfinite(noise)
     if not finite.all():
         bad = t[~finite][0]
@@ -427,26 +472,30 @@ def _gauss_kronrod_intervals(integrands, piece, lo, hi):
     floor = noise @ _GK_WEIGHTS * half
     spread = np.abs(f - kronrod[:, None] / 2.0) @ _GK_WEIGHTS * half
     diff = np.abs(kronrod - gauss) * half
-    ratio = np.divide(200.0 * diff, spread, out=np.zeros_like(diff), where=spread > 0)
+    ratio = np.divide(200.0 * diff, spread, out=np.zeros(len(diff)), where=spread > 0)
     err = spread * np.minimum(1.0, ratio**1.5)
     return kronrod * half, np.maximum(err, floor), floor
 
 
-def _adaptive_gauss_kronrod(integrands, quad: QuadratureSettings) -> IntegrationResult:
-    """Sum of the integrals over [0, 1] of vectorized integrands, within ``quad.tol``.
+def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> IntegrationResult:
+    """Sum over the ``n`` segments of a chain of their integrals over [0, 1],
+    within ``quad.tol``.
 
-    One global pool of intervals holds every integrand (the segments of a
-    chain share the tolerance).  Each round bisects the intervals of
-    largest error, all at once, until the summed error is at most tol.
-    Raises NonConvergent when the roundoff floor (the integral of the
-    integrands' rounding-error estimates) is above tol, when the evaluation
-    budget runs out, or when an interval can no longer be split.
+    One global pool of intervals holds every segment (they share the
+    tolerance), and each round evaluates all new intervals by one call of the
+    stacked integrand.  Each round bisects the intervals of largest error,
+    all at once, until the summed error is at most tol.  Raises
+    NonConvergent when the roundoff floor (the integral of the integrand's
+    rounding-error estimates) is above tol, when the evaluation budget runs
+    out, or when an interval can no longer be split.
     """
-    n = len(integrands)
     piece, lo, hi = np.arange(n), np.zeros(n), np.ones(n)
-    value, err, noise = _gauss_kronrod_intervals(integrands, piece, lo, hi)
+    value, err, noise = _gauss_kronrod_intervals(integrand, piece, lo, hi)
+    # one column per interval: its bounds, error estimate and roundoff floor
+    pool = np.array([lo, hi, err, noise])
     evals = len(_GK_NODES) * n
     while True:
+        err, noise = pool[2:]
         total = err.sum()
         if total <= quad.tol:
             return IntegrationResult(
@@ -476,24 +525,22 @@ def _adaptive_gauss_kronrod(integrands, quad: QuadratureSettings) -> Integration
             raise NonConvergent(
                 f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
             )
-        if (hi[split] - lo[split]).min() < _MIN_WIDTH:
+        left, right = pool[:2, split]
+        if (right - left).min() < _MIN_WIDTH:
             raise NonConvergent(
                 "adaptive quadrature needs an interval narrower than"
                 f" {_MIN_WIDTH:.1e} in the segment parameter"
             )
-        mid = (lo[split] + hi[split]) / 2.0
-        children = (
-            np.tile(piece[split], 2),
-            np.concatenate([lo[split], mid]),
-            np.concatenate([mid, hi[split]]),
-        )
-        children += _gauss_kronrod_intervals(integrands, *children)
-        keep = np.ones(len(lo), dtype=bool)
+        mid = (left + right) / 2.0
+        parents = piece[split]
+        halves = np.concatenate((parents, parents))
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        new_value, new_err, new_noise = _gauss_kronrod_intervals(integrand, halves, left, right)
+        keep = np.ones(len(piece), dtype=bool)
         keep[split] = False
-        piece, lo, hi, value, err, noise = (
-            np.concatenate([old[keep], new])
-            for old, new in zip((piece, lo, hi, value, err, noise), children)
-        )
+        piece = np.concatenate((piece[keep], halves))
+        value = np.concatenate((value[keep], new_value))
+        pool = np.concatenate((pool[:, keep], [left, right, new_err, new_noise]), axis=1)
 
 
 def numeric_chain_integral(
@@ -503,15 +550,16 @@ def numeric_chain_integral(
 
     Each segment is parameterized in the chart where its flagged endpoint
     is a regular point (inverting the coordinate for endpoints at
-    infinity), and all segments are integrated together by one global
-    adaptive Gauss-Kronrod (7, 15) integrator.  It stops once the summed error
-    estimate is at most ``quad.tol``, so the returned error is never above
-    tol; it raises NonConvergent when tol is below the roundoff floor
-    (eps times the integral of |f| (50 + cond), cond the condition number
-    of the Horner sums, which grows like 1/distance beside a pole), when the
-    evaluation budget runs out or when an interval can no longer be split.  Raises DivergentAtBoundary
-    when the integrand does not extend across a flagged endpoint and
-    PoleNearPath when the section nearly vanishes on the path.
+    infinity), and all segments are integrated together, as one stacked
+    integrand, by one global adaptive Gauss-Kronrod (7, 15) integrator.  It
+    stops once the summed error estimate is at most ``quad.tol``, so the
+    returned error is never above tol; it raises NonConvergent when tol is
+    below the roundoff floor (eps times the integral of |f| (50 + cond), cond
+    the condition number of the Horner sums, which grows like 1/distance
+    beside a pole), when the evaluation budget runs out or when an interval
+    can no longer be split.  Raises DivergentAtBoundary when the integrand
+    does not extend across a flagged endpoint and PoleNearPath when the
+    section nearly vanishes on the path.
     """
     num, den = _chart_pair(s)
     return _chain_quadrature(num, den, chain, quad)
@@ -532,14 +580,13 @@ def general_type_integral(
 
 
 def _chain_quadrature(num, den, chain: ChainSpec, quad):
-    integrands = [
-        _segment_integrand(num, den, seg)
-        for seg in chain.segments
-        if not seg.is_null()
+    pieces = [
+        _segment_piece(num, den, seg) for seg in chain.segments if not seg.is_null()
     ]
-    if not integrands:
+    if not pieces:
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    return _adaptive_gauss_kronrod(integrands, quad)
+    with np.errstate(all="ignore"):  # a node on a pole is reported as such
+        return _adaptive_gauss_kronrod(_chain_integrand(pieces), len(pieces), quad)
 
 
 # -- residues ---------------------------------------------------------------------
@@ -573,15 +620,24 @@ def residue_period(s: SectionData, root_index: int) -> complex:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
     r = roots[root_index]
     dden = {e - 1: e * c for e, c in den.items() if e}
-    return 2j * math.pi * complex(_horner(num, r) / _horner(dden, r))
+    top, low = _dense([num])
+    bottom, _ = _dense([dden])
+    value = _horner(top[0].tolist(), r, low) / _horner(bottom[0].tolist(), r)
+    return 2j * math.pi * complex(value)
 
 
 def loop_chain(center, radius, points=12) -> ChainSpec:
     """Closed chain winding once counterclockwise around ``center``.
 
-    Built from multiplicative arcs between points on a circle; for
-    ``center = 0`` the arcs are exact circle pieces.
+    Built from ``points`` multiplicative arcs between points on a circle;
+    for ``center = 0`` the arcs are exact circle pieces.  Raises
+    DegeneracyError unless the radius is a positive finite number and there
+    are at least 3 points: fewer points, or a zero radius, give no loop.
     """
+    if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
+        raise DegeneracyError(f"loop radius must be a positive finite number, got {radius!r}")
+    if points < 3:
+        raise DegeneracyError(f"a loop needs at least 3 points, got {points!r}")
     center = complex(center)
     verts = [
         center + radius * cmath.exp(2j * math.pi * k / points) for k in range(points)
@@ -615,13 +671,19 @@ def fd_weights(derivative, nodes):
 
 def central_stencil(derivative, accuracy=4):
     """Symmetric nodes and exact weights for a central difference."""
+    nodes, weights = _central_stencil(derivative, accuracy)
+    return list(nodes), list(weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _central_stencil(derivative, accuracy):
     half = (derivative + 1) // 2
     count = 2 * half - 1 + accuracy
     if count % 2 == 0:
         count += 1
     k = count // 2
-    nodes = list(range(-k, k + 1))
-    return nodes, fd_weights(derivative, nodes)
+    nodes = tuple(range(-k, k + 1))
+    return nodes, tuple(fd_weights(derivative, nodes))
 
 
 @dataclass(frozen=True)
@@ -643,38 +705,30 @@ class FDReport:
         return max((abs(r.residual) for r in self.reports), default=0.0)
 
 
-def _derivative_at(F, a0, w, h, stencils, samples, used):
-    # The weighted sum is accumulated in exact rationals (the sampled values
-    # are binary floats, hence exactly representable), so stencil identities
-    # like "sum of weights is zero" hold exactly and directions the function
-    # does not depend on contribute no rounding noise.  ``stencils[k]`` is
-    # the (nodes, weights) pair of the k-th derivative.  ``samples`` holds
-    # every value of F taken at this step, ``used`` the ones this call's
-    # operator has read.
-    acc_re = Fraction(0)
-    acc_im = Fraction(0)
-    axes = [stencils[wi] for wi in w]
-    order_total = sum(w)
-
-    def rec(i, offset, weight):
-        nonlocal acc_re, acc_im
-        if i == len(w):
-            point = tuple(a0[j] + h * offset[j] for j in range(len(w)))
-            if point not in samples:
-                try:
-                    samples[point] = complex(F(point))
-                except Exception as exc:  # the sampled function left its domain
-                    raise StencilOutOfDomain(str(exc)) from exc
-            v = used[point] = samples[point]
-            acc_re += weight * Fraction(v.real)
-            acc_im += weight * Fraction(v.imag)
-            return
-        nodes, weights = axes[i]
-        for nd, wt in zip(nodes, weights):
-            rec(i + 1, offset + (nd,), weight * wt)
-
-    rec(0, (), Fraction(1))
-    return complex(acc_re, acc_im) / h**order_total
+def _derivative_at(F, points, weights, denominator, order, step, samples, used):
+    # The weighted sum is formed exactly in integers: the sampled values are
+    # binary floats, hence integers over powers of two, and the stencil
+    # weights are integers over one common denominator.  So stencil
+    # identities like "sum of weights is zero" hold exactly and directions
+    # the function does not depend on contribute no rounding noise; one
+    # correctly rounded division per part ends the sum.  ``samples`` holds
+    # every value of F taken for the certificate, ``used`` the ones this
+    # call's operator has read at this step.
+    ratios = []
+    for point in points:
+        if point not in samples:
+            try:
+                samples[point] = complex(F(point))
+            except Exception as exc:  # the sampled function left its domain
+                raise StencilOutOfDomain(str(exc)) from exc
+        v = used[point] = samples[point]
+        ratios.append((v.real.as_integer_ratio(), v.imag.as_integer_ratio()))
+    parts = []
+    for part in zip(*ratios):
+        scale = max(d for _, d in part)
+        total = sum(wt * n * (scale // d) for wt, (n, d) in zip(weights, part))
+        parts.append(total / (scale * denominator))
+    return complex(*parts) / step**order
 
 
 def finite_difference_residual(
@@ -683,43 +737,67 @@ def finite_difference_residual(
     """Apply every operator of the system to a sampled function of the coefficients.
 
     Derivatives are tensor products of exact central stencils of the given
-    accuracy; each residual is recomputed at h/2 for an observed convergence
-    order and a Richardson extrapolation.  ``F`` takes a coefficient tuple
-    and returns a complex value.
+    accuracy (a positive even integer); each residual is recomputed at h/2
+    (h a positive finite number) for an observed convergence order and a
+    Richardson extrapolation.  ``F`` takes a coefficient tuple and returns a
+    complex value.
 
-    Each stencil point is sampled once per step, whichever operators read
-    it.  The observed order is None when either residual lies at or below
-    its rounding floor: eps * max|sample| over the samples the operator
-    read, times the sum over the operator's terms of |coefficient *
-    monomial| * (sum of |stencil weight products|) / step^|w|, the size of
-    the last-bit errors of the samples after the stencils have amplified
-    them.
+    Each stencil point is sampled once per certificate, whichever operators
+    and steps read it: the node 2k at h/2 is the node k at h.  The observed
+    order is None when either residual lies at or below its rounding floor:
+    eps * max|sample| over the samples the operator read at that step, times
+    the sum over the operator's terms of |coefficient * monomial| * (sum of
+    |stencil weight products|) / step^|w|, the size of the last-bit errors of
+    the samples after the stencils have amplified them.
     """
+    if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+        raise ValueError(f"the step h must be a positive finite number, got {h!r}")
+    if not (isinstance(accuracy, numbers.Integral) and accuracy > 0 and accuracy % 2 == 0):
+        raise ValueError(f"accuracy must be a positive even integer, got {accuracy!r}")
     a0 = tuple(complex(z) for z in a0)
     reports = []
     orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
-    stencils = {
-        k: central_stencil(k, accuracy) if k else ((0,), (Fraction(1),)) for k in orders
-    }
-    mass = {k: float(sum(abs(x) for x in weights)) for k, (_, weights) in stencils.items()}
+    # per derivative order: the stencil nodes, and its weights as integers
+    # over one common denominator
+    stencils = {}
+    for k in orders:
+        nodes, weights = _central_stencil(k, accuracy) if k else ((0,), (Fraction(1),))
+        scale = math.lcm(*(x.denominator for x in weights))
+        stencils[k] = nodes, [x.numerator * (scale // x.denominator) for x in weights], scale
+    mass = {k: sum(map(abs, weights)) / scale for k, (_, weights, scale) in stencils.items()}
+    tensors = {}
 
-    def residual_at(op, step, samples):
+    def tensor(w, step):
+        # the points of the tensor-product stencil of w at this step, with
+        # the products of the integer weights and of their denominators
+        if (w, step) not in tensors:
+            axes = [stencils[k] for k in w]
+            offsets = itertools.product(*(nodes for nodes, _, _ in axes))
+            tensors[w, step] = (
+                [tuple(a0[j] + step * o for j, o in enumerate(offset)) for offset in offsets],
+                [math.prod(ws) for ws in itertools.product(*(ws for _, ws, _ in axes))],
+                math.prod(scale for _, _, scale in axes),
+            )
+        return tensors[w, step]
+
+    # each stencil point is sampled once, whichever operators and steps read it
+    samples = {}
+
+    def residual_at(op, step):
         total, gain, used = 0j, 0.0, {}
         for (u, w), oc in sorted(op.constant_coefficients().items()):
             mono = 1.0 + 0j
             for j, uj in enumerate(u):
                 if uj:
                     mono *= a0[j] ** uj
-            dw = _derivative_at(F, a0, w, step, stencils, samples, used)
+            dw = _derivative_at(F, *tensor(w, step), sum(w), step, samples, used)
             total += float(oc) * mono * dw
             gain += abs(float(oc) * mono) * math.prod(mass[k] for k in w) / step ** sum(w)
         return total, _EPS * gain * max(map(abs, used.values()), default=0.0)
 
-    # each stencil point is sampled once per step, whichever operators read it
-    samples_h, samples_h2 = {}, {}
     for op in spec.operators:
-        r1, floor1 = residual_at(op, h, samples_h)
-        r2, floor2 = residual_at(op, h / 2.0, samples_h2)
+        r1, floor1 = residual_at(op, h)
+        r2, floor2 = residual_at(op, h / 2.0)
         if abs(r1) > floor1 and abs(r2) > floor2:
             order = math.log2(abs(r1) / abs(r2))
         else:

@@ -154,6 +154,17 @@ class TestCycleIntegral:
 
 
 class TestChainIntegral:
+    # the half-line deformed through the upper half plane: linear segments
+    # from 0 and to infinity around two arcs
+    detour = ChainSpec(
+        segments=(
+            Segment(start=(0.4,), end=(0.4,), start_flags=(-1,), end_flags=(0,)),
+            Segment(start=(0.4,), end=(1.0 + 1.5j,)),
+            Segment(start=(1.0 + 1.5j,), end=(3.0,)),
+            Segment(start=(3.0,), end=(3.0,), start_flags=(0,), end_flags=(1,)),
+        )
+    )
+
     def closed_form(self, cm1, c0, c1):
         with mp.workdps(40):
             disc = mp.sqrt(c0 * c0 - 4 * c1 * cm1)
@@ -174,16 +185,7 @@ class TestChainIntegral:
     def test_homotopy_invariance(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         direct = numeric_chain_integral(sec, halfline_chain(), TIGHT)
-        # deformed path through the upper half plane
-        detour = ChainSpec(
-            segments=(
-                Segment(start=(0.4,), end=(0.4,), start_flags=(-1,), end_flags=(0,)),
-                Segment(start=(0.4,), end=(1.0 + 1.5j,)),
-                Segment(start=(1.0 + 1.5j,), end=(3.0,)),
-                Segment(start=(3.0,), end=(3.0,), start_flags=(0,), end_flags=(1,)),
-            )
-        )
-        deformed = numeric_chain_integral(sec, detour, TIGHT)
+        deformed = numeric_chain_integral(sec, self.detour, TIGHT)
         assert abs(direct.value - deformed.value) < 1e-10
 
     def test_reparameterization_stability(self):
@@ -233,6 +235,38 @@ class TestChainIntegral:
         )
         with pytest.raises(DegeneracyError):
             numeric_chain_integral(sec, bad, TIGHT)
+
+
+# The exact partition of three chains of the section (1, 3, 1): the
+# evaluation count and the value to 1e-14 relative.  A change to the adaptive
+# integrator's arithmetic or bisection order shows here at once.
+PINNED_CHAINS = {
+    # the half-line of jobs/chain_131.json at its tol 1e-12: two linear segments
+    "halfline": (0.860817881928008 + 0j, 150),
+    # a 12-arc loop_chain of radius 0.15 around the root -0.38196..., tol 1e-13
+    "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 240),
+    # the mixed chain of test_homotopy_invariance, tol 1e-13
+    "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 120),
+}
+
+
+def pinned_chain(name):
+    sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+    if name == "halfline":
+        return sec, halfline_chain(), QuadratureSettings(tol=1e-12)
+    if name == "loop":
+        return sec, loop_chain(denominator_roots(sec)[1], 0.15), TIGHT
+    return sec, TestChainIntegral.detour, TIGHT
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_pinned_quadrature_partition(name):
+    value, evaluations = PINNED_CHAINS[name]
+    sec, chain, quad = pinned_chain(name)
+    res = numeric_chain_integral(sec, chain, quad)
+    assert res.evaluations == evaluations
+    assert res.error <= quad.tol
+    assert abs(res.value - value) <= 1e-14 * abs(value)
 
 
 def quadratic_halfline(coeffs):
@@ -357,6 +391,19 @@ class TestResidues:
         val = numeric_chain_integral(sec, loop_chain(0.0, 0.1), TIGHT).value
         assert abs(val) < 1e-12
 
+    @pytest.mark.parametrize(
+        "radius, points",
+        [
+            (0, 12), (0.0, 12), (-0.15, 12), (math.nan, 12), (math.inf, 12),
+            (0.15, 2), (0.15, 1), (0.15, 0),
+        ],
+    )
+    def test_degenerate_loop_rejected(self, radius, points):
+        # a zero radius or fewer than 3 points once came back as the period 0
+        sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+        with pytest.raises(DegeneracyError):
+            loop_chain(denominator_roots(sec)[1], radius, points)
+
     def test_multiple_root_detected(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 2.0, 1.0))  # (t+1)^2
         with pytest.raises(MultipleRoot):
@@ -417,6 +464,34 @@ class TestGeneralType:
         )
         vs = general_type_integral(scaled, self.chain, TIGHT).value
         assert abs(vs - v / lam) < 1e-10
+
+
+def fraction_fd_residuals(spec, F, a0, h, accuracy):
+    """Reference: the residuals of ``finite_difference_residual`` at h and h/2,
+    each stencil sum accumulated as a ``Fraction`` sample by sample."""
+    a0 = tuple(complex(z) for z in a0)
+    out = []
+    for op in spec.operators:
+        for step in (h, h / 2.0):
+            total = 0j
+            for (u, w), oc in sorted(op.constant_coefficients().items()):
+                mono = 1.0 + 0j
+                for j, uj in enumerate(u):
+                    if uj:
+                        mono *= a0[j] ** uj
+                axes = [
+                    list(zip(*central_stencil(k, accuracy))) if k else [(0, Fraction(1))]
+                    for k in w
+                ]
+                re = im = Fraction(0)
+                for combo in itertools.product(*axes):
+                    weight = math.prod((wt for _, wt in combo), start=Fraction(1))
+                    v = complex(F(tuple(a + step * nd for a, (nd, _) in zip(a0, combo))))
+                    re += weight * Fraction(v.real)
+                    im += weight * Fraction(v.imag)
+                total += float(oc) * mono * (complex(re, im) / step ** sum(w))
+            out.append(total)
+    return out
 
 
 class TestFiniteDifference:
@@ -482,7 +557,7 @@ class TestFiniteDifference:
         assert euler.observed_order is not None
         assert 3.5 < euler.observed_order < 4.5
 
-    def test_each_stencil_point_sampled_once_per_step(self):
+    def test_each_stencil_point_sampled_once_per_certificate(self):
         spec = tautsys.gkz_system(A_HESSE, tautsys.cy_beta(2))
         calls = []
 
@@ -490,14 +565,55 @@ class TestFiniteDifference:
             calls.append(a)
             return 1.0 / a[0]
 
-        finite_difference_residual(spec, F, (1.0, 0.05, 0.06, 0.07), h=0.002)
-        # the stencil offsets every operator term reads, merged over operators
-        offsets = set()
-        for op in spec.operators:
-            for _, w in op.terms:
-                axes = [central_stencil(k)[0] if k else [0] for k in w]
-                offsets.update(itertools.product(*axes))
-        assert len(calls) == 2 * len(offsets)  # steps h and h/2
+        a0, h = (1.0, 0.05, 0.06, 0.07), 0.002
+        finite_difference_residual(spec, F, a0, h=h)
+        assert len(set(calls)) == len(calls)  # no point is sampled twice
+        # the stencil points every operator term reads, merged over operators
+        # and both steps: the node 2k at h/2 is the node k at h
+        points = set()
+        for step in (h, h / 2.0):
+            for op in spec.operators:
+                for _, w in op.terms:
+                    axes = [central_stencil(k)[0] if k else [0] for k in w]
+                    points.update(
+                        tuple(complex(a) + step * o for a, o in zip(a0, offset))
+                        for offset in itertools.product(*axes)
+                    )
+        assert set(calls) == points
+        assert len(calls) == 233  # 2 x 131 stencil offsets, 29 of them shared
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.sampled_from([2, 4, 6]))
+    def test_stencil_sums_equal_fraction_reference(self, seed, accuracy):
+        # samples of every sign and of magnitudes 2^-60 .. 2^60, so the
+        # integer sums need wide common denominators
+        def F(a):
+            rng = random.Random(f"{seed} {a!r}")
+            return complex(*(rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60) for _ in "ri"))
+
+        for spec, a0, h in [
+            (tautsys.gkz_system(A_SEG, tautsys.cy_beta(1)), (1.0, 3.0, 1.0), 0.02),
+            (tautsys.unipotent_p1_system(), (0.8 + 0.1j, 0.7, 1.3), 0.1),
+        ]:
+            rep = finite_difference_residual(spec, F, a0, h=h, accuracy=accuracy)
+            got = [x for r in rep.reports for x in (r.residual, r.residual_refined)]
+            assert got == fraction_fd_residuals(spec, F, a0, h, accuracy)
+
+    @pytest.mark.parametrize("h", [0, 0.0, -0.01, math.nan, math.inf, 1j])
+    def test_step_must_be_positive_finite(self, h):
+        spec = tautsys.unipotent_p1_system()
+        with pytest.raises(ValueError, match="step h"):
+            finite_difference_residual(spec, lambda a: 1.0 / a[0], (1.0, 0.7, 1.3), h=h)
+
+    @pytest.mark.parametrize("accuracy", [0, 1, 3, -2, 4.0])
+    def test_accuracy_must_be_positive_even(self, accuracy):
+        # an odd accuracy rounds up to the next even stencil, so the
+        # Richardson factor 2^accuracy would be wrong
+        spec = tautsys.unipotent_p1_system()
+        with pytest.raises(ValueError, match="accuracy"):
+            finite_difference_residual(
+                spec, lambda a: cmath.exp(a[0]), (0.8, 0.7, 1.3), h=0.1, accuracy=accuracy
+            )
 
     @pytest.mark.parametrize("accuracy", [4, 6])
     def test_richardson_factor_is_two_to_the_accuracy(self, accuracy):
