@@ -267,16 +267,14 @@ def _horner(columns, x, low=0):
     return value * x**low if low else value
 
 
-def _dense(polys):
-    """Coefficient rows of Laurent polynomials over one common exponent window.
+def _coefficients(poly):
+    """Coefficients of a Laurent polynomial ``{exponent: coefficient}``.
 
-    Returns the rows (highest degree first, one per polynomial, zero where a
-    polynomial has no term) and the lowest exponent of the window.
+    Returns them from the highest degree down to the lowest exponent, zero
+    where the polynomial has no term, together with that lowest exponent.
     """
-    low = min(min(p) for p in polys)
-    high = max(max(p) for p in polys)
-    rows = [[p.get(e, 0j) for e in range(high, low - 1, -1)] for p in polys]
-    return np.array(rows, dtype=complex), low
+    low = min(poly)
+    return [poly.get(e, 0j) for e in range(max(poly), low - 1, -1)], low
 
 
 def _chart_pair(s: SectionData, general_type=False):
@@ -377,14 +375,21 @@ def _chain_integrand(pieces):
     its segment.
     """
     nums, dens, paths, arcs = zip(*pieces)
-    num, low = _dense(nums)
-    den, _ = _dense(dens)
+    # the direct and the inverted chart of a chain have numerators of one
+    # width, but their lowest exponents can differ: each row keeps its own
+    num, lows = zip(*map(_coefficients, nums))
+    # every normalized denominator starts at x^0, with one degree
+    den = [_coefficients(d)[0] for d in dens]
     # one row per segment: path parameters p, c0, c1, dx, then the chart
     # numerator's coefficients from column 4 and the denominator's from k
-    rows = np.concatenate([np.array(paths), num, den], axis=1)
-    rows_abs = np.abs(rows)
+    rows = np.concatenate([np.array(paths), np.array(num), np.array(den)], axis=1)
+    # the moduli by libm's hypot, as Python's abs takes them; numpy's complex
+    # modulus can differ from it in the last bit
+    rows_abs = np.hypot(rows.real, rows.imag)
     arcs = np.array(arcs)
-    k = 4 + num.shape[1]
+    k = 4 + len(num[0])
+    shifts = sorted(set(lows) - {0})
+    lows = np.array(lows)
 
     def path(c, arc, t):
         # x = p (c0 + c1 t) on a linear segment, p exp(c1 t) on an arc
@@ -409,15 +414,20 @@ def _chain_integrand(pieces):
         arc = arcs[piece, None]
         x = path(c, arc, t)
         dx = np.where(arc, c[2] * x, c[3])
-        top, bottom = _horner(c[4:k], x, low), _horner(c[k:], x)
+        top, bottom = _horner(c[4:k], x), _horner(c[k:], x)
         size = np.abs(x)
+        num_size = _horner(c_abs[4:k], size)
+        for low in shifts:  # times x**low on the rows of that lowest exponent
+            at = (lows[piece] == low)[:, None]
+            top = np.where(at, top * x**low, top)
+            num_size = np.where(at, num_size * size**low, num_size)
         # an estimate of the rounding error of f: 50 eps |f| for the sums,
         # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
         # of numerator and denominator, which blow up beside a pole (Higham,
         # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
         cond = _horner(c_abs[k:], size) / np.abs(bottom)
         noise = _EPS * np.abs(dx / bottom) * (
-            (_ROUNDOFF + cond) * np.abs(top) + _horner(c_abs[4:k], size, low)
+            (_ROUNDOFF + cond) * np.abs(top) + num_size
         )
         return top / bottom * dx, noise
 
@@ -620,10 +630,9 @@ def residue_period(s: SectionData, root_index: int) -> complex:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
     r = roots[root_index]
     dden = {e - 1: e * c for e, c in den.items() if e}
-    top, low = _dense([num])
-    bottom, _ = _dense([dden])
-    value = _horner(top[0].tolist(), r, low) / _horner(bottom[0].tolist(), r)
-    return 2j * math.pi * complex(value)
+    top, low = _coefficients(num)
+    bottom, dlow = _coefficients(dden)
+    return 2j * math.pi * complex(_horner(top, r, low) / _horner(bottom, r, dlow))
 
 
 def loop_chain(center, radius, points=12) -> ChainSpec:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy.calculus.finite_diff import finite_diff_weights
@@ -247,7 +248,21 @@ PINNED_CHAINS = {
     "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 240),
     # the mixed chain of test_homotopy_invariance, tol 1e-13
     "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 120),
+    # ARC_TO_INFINITY, tol 1e-13: the numerator's lowest exponent is -1 in
+    # the arc's chart and 0 in the inverted chart
+    "arc to infinity": (0.25541281188299536 - 6.938893903907228e-18j, 30),
 }
+
+# dx / (x (2 + 3x)) on an arc from 1 to 2 + i and on to infinity
+ARC_TO_INFINITY = (
+    SectionData(A=lattice.homogenize([(0,), (1,)], 1), coeffs=(2.0, 3.0)),
+    ChainSpec(
+        segments=(
+            Segment(start=(1.0,), end=(2.0 + 1j,)),
+            Segment(start=(2.0 + 1j,), end=(2.0 + 1j,), start_flags=(0,), end_flags=(1,)),
+        )
+    ),
+)
 
 
 def pinned_chain(name):
@@ -256,6 +271,8 @@ def pinned_chain(name):
         return sec, halfline_chain(), QuadratureSettings(tol=1e-12)
     if name == "loop":
         return sec, loop_chain(denominator_roots(sec)[1], 0.15), TIGHT
+    if name == "arc to infinity":
+        return (*ARC_TO_INFINITY, TIGHT)
     return sec, TestChainIntegral.detour, TIGHT
 
 
@@ -267,6 +284,94 @@ def test_pinned_quadrature_partition(name):
     assert res.evaluations == evaluations
     assert res.error <= quad.tol
     assert abs(res.value - value) <= 1e-14 * abs(value)
+
+
+def reference_integrand(num, den, seg, t):
+    """One segment's chart integrand and its rounding-error estimate at the
+    parameters ``t``, from the segment's own Laurent data, term by term."""
+    start, end = seg.start_flags[0], seg.end_flags[0]
+    if start == 1 or end == 1:
+        num, den = periods._invert_pair(num, den)
+        a = 0j if start else 1.0 / seg.start[0]
+        b = 0j if end else 1.0 / seg.end[0]
+    else:
+        a = 0j if start else seg.start[0]
+        b = 0j if end else seg.end[0]
+    num, den = periods._normalize_pair(num, den)
+    if start:
+        x, dx = b * t, b
+    elif end:
+        x, dx = a * (1.0 - t), -a
+    else:
+        w = cmath.log(b / a)
+        x = a * np.exp(t * w)
+        dx = w * x
+
+    def horner(poly, x):
+        low, high = min(poly), max(poly)
+        value = poly[high]
+        for e in range(high - 1, low - 1, -1):
+            value = value * x + poly.get(e, 0)
+        return value * x**low if low else value
+
+    size = np.abs(x)
+    top, bottom = horner(num, x), horner(den, x)
+    cond = horner({e: abs(c) for e, c in den.items()}, size) / np.abs(bottom)
+    noise = periods._EPS * np.abs(dx / bottom) * (
+        (periods._ROUNDOFF + cond) * np.abs(top)
+        + horner({e: abs(c) for e, c in num.items()}, size)
+    )
+    return top / bottom * dx, noise
+
+
+def stacked_integrand_case(name):
+    sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+    if name == "detour":
+        return periods._chart_pair(sec), TestChainIntegral.detour
+    if name == "complex coefficients":
+        sec = SectionData(A=A_SEG, coeffs=(-1.2628599417211044 - 1e-4j, -0.2628599417211044 - 1e-4j, 1.0))
+        return periods._chart_pair(sec), halfline_chain()
+    if name == "lowest exponents 1 and 2":
+        # x dx / (1 + x^2 + x^5) on the half-line
+        A = lattice.homogenize([(-2,), (0,), (3,)], 1)
+        return periods._chart_pair(SectionData(A=A, coeffs=(1.0, 1.0, 1.0))), halfline_chain()
+    if name == "lowest exponents -1 and 0":
+        sec, chain = ARC_TO_INFINITY
+        return periods._chart_pair(sec), chain
+    # (x + (0.5 - 0.25i) x^2) dx / x^2 f on the half-line, f of degree 3 in 1/x
+    A = lattice.homogenize([(-1,), (0,), (1,), (2,), (3,)], 1)
+    sec = SectionData(
+        A=A,
+        coeffs=(1.0, 2.0, 0.5, 1.5j, 1.0),
+        numerator_exponents=((1,), (2,)),
+        numerator_coeffs=(1.0, 0.5 - 0.25j),
+    )
+    return periods._chart_pair(sec, general_type=True), halfline_chain()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "detour",
+        "complex coefficients",
+        "lowest exponents 1 and 2",
+        "lowest exponents -1 and 0",
+        "general type",
+    ],
+)
+def test_stacked_integrand_matches_each_segment(name):
+    # every row of a chain's stacked integrand carries the bits of its own
+    # segment's integrand: no common exponent window, no numpy moduli
+    (num, den), chain = stacked_integrand_case(name)
+    pieces = [periods._segment_piece(num, den, seg) for seg in chain.segments]
+    t = np.arange(1, 16) / 16.0
+    f, noise = periods._chain_integrand(pieces)(
+        np.arange(len(pieces)), np.tile(t, (len(pieces), 1))
+    )
+    for i, seg in enumerate(chain.segments):
+        ref_f, ref_noise = reference_integrand(num, den, seg, t)
+        assert f[i].tobytes() == np.broadcast_to(ref_f, t.shape).tobytes()
+        assert noise[i].tobytes() == np.broadcast_to(ref_noise, t.shape).tobytes()
 
 
 def quadratic_halfline(coeffs):
@@ -403,6 +508,13 @@ class TestResidues:
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         with pytest.raises(DegeneracyError):
             loop_chain(denominator_roots(sec)[1], radius, points)
+
+    def test_residues_without_a_linear_term(self):
+        # 1 / (1 + x^2) at +-i: the derivative 2x has no constant term
+        sec = SectionData(A=A_SEG, coeffs=(1.0, 0.0, 1.0))
+        residues = [residue_period(sec, i) for i in (0, 1)]
+        assert sorted(z.real for z in residues) == pytest.approx([-math.pi, math.pi], abs=1e-14)
+        assert all(abs(z.imag) < 1e-14 for z in residues)
 
     def test_multiple_root_detected(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 2.0, 1.0))  # (t+1)^2
