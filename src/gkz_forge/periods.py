@@ -90,7 +90,8 @@ class Segment:
     points (so circles around the origin are exact arcs).  A flag of -1
     sends the coordinate to 0 at that end, +1 sends it to infinity; the
     control point entry of a flagged coordinate gives the approach
-    direction (the path is linear in the chart coordinate).
+    direction (the path is linear in the chart coordinate).  Any other flag
+    raises DegeneracyError.
     """
 
     start: tuple
@@ -108,6 +109,10 @@ class Segment:
         object.__setattr__(self, "end_flags", tuple(self.end_flags or (0,) * n))
         if len(self.end) != n or len(self.start_flags) != n or len(self.end_flags) != n:
             raise DegeneracyError("segment data of inconsistent dimension")
+        if any(f not in (-1, 0, 1) for f in self.start_flags + self.end_flags):
+            raise DegeneracyError(
+                f"boundary flags must be -1, 0 or 1, got {self.start_flags} and {self.end_flags}"
+            )
         for z, f in zip(self.start + self.end, self.start_flags + self.end_flags):
             if f == 0 and z == 0:
                 raise DegeneracyError("unflagged control point on the boundary")

@@ -10,14 +10,14 @@ are decided exactly.
   Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
   and works with ratios of gamma values at integer shifts, which are
   rational functions of ``eps``.  It expands them as exact eps-jets of
-  order ``vol - 1``, plain tuples of the ``Fraction`` coefficients of
-  ``eps^0 .. eps^(vol-1)``, and extracts the logarithmic solutions as their
-  eps-power coefficients.  This is the only place jets occur.  Each
-  coordinate keeps one prefix table of ratios over the window's shifts,
-  built one linear factor at a time, so a coefficient is a product of
-  table entries.  One search over (base exponent, kernel basis vector)
-  pairs serves every kernel rank; the lattice window, not the rank, is
-  capped (``lattice.MAX_WINDOW``).
+  order ``vol - 1``, the coefficients of ``eps^0 .. eps^(vol-1)`` as Python
+  ints over one positive denominator, and extracts the logarithmic
+  solutions as their eps-power coefficients, each made a ``Fraction`` once.
+  This is the only place jets occur.  Each coordinate keeps one prefix
+  table of ratios over the window's shifts, built one integer linear factor
+  at a time, so a coefficient is a product of table entries.  One search
+  over (base exponent, kernel basis vector) pairs serves every kernel rank;
+  the lattice window, not the rank, is capped (``lattice.MAX_WINDOW``).
 * ``annihilate_check`` and ``apply_operator`` share one columnar integer
   kernel.  The series is cleared of denominators once and held as int64
   offset and log-index columns beside an object column of Python-int
@@ -27,9 +27,9 @@ are decided exactly.
   keys are summed by sorting, one block of rows at a time, and each
   nonzero total is divided once.
 * ``count_independent`` certifies independence by a rank mod the prime
-  2^61 - 1 of the cleared rows; a modular rank below the row count, or a
-  denominator divisible by the prime, falls back to exact rational
-  elimination.
+  2^31 - 1 of the cleared rows, eliminated on int64 rows; a modular rank
+  below the row count, or a denominator divisible by the prime, falls back
+  to exact rational elimination.
 """
 
 from __future__ import annotations
@@ -49,13 +49,16 @@ from .tautsys import SystemSpec
 
 # -- gamma-ratio jets --------------------------------------------------------
 
-# An eps-jet of order k is the tuple of the exact coefficients of eps^0 ..
-# eps^k of a power series in eps; everything beyond eps^k is forgotten.
+# An eps-jet of order k is ``(numerators, denominator)``: the coefficients
+# of eps^0 .. eps^k of a power series in eps are ``numerators[j] /
+# denominator``, Python ints over one positive int; everything beyond eps^k
+# is forgotten.
 
 
 def _jet_product(a, b):
     """Truncated product of two jets of one order, skipping zero coefficients."""
-    out = [Fraction(0)] * len(a)
+    (a, da), (b, db) = a, b
+    out = [0] * len(a)
     nonzero = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
@@ -63,54 +66,56 @@ def _jet_product(a, b):
                 if i + j >= len(out):
                     break
                 out[i + j] += x * y
-    return tuple(out)
-
-
-def _jet_times_linear(a, c0, c1):
-    """Product of a jet with ``c0 + c1*eps``."""
-    return tuple(c0 * x + c1 * y for x, y in zip(a, (0,) + a[:-1]))
-
-
-def _jet_over_linear(a, c0, c1):
-    """Quotient of a jet by ``c0 + c1*eps`` in closed form; requires ``c0 != 0``."""
-    out = []
-    prev = 0
-    for c in a:
-        prev = (c - c1 * prev) / c0
-        out.append(prev)
-    return tuple(out)
+    return tuple(out), da * db
 
 
 def _ratio_table(base, slope, lo, hi, order):
     """Prefix table of ``R(x) = Gamma(g+1)/Gamma(g+x+1)`` at ``g = base + slope*eps``.
 
     Maps each shift ``x`` in ``lo..hi`` to ``(valuation, unit)``: the ratio
-    is ``eps^valuation * unit`` with ``unit`` a jet of the given order.  Built
-    by ``R(x) = R(x-1) / (g+x)`` upward and ``R(x) = R(x+1) * (g+x+1)``
-    downward, one linear factor per step; a factor whose constant term
+    is ``eps^valuation * unit`` with ``unit`` a jet of the given order,
+    reduced (its denominator and numerators have gcd 1).  Built by ``R(x) =
+    R(x-1) / (g+x)`` upward and ``R(x) = R(x+1) * (g+x+1)`` downward, one
+    integer linear factor ``q*(g+x) = n + m*eps`` per step, ``q`` the lcm of
+    the denominators of ``base`` and ``slope``; a factor whose constant term
     vanishes moves one power of eps into the valuation.  A factor ``g+x``
     with zero slope that vanishes in the denominator is a pole no
     deformation resolves: the shifts from there up are missing, so lookups
     return ``None``.
     """
-    one = (Fraction(1),) + (Fraction(0),) * order
-    table = {0: (0, one)}
-    val, unit = 0, one
+    q = math.lcm(base.denominator, slope.denominator)
+    n0, m = int(q * base), int(q * slope)
+
+    def entry(val, nums, den):
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+        return val, (tuple(c // g for c in nums), den // g)
+
+    table = {0: (0, ((1,) + (0,) * order, 1))}
+    val, (nums, den) = table[0]
     for x in range(1, hi + 1):
-        c0, c1 = base + x, slope
-        if c0 == 0:
-            if slope == 0:
+        n = n0 + q * x
+        if n == 0:
+            if m == 0:
                 break
-            val, c0, c1 = val - 1, slope, 0
-        unit = _jet_over_linear(unit, c0, c1)
-        table[x] = (val, unit)
-    val, unit = 0, one
+            val, nums, den = val - 1, [q * c for c in nums], den * m
+        else:
+            # n^K * unit / (n + m*eps), K = order + 1; each division is exact
+            N, prev, out = n ** len(nums), 0, []
+            for c in nums:
+                prev = (c * N - m * prev) // n
+                out.append(q * prev)
+            nums, den = out, den * N
+        table[x] = entry(val, nums, den)
+        val, (nums, den) = table[x]
+    val, (nums, den) = table[0]
     for x in range(-1, lo - 1, -1):
-        c0, c1 = base + x + 1, slope
-        if c0 == 0:
-            val, c0, c1 = val + 1, slope, 0
-        unit = _jet_times_linear(unit, c0, c1)
-        table[x] = (val, unit)
+        n = n0 + q * (x + 1)
+        if n == 0:
+            val, nums = val + 1, [m * c for c in nums]
+        else:
+            nums = [n * c + m * p for c, p in zip(nums, (0,) + nums[:-1])]
+        table[x] = entry(val, nums, den * q)
+        val, (nums, den) = table[x]
     return table
 
 
@@ -222,7 +227,7 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
         _ratio_table(Fraction(g), Fraction(s), min(xs), max(xs), jet_order)
         for g, s, xs in zip(gamma0, slope, zip(*(v for _, v in window)))
     ]
-    one = (Fraction(1),) + (Fraction(0),) * jet_order
+    one = ((1,) + (0,) * jet_order, 1)
     family = []
     for coords, v in window:
         val, unit = 0, one
@@ -237,9 +242,10 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
             return None
         if val > jet_order:
             continue
-        jet = (Fraction(0),) * val + unit[: len(unit) - val]
-        if any(jet):
-            family.append((coords, v, jet))
+        nums, den = unit
+        nums = (0,) * val + nums[: len(nums) - val]
+        if any(nums):
+            family.append((coords, v, (nums, den)))
     return family
 
 
@@ -275,13 +281,17 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
                 if alpha[i]:
                     factor *= Fraction(slope[i]) ** alpha[i] / math.factorial(alpha[i])
             logs.append((total, alpha, factor))
+    # the log factors over one common denominator L
+    L = math.lcm(*(f.denominator for _, _, f in logs))
+    logs = [(total, alpha, f.numerator * (L // f.denominator)) for total, alpha, f in logs]
     terms = [{} for _ in range(count)]
-    for _, v, jet in family:
+    for _, v, (nums, den) in family:
+        den *= L
         for total, alpha, factor in logs:
             for j in range(total, count):
-                c = jet[j - total]
-                if c != 0:
-                    terms[j][(v, alpha)] = c * factor
+                c = nums[j - total]
+                if c:
+                    terms[j][(v, alpha)] = Fraction(c * factor, den)
     return [
         LogSeries(gamma=tuple(gamma0), terms=t, lattice=lattice, radius=radius)
         for t in terms
@@ -295,8 +305,8 @@ def _one_sided(family):
     coordinate; with kernel rank 1 that is the sign of its one coordinate.
     """
     sides = set()
-    for coords, _, jet in family:
-        if jet[0] != 0:
+    for coords, _, (nums, _) in family:
+        if nums[0]:
             lead = next((x for x in coords if x != 0), 0)
             sides.add((lead > 0) - (lead < 0))
     return not {1, -1} <= sides
@@ -336,7 +346,10 @@ def frobenius_basis(spec: SystemSpec, order):
     ``count_independent``) gives the basis, so its length is the normalized
     volume of the exponent polytope.  Exact rational coefficients
     throughout.  The lattice window is capped by ``lattice.MAX_WINDOW``.
+    An order that is not a nonnegative int raises ValueError.
     """
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise ValueError(f"order must be a nonnegative int, got {order!r}")
     A = spec.A
     vol = normalized_volume(A.points)
     kernel = integer_kernel(A)
@@ -601,17 +614,18 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
     return reports
 
 
-# the Mersenne prime 2^61 - 1: a full rank mod P is the full rank over Q
-_P = 2**61 - 1
+# the Mersenne prime 2^31 - 1: a full rank mod P is the full rank over Q, and
+# a product of two residues stays below 2^62, inside int64
+_P = 2**31 - 1
 
 
 def _rank_mod_p(rows, ncols):
-    """Rank mod ``_P`` of integer rows given as ``(columns, values)`` pairs."""
+    """Rank mod ``_P`` of integer rows given as ``(columns, values)`` pairs;
+    each value is reduced once, and elimination runs on int64 residue rows."""
     echelon = []  # (pivot column, row scaled to 1 there), in insertion order
     for cols, values in rows:
-        row = np.zeros(ncols, dtype=object)
-        row[cols] = values
-        row %= _P
+        row = np.zeros(ncols, dtype=np.int64)
+        row[cols] = [c % _P for c in values]
         for col, pivot_row in echelon:
             f = row[col]
             if f:

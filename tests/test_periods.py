@@ -227,6 +227,12 @@ class TestChainIntegral:
         with pytest.raises(PoleNearPath):
             numeric_chain_integral(sec, halfline_chain(), TIGHT)
 
+    @pytest.mark.parametrize("flags", [{"start_flags": (2,)}, {"end_flags": (-3,)}])
+    def test_flag_outside_minus_one_to_one_rejected(self, flags):
+        # a flag of 2 once reached numeric_chain_integral and divided by zero
+        with pytest.raises(DegeneracyError, match="flags"):
+            Segment(start=(0.0,), end=(1.0,), **flags)
+
     def test_both_boundary_flags_rejected(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         bad = ChainSpec(

@@ -79,6 +79,13 @@ class TestFrobeniusBasis:
             for k in range(7)
         }
 
+    @pytest.mark.parametrize("order", [-1, True, 2.0, "3"])
+    def test_bad_order_is_rejected(self, order, monkeypatch):
+        # refused before the lattice window is built
+        monkeypatch.setattr(series, "LatticeWalk", None)
+        with pytest.raises(ValueError, match=f"order .*{order!r}"):
+            frobenius_basis(make_spec(SEGMENT, 1), order=order)
+
     @pytest.mark.parametrize(
         "pts,dim,vol", [(SEGMENT, 1, 2), (HESSE, 2, 3), (CROSS, 2, 4)]
     )
@@ -309,9 +316,12 @@ class TestRatioTable:
         # eps^(order+1), where num = eps^a N and den = eps^b Q, val = a - b
         table = series._ratio_table(base, slope, -8, 8, order)
         eps = sp.Symbol("eps")
+        for _, (nums, den) in table.values():
+            assert den > 0 and math.gcd(den, *nums) == 1 and len(nums) == order + 1
 
         def as_poly(unit):
-            return sp.Poly(sum(_rational(Fraction(c)) * eps**k for k, c in enumerate(unit)), eps)
+            nums, den = unit
+            return sp.Poly(sum(sp.Rational(c, den) * eps**k for k, c in enumerate(nums)), eps)
 
         g = _rational(base) + _rational(slope) * eps
         num = sp.Poly(sp.Mul(*(g - j for j in range(-x))), eps)

@@ -17,7 +17,7 @@ from gkz_forge import intlinalg, lattice, series, tautsys
 from gkz_forge.series import LogSeries, count_independent, frobenius_basis
 from gkz_forge.weyl import WeylElement
 
-P = 2**61 - 1
+P = series._P
 HESSE = [(0, 0), (1, 0), (0, 1), (-1, -1)]
 
 
@@ -230,7 +230,11 @@ class TestRankCertificate:
         st.lists(
             st.dictionaries(
                 st.tuples(st.tuples(st.integers(-2, 2)), st.tuples(st.integers(0, 2))),
-                st.one_of(small_rationals, st.sampled_from([P, -P, 2 * P, Fraction(1, P)])),
+                st.one_of(
+                    small_rationals,
+                    # P - 1 is the largest residue; 2^64 + 1 lies outside int64, -2^63 at its edge
+                    st.sampled_from([P, -P, 2 * P, Fraction(1, P), P - 1, 2**64 + 1, -(2**63)]),
+                ),
                 max_size=5,
             ),
             min_size=1,
