@@ -86,9 +86,10 @@ def _ratio_table(base, slope, lo, hi, order):
     q = math.lcm(base.denominator, slope.denominator)
     n0, m = int(q * base), int(q * slope)
 
-    def entry(val, nums, den):
+    def store(x, val, nums, den):
         g = math.gcd(den, *nums) * (1 if den > 0 else -1)
-        return val, (tuple(c // g for c in nums), den // g)
+        table[x] = val, (tuple(c // g for c in nums), den // g)
+        return table[x]
 
     table = {0: (0, ((1,) + (0,) * order, 1))}
     val, (nums, den) = table[0]
@@ -105,8 +106,7 @@ def _ratio_table(base, slope, lo, hi, order):
                 prev = (c * N - m * prev) // n
                 out.append(q * prev)
             nums, den = out, den * N
-        table[x] = entry(val, nums, den)
-        val, (nums, den) = table[x]
+        val, (nums, den) = store(x, val, nums, den)
     val, (nums, den) = table[0]
     for x in range(-1, lo - 1, -1):
         n = n0 + q * (x + 1)
@@ -114,8 +114,7 @@ def _ratio_table(base, slope, lo, hi, order):
             val, nums = val + 1, [m * c for c in nums]
         else:
             nums = [n * c + m * p for c, p in zip(nums, (0,) + nums[:-1])]
-        table[x] = entry(val, nums, den * q)
-        val, (nums, den) = table[x]
+        val, (nums, den) = store(x, val, nums, den * q)
     return table
 
 
