@@ -57,6 +57,11 @@ from .series import LogSeries
 _CLEARANCE = 1e-6
 
 
+def _is_int(value):
+    # bool is a subclass of int, but no count or index
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # -- data types ----------------------------------------------------------------
 
 
@@ -142,8 +147,18 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
+    """Target error and evaluation budget of a quadrature.  ValueError
+    unless ``tol`` is a positive finite real and ``max_evals`` a positive int."""
+
     tol: float = 1e-10
     max_evals: int = 2**20
+
+    def __post_init__(self):
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise ValueError(f"tol must be a positive finite real, got {tol!r}")
+        if not _is_int(self.max_evals) or self.max_evals < 1:
+            raise ValueError(f"max_evals must be a positive int, got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,13 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
     ``m`` away from i0 is ``(-1)^|m| multinomial(|m|; m)`` on the monomial
     ``prod a_i^{m_i} * a_{i0}^{-|m|-1}``; this equals ``(2 pi i)^{-n}``
     times the period of the holomorphic form over the product torus where
-    ``a_{i0}`` dominates.
+    ``a_{i0}`` dominates.  ValueError unless ``order`` is a nonnegative int
+    and ``i0`` is None or an int in ``range(A.nsections)``.
     """
+    if not _is_int(order) or order < 0:
+        raise ValueError(f"order must be a nonnegative int, got {order!r}")
+    if i0 is not None and not (_is_int(i0) and 0 <= i0 < A.nsections):
+        raise ValueError(f"i0 must be a section index in range({A.nsections}), got {i0!r}")
     zero = (0,) * A.dim
     if i0 is None:
         try:
@@ -621,12 +641,17 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     """2 pi i times the residue of the chart integrand at the selected root.
 
     One-dimensional sections with simple roots only; the residue of
-    ``num/den`` at a simple root r is ``num(r)/den'(r)``.
+    ``num/den`` at a simple root r is ``num(r)/den'(r)``.  ValueError
+    unless ``root_index`` is an int in ``range(len(denominator_roots(s)))``.
     """
     num, den = _normalize_pair(*_chart_pair(s))
     roots = denominator_roots(s)
     if not roots:
         raise DegeneracyError("the chart denominator has no roots")
+    if not (_is_int(root_index) and 0 <= root_index < len(roots)):
+        raise ValueError(
+            f"root_index {root_index!r} is not in range({len(roots)}) of the {len(roots)} roots"
+        )
     # a numerically double root splits by about sqrt(eps), so cluster wider
     scale = max(abs(r) for r in roots) + 1.0
     for i, r in enumerate(roots):

@@ -639,11 +639,11 @@ def _rank_mod_p(rows, ncols):
 def count_independent(series_list) -> int:
     """Exact rank of the coefficient matrix over the shared monomial/log basis.
 
-    The rows are cleared of denominators and ranked mod the prime ``_P``
-    first: a full rank there is the rank over Q, since a nonzero minor mod
-    ``_P`` is nonzero.  A lower modular rank, or a denominator divisible by
-    ``_P``, falls back to exact rational elimination.  Raises TypeError on a
-    coefficient that is not rational.
+    The rows are cleared of denominators, which leaves the rank unchanged,
+    and ranked mod the prime ``_P`` first: a full rank there is the rank
+    over Q, since a nonzero minor mod ``_P`` is nonzero.  A lower modular
+    rank falls back to exact elimination of the same integer rows.  Raises
+    TypeError on a coefficient that is not rational.
     """
     series_list = list(series_list)
     if not series_list:
@@ -665,18 +665,16 @@ def count_independent(series_list) -> int:
             (tuple([d + x for d, x in zip(shift, v)]), m) for v, m in s.terms
         )
         keyed.append([column.setdefault((cls, v, m), len(column)) for v, m in keys])
-    scales = [math.lcm(*(c.denominator for c in s.terms.values())) for s in series_list]
-    if all(D % _P for D in scales):
-        cleared = [
-            (cols, [c.numerator * (D // c.denominator) for c in s.terms.values()])
-            for s, cols, D in zip(series_list, keyed, scales)
-        ]
-        if _rank_mod_p(cleared, len(column)) == len(series_list):
-            return len(series_list)
-    rows = []
+    cleared = []
     for s, cols in zip(series_list, keyed):
+        D = math.lcm(*(c.denominator for c in s.terms.values()))
+        cleared.append((cols, [c.numerator * (D // c.denominator) for c in s.terms.values()]))
+    if _rank_mod_p(cleared, len(column)) == len(series_list):
+        return len(series_list)
+    rows = []
+    for cols, values in cleared:
         row = [0] * len(column)
-        for j, c in zip(cols, s.terms.values()):
+        for j, c in zip(cols, values):
             row[j] = c
         rows.append(row)
     return intlinalg.rank(rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .errors import SaturationBudgetExceeded
 from .lattice import ExponentMatrix, homogenize, integer_kernel
@@ -101,160 +102,102 @@ def unipotent_p1_system() -> SystemSpec:
 
 # -- lattice ideal saturation -------------------------------------------------
 #
-# A deliberately small Buchberger engine working on dict-of-monomial
-# polynomials over Q with lexicographic order.  It exists for exactly one
-# purpose: saturating the kernel-basis binomial ideal by the product of the
-# variables, which can add binomials the kernel basis itself misses (the
-# twisted cubic being the classic case).
+# A small lex Buchberger engine on binomials.  It exists for one purpose:
+# saturating the kernel-basis binomial ideal by the product of the variables,
+# which can add binomials the kernel basis itself misses (the twisted cubic
+# being the classic case).  Every polynomial it meets is a pure-difference
+# binomial x^lead - x^trail, since S-pairs and reductions of such binomials
+# stay binomials (Eisenbud-Sturmfels, Binomial ideals, Duke Math. J. 84,
+# 1996, Prop. 1.1).  So a generator is the pair of exponent tuples
+# ``(lead, trail)`` with lead > trail in lex order; the ideal does not see
+# its sign, and the engine does no coefficient arithmetic.
 
 
-def _leading(poly):
-    return max(poly)
+def _divides(m1, m2):
+    return all(map(le, m1, m2))
 
 
-def _mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+def _spend(budget, what):
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise SaturationBudgetExceeded(f"{what} cap exceeded")
 
 
-def _mono_divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
+def _step(m, basis, budget):
+    """One reduction step: ``m - c + d`` for the first generator ``(c, d)``
+    whose lead divides ``m``, or None when no lead does."""
+    _spend(budget, "reduction step")
+    for c, d in basis:
+        if _divides(c, m):
+            return tuple(x - y + z for x, y, z in zip(m, c, d))
+    return None
 
 
-def _mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+def _reduce(a, b, basis, budget):
+    """Normal form of x^a - x^b (a > b) modulo ``basis``: a pair, or None.
+
+    The larger live monomial is rewritten until no lead divides it; the two
+    terms cancel when they meet.  Then the smaller one is rewritten alone.
+    """
+    while (m := _step(a, basis, budget)) is not None:
+        if m == b:
+            return None
+        a, b = max(m, b), min(m, b)
+    while (m := _step(b, basis, budget)) is not None:
+        b = m
+    return a, b
 
 
-def _poly_sub(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        acc = out.get(m, Fraction(0)) - c
-        if acc:
-            out[m] = acc
-        else:
-            out.pop(m, None)
-    return out
+def _buchberger(basis, budget):
+    """Lex Groebner basis of binomial pairs; one step per S-pair.
 
-
-def _poly_scale_shift(p, mono, coeff):
-    return {_mono_mul(m, mono): c * coeff for m, c in p.items()}
-
-
-def _reduce(poly, basis, budget):
-    """Full reduction of ``poly`` modulo ``basis``; mutates the budget list."""
-    remainder = {}
-    work = dict(poly)
-    while work:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SaturationBudgetExceeded("reduction step cap exceeded")
-        lead = _leading(work)
-        for g in basis:
-            lg = _leading(g)
-            if _mono_divides(lg, lead):
-                shift = tuple(a - b for a, b in zip(lead, lg))
-                factor = work[lead] / g[lg]
-                work = _poly_sub(work, _poly_scale_shift(g, shift, factor))
-                break
-        else:
-            remainder[lead] = work.pop(lead)
-    return remainder
-
-
-def _buchberger(gens, budget):
-    basis = [g for g in gens if g]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SaturationBudgetExceeded("S-pair cap exceeded")
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        lf, lg = _leading(f), _leading(g)
-        lcm = _mono_lcm(lf, lg)
-        if _mono_mul(lf, lg) == lcm:  # coprime leading terms produce nothing
-            continue
-        sf = _poly_scale_shift(f, tuple(a - b for a, b in zip(lcm, lf)), 1 / f[lf])
-        sg = _poly_scale_shift(g, tuple(a - b for a, b in zip(lcm, lg)), 1 / g[lg])
-        s = _reduce(_poly_sub(sf, sg), basis, budget)
-        if s:
-            basis.append(s)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    The pairs (i, j), j < i, are taken in lex order, which is the order of
+    a queue that appends a new generator's pairs: ``basis`` grows while it
+    is walked.
+    """
+    basis = list(basis)
+    for i, (lf, tf) in enumerate(basis):
+        for lg, tg in basis[:i]:
+            _spend(budget, "S-pair")
+            if not any(map(min, lf, lg)):
+                continue  # coprime leading terms produce nothing
+            lcm = tuple(map(max, lf, lg))
+            u = tuple(m - x + y for m, x, y in zip(lcm, lf, tf))
+            v = tuple(m - x + y for m, x, y in zip(lcm, lg, tg))
+            # equal new monomials make the S-pair zero, with no reduction step
+            if u != v and (s := _reduce(max(u, v), min(u, v), basis, budget)):
+                basis.append(s)
     return basis
-
-
-def _minimalize(basis):
-    """Drop generators whose leading monomial another one divides, then sort."""
-    basis = sorted(basis, key=_leading)
-    kept = []
-    for g in basis:
-        lg = _leading(g)
-        if any(_mono_divides(_leading(h), lg) for h in kept):
-            continue
-        kept.append(g)
-    # make monic
-    out = []
-    for g in kept:
-        lc = g[_leading(g)]
-        out.append({m: c / lc for m, c in g.items()})
-    return out
-
-
-def _binomial_from_vector(ell, nvars):
-    plus = tuple(max(x, 0) for x in ell)
-    minus = tuple(max(-x, 0) for x in ell)
-    return {plus: Fraction(1), minus: Fraction(-1)}
-
-
-def _eliminate_first_variable(gens, budget):
-    """Lex Groebner basis, then generators not involving variable 0."""
-    basis = _buchberger(gens, budget)
-    out = []
-    for g in basis:
-        if all(m[0] == 0 for m in g):
-            out.append({m[1:]: c for m, c in g.items()})
-    return out
 
 
 def saturate_lattice_ideal(kernel, step_cap=20000):
     """Generating set of the saturated lattice ideal, as exponent vectors.
 
     Starting from the binomials of the kernel basis, the ideal is saturated
-    by each variable in turn (adjoining 1 - t*x_i and eliminating t with a
-    lexicographic Groebner basis).  Returns canonical integer vectors
-    ``alpha - beta`` for the binomials ``x^alpha - x^beta`` of the reduced
-    generating set; for already-saturated principal families this is the
-    kernel basis itself.
+    by each variable in turn (adjoining t*x_i - 1 and eliminating t with a
+    lexicographic Groebner basis).  Returns the canonical integer vectors
+    ``lead - trail`` (first nonzero entry positive) of the binomials of the
+    minimal generating set, sorted; when they are the kernel basis, the
+    ``kernel`` argument itself.  Each S-pair and each reduction step costs
+    one of ``step_cap`` steps; SaturationBudgetExceeded when they run out.
     """
     if not kernel:
         return ()
     p = len(kernel[0])
     budget = [step_cap]
-    gens = [_binomial_from_vector(ell, p) for ell in kernel]
+    gens = []
+    for ell in kernel:
+        plus, minus = tuple(max(x, 0) for x in ell), tuple(max(-x, 0) for x in ell)
+        gens.append((max(plus, minus), min(plus, minus)))
     for i in range(p):
         # work in k[t, x1..xp] with t as the (eliminated) first variable
-        lifted = [{(0,) + m: c for m, c in g.items()} for g in gens]
-        relation = {
-            tuple([1] + [1 if j == i else 0 for j in range(p)]): Fraction(-1),
-            (0,) * (p + 1): Fraction(1),
-        }
-        lifted.append(relation)
-        gens = _eliminate_first_variable(lifted, budget)
-    gens = _minimalize(gens)
-    out = []
-    for g in gens:
-        if len(g) != 2 or sorted(g.values()) != [Fraction(-1), Fraction(1)]:
-            raise SaturationBudgetExceeded(
-                "saturation left a non-binomial generator; raise the step cap"
-            )
-        pos = next(m for m, c in g.items() if c == 1)
-        neg = next(m for m, c in g.items() if c == -1)
-        vec = tuple(a - b for a, b in zip(pos, neg))
-        first = next((x for x in vec if x != 0), 0)
-        if first < 0:
-            vec = tuple(-x for x in vec)
-        out.append(vec)
-    out = sorted(set(out))
-    canon = sorted(set(kernel))
-    if out == canon:
-        return tuple(kernel)
-    return tuple(out)
+        relation = ((1,) + tuple(int(j == i) for j in range(p)), (0,) * (p + 1))
+        lifted = [((0,) + a, (0,) + b) for a, b in gens] + [relation]
+        gens = [(a[1:], b[1:]) for a, b in _buchberger(lifted, budget) if a[0] == 0]
+    # drop generators whose lead an earlier-sorted lead divides
+    kept = []
+    for lead, trail in sorted(gens, key=lambda g: g[0]):
+        if not any(_divides(c, lead) for c, _ in kept):
+            kept.append((lead, trail))
+    out = sorted({tuple(a - b for a, b in zip(lead, trail)) for lead, trail in kept})
+    return tuple(kernel) if out == sorted(set(kernel)) else tuple(out)

@@ -115,6 +115,19 @@ class TestTorusPeriodSeries:
         with pytest.raises(NoInteriorMonomial):
             torus_period_series(A_SEG, i0=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # i0 = -2 once built gamma (0, 0, 0) with the single term 1, and
+            # order -1 an empty series that every operator passed
+            {"i0": -2}, {"i0": 3}, {"i0": True}, {"i0": 1.0},
+            {"order": -1}, {"order": True}, {"order": 2.0},
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            torus_period_series(A_SEG, **kwargs)
+
 
 class TestCycleIntegral:
     def test_single_coefficient(self):
@@ -422,6 +435,19 @@ class TestAdaptiveGaussKronrod:
             numeric_chain_integral(sec, halfline_chain(), QuadratureSettings(tol=1e-300))
         assert "budget" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-10},
+            {"tol": True}, {"tol": "1e-10"},
+            {"max_evals": 2.5}, {"max_evals": -5}, {"max_evals": 0}, {"max_evals": True},
+        ],
+    )
+    def test_bad_settings_rejected(self, kwargs):
+        # tol = nan once ran a whole torus grid before NonConvergent
+        with pytest.raises(ValueError):
+            QuadratureSettings(**kwargs)
+
     def test_unsplittable_interval_raises(self):
         # a pole 1e-14 off the path needs intervals below the resolution of t
         A = lattice.homogenize([(0,), (1,)], 1)
@@ -521,6 +547,13 @@ class TestResidues:
         residues = [residue_period(sec, i) for i in (0, 1)]
         assert sorted(z.real for z in residues) == pytest.approx([-math.pi, math.pi], abs=1e-14)
         assert all(abs(z.imag) < 1e-14 for z in residues)
+
+    @pytest.mark.parametrize("root_index", [-1, 2, True, 1.0])
+    def test_bad_root_index_rejected(self, root_index):
+        # -1 once gave the residue at the last root, 2 a bare IndexError
+        sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+        with pytest.raises(ValueError, match=rf"root_index {root_index!r} .* 2 roots"):
+            residue_period(sec, root_index)
 
     def test_multiple_root_detected(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 2.0, 1.0))  # (t+1)^2

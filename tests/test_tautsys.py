@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gkz_forge import lattice, series, tautsys
-from gkz_forge.errors import SaturationBudgetExceeded
+from gkz_forge import intlinalg, lattice, series, tautsys
+from gkz_forge.errors import DegenerateConfiguration, SaturationBudgetExceeded
 from gkz_forge.weyl import commutator, fourier_box
 
 
@@ -157,3 +158,80 @@ class TestSaturation:
         k = lattice.integer_kernel(lattice.homogenize([(0,), (1,), (2,), (3,)], 1))
         with pytest.raises(SaturationBudgetExceeded):
             tautsys.saturate_lattice_ideal(k, step_cap=3)
+
+    # (points, dim, generators, smallest step cap that passes); one step per
+    # S-pair and per reduction step, so the cap pins the engine's work too
+    PINNED = [
+        (
+            [(0,), (1,), (2,), (3,)],
+            1,
+            ((0, 1, -2, 1), (1, -2, 1, 0), (1, -1, -1, 1)),
+            356,
+        ),
+        (
+            [(0,), (1,), (2,), (3,), (4,)],
+            1,
+            (
+                (0, 0, 1, -2, 1), (0, 1, -2, 1, 0), (0, 1, -1, -1, 1),
+                (1, -2, 1, 0, 0), (1, -1, -1, 1, 0), (1, -1, 0, -1, 1),
+            ),
+            5935,
+        ),
+        (
+            [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
+            2,
+            (
+                (0, 0, 3, -2, 1, -2), (0, 1, -1, 1, -1, 0), (0, 1, 2, -1, 0, -2),
+                (0, 2, 1, 0, -1, -2), (1, -1, -1, 0, 0, 1), (1, 0, 1, -1, 0, -1),
+                (1, 1, 0, 0, -1, -1), (2, -1, 0, -1, 0, 0),
+            ),
+            2084,
+        ),
+        (
+            [(0, 3), (1, -2), (1, 3), (2, -1), (3, 3)],
+            2,
+            ((0, 8, -3, -10, 5), (1, -4, 0, 5, -2), (1, 4, -3, -5, 3), (2, 0, -3, 0, 1)),
+            19739,
+        ),
+    ]
+
+    @pytest.mark.parametrize("points, dim, gens, cap", PINNED)
+    def test_pinned_generators_and_step_cap(self, points, dim, gens, cap):
+        k = lattice.integer_kernel(lattice.homogenize(points, dim))
+        assert tautsys.saturate_lattice_ideal(k, step_cap=cap) == gens
+        with pytest.raises(SaturationBudgetExceeded):
+            tautsys.saturate_lattice_ideal(k, step_cap=cap - 1)
+
+    # coordinate boxes per dimension; over every full-rank set of dim + 2 or
+    # dim + 3 points in them, saturating the kernel and then its output
+    # takes at most 5,195 steps, well inside the default cap of 20,000
+    BOXES = {1: (-2, 2), 2: (-1, 1), 3: (0, 1)}
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        st.sampled_from(sorted(BOXES)).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.lists(
+                    st.tuples(*[st.integers(*TestSaturation.BOXES[dim])] * dim),
+                    min_size=dim + 2,
+                    max_size=dim + 3,
+                    unique=True,
+                ),
+            )
+        )
+    )
+    def test_saturation_properties(self, case):
+        dim, points = case
+        try:
+            A = lattice.homogenize(points, dim)
+        except DegenerateConfiguration:
+            assume(False)
+        kernel = lattice.integer_kernel(A)
+        gens = tautsys.saturate_lattice_ideal(kernel)
+        # each generator x^a - x^b lies in I_A: A a = A b
+        for v in gens:
+            assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in A.A)
+        # together they span the kernel lattice, whose Hermite form is unique
+        assert tuple(r for r in intlinalg.hermite_form(gens) if any(r)) == kernel
+        assert tautsys.saturate_lattice_ideal(gens) == gens
