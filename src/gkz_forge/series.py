@@ -18,16 +18,23 @@ are decided exactly.
   at a time, so a coefficient is a product of table entries.  One search
   over (base exponent, kernel basis vector) pairs serves every kernel rank;
   the lattice window, not the rank, is capped (``lattice.MAX_WINDOW``).
+* A series keeps its integer form on the instance, built on first use:
+  int64 offset and log-index columns beside an object column of
+  Python-int numerators over ``D``, the lcm of the reduced denominators.
+  The rational-coefficient check runs once, when it is built.
 * ``annihilate_check`` and ``apply_operator`` share one columnar integer
-  kernel.  The series is cleared of denominators once and held as int64
-  offset and log-index columns beside an object column of Python-int
-  numerators.  An image term is keyed by one int64 mixed-radix code of its
-  (offset, log index), so a shift or a log lowering is one integer add; a
-  key space too large for int64 codes is keyed by int64 rows instead.  Equal
-  keys are summed by sorting, one block of rows at a time, and each
-  nonzero total is divided once.
+  kernel, one pass per series for every operator.  An image is keyed by
+  one mixed-radix code of (operator, offset, log index), so a shift or a
+  log lowering is one integer add.  Each derivative pattern of the
+  operators' terms expands the rows once; every expanded row carries a
+  small factor (operator coefficient times derivative columns), summed in
+  int64 per (row, image) when an exact bound allows, so each surviving
+  pair costs one big-integer product.  The products are summed per image
+  by sorting, one block of rows at a time, and each nonzero total is
+  divided once.  Codes or factors that could leave int64 are Python ints
+  on the same path.
 * ``count_independent`` certifies independence by a rank mod the prime
-  2^31 - 1 of the cleared rows, eliminated on int64 rows; a modular rank
+  2^31 - 1 of the integer forms, eliminated on int64 rows; a modular rank
   below the row count, or a denominator divisible by the prime, falls back
   to exact rational elimination.
 """
@@ -38,6 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -121,6 +129,11 @@ def _ratio_table(base, slope, lo, hi, order):
 # -- the series container -----------------------------------------------------
 
 
+def _int64_rows(tuples, shape):
+    flat = np.fromiter(chain.from_iterable(tuples), dtype=np.int64, count=math.prod(shape))
+    return flat.reshape(shape)
+
+
 @dataclass(frozen=True)
 class LogSeries:
     """Truncated series with fractional exponents and logarithm powers.
@@ -131,6 +144,11 @@ class LogSeries:
     lattice coordinates are bounded by ``radius`` in max norm is either
     stored or exactly zero.  ``radius=None`` states that the stored terms
     are the whole series (used for monomials and rational candidates).
+
+    The numeric form (``evaluate``) and the integer form (the exact checks)
+    are built from ``terms`` on first use and kept on the instance, outside
+    the fields, so ``==`` and ``repr`` do not see them; ``terms`` must not
+    be mutated in place (``dataclasses.replace`` makes a new series).
     """
 
     gamma: tuple
@@ -145,10 +163,18 @@ class LogSeries:
     def exponent(self, offset):
         return tuple(g + o for g, o in zip(self.gamma, offset))
 
+    def _offset_groups(self):
+        """``(offset, terms)`` pairs in order of the offsets' 1-norm, then
+        lexicographically, each offset's terms ordered by log index."""
+        groups = {}
+        for kv in self.terms.items():
+            groups.setdefault(kv[0][0], []).append(kv)
+        order = sorted((sum(map(abs, v)), v) for v in groups)
+        return [(v, sorted(groups[v])) for _, v in order]
+
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(abs(x) for x in kv[0][0]), kv[0])
-        )
+        """``(key, coefficient)`` pairs by the 1-norm of the offset, then by key."""
+        return [kv for _, group in self._offset_groups() for kv in group]
 
     def evaluate(self, avec):
         """Numeric value at a point of the torus (principal branches).
@@ -183,6 +209,36 @@ class LogSeries:
             raise OverflowError(f"series value {total} is not finite")
         return total
 
+    def _integer_form(self):
+        """The terms over one denominator, as ``(V, M, C, D)``.
+
+        ``V`` and ``M`` are the int64 offset and log-index rows, ``C`` an
+        object column of Python-int numerators and ``D`` the lcm of the
+        reduced denominators, so term ``k`` is ``C[k] / D``; rows follow
+        ``terms``.  Built on first use and kept on the instance, like the
+        numeric form of ``evaluate``; a coefficient that is not an ``int``
+        or a ``Fraction`` raises TypeError then.
+        """
+        form = self.__dict__.get("_integer")
+        if form is None:
+            values = self.terms.values()
+            if not all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
+                c = next(c for c in values if not isinstance(c, (int, Fraction)))
+                raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
+            ratios = [c.as_integer_ratio() for c in values]
+            distinct = {d for _, d in ratios}
+            D = math.lcm(*distinct)
+            quotient = {d: D // d for d in distinct}
+            shape = (len(ratios), self.nvars)
+            form = (
+                _int64_rows((v for v, _ in self.terms), shape),
+                _int64_rows((m for _, m in self.terms), shape),
+                np.array([n * quotient[d] for n, d in ratios], dtype=object),
+                D,
+            )
+            object.__setattr__(self, "_integer", form)
+        return form
+
     def scaled(self, factor):
         return LogSeries(
             gamma=self.gamma,
@@ -193,9 +249,14 @@ class LogSeries:
 
     def render(self):
         lines = ["gamma = (" + ", ".join(str(g) for g in self.gamma) + ")"]
-        for (v, m), c in self.sorted_terms():
-            lines.append(f"  offset ({', '.join(str(x) for x in v)})"
-                         f" log ({', '.join(str(x) for x in m)}) : {c}")
+        logs = {}  # log index -> its text
+        for v, group in self._offset_groups():
+            head = f"  offset ({', '.join(map(str, v))}) log ("
+            for (_, m), c in group:
+                text = logs.get(m)
+                if text is None:
+                    text = logs[m] = ", ".join(map(str, m))
+                lines.append(f"{head}{text}) : {c}")
         return "\n".join(lines)
 
 
@@ -397,141 +458,228 @@ class OperatorResidual:
     max_abs: float
 
 
-def _derivative_columns(qe, q, m, k):
+def _derivative_columns(qe, q, top, k):
     """``q^k`` times one variable's factor of ``d^k (a^e log(a)^m)``, for ``qe = q*e``.
 
-    ``d^k (a^e log^m a) = sum_j K_j a^(e-k) log^(m-j) a``.  ``q^k K_j`` is a
-    polynomial in ``qe`` with integer coefficients.  ``qe`` and ``m`` are
-    object arrays of Python ints, one entry per (exponent, log power) pair;
-    returns the columns ``q^k K_0 .. q^k K_J``, ``J = min(k, max m)``, as
-    object arrays (``K_j`` is zero where ``j > m``).
+    ``log^m a`` is the m-th derivative of ``a^e`` in ``e``, so ``d^k (a^e
+    log^m a) = sum_j K_j a^(e-k) log^(m-j) a`` with ``K_j = C(m, j)
+    F^(j)(e)``, ``F(e) = e (e-1) .. (e-k+1)``.  Then ``q^k K_j = C(m, j) q^j
+    P^(j)(qe)`` for the integer polynomial ``P(X) = prod_{t<k} (X - q t)``.
+    Returns the columns ``q^k K_0 .. q^k K_J``, ``J = min(k, top)``, as
+    lists of Python ints over the grid of pairs: each ``qe`` in order, and
+    for each ``m = 0 .. top``.
     """
-    cols = [np.ones(len(qe), dtype=object)]
-    cols += [np.zeros(len(qe), dtype=object) for _ in range(min(k, max(m, default=0)))]
+    poly = [1]  # P, constant term first
     for t in range(k):
-        # d (a^(e-t) log^(m-j)) = (e-t) a^(e-t-1) log^(m-j) + (m-j) a^(e-t-1) log^(m-j-1)
-        qet = qe - q * t
-        for j in range(len(cols) - 1, 0, -1):
-            cols[j] = qet * cols[j] + q * (m - (j - 1)) * cols[j - 1]
-        cols[0] = qet * cols[0]
+        poly = [a - q * t * b for a, b in zip([0] + poly, poly + [0])]
+    cols = []
+    for j in range(min(k, top) + 1):
+        # q^j P^(j) at every qe, by Horner's rule
+        values = [0] * len(qe)
+        for n in range(k, j - 1, -1):
+            c = poly[n] * math.perm(n, j) * q**j
+            values = [y * x + c for y, x in zip(values, qe)]
+        binomials = [math.comb(m, j) for m in range(top + 1)]
+        cols.append([b * y for y in values for b in binomials])
     return cols
 
 
-# image terms expanded per block before they are summed by key; bounds the
-# Python ints alive at once
-_BLOCK = 1 << 12
+# expanded image rows per block: bounds the work arrays and the Python ints
+# alive at once
+_BLOCK = 1 << 13
+# small factors are summed in int64 when every partial sum stays below this
+_INT64_BOUND = 2**62
 
 
-def _merge(keys, values, blocks):
-    """Sum the values of equal keys (int64 codes or int64 rows) over the sums
-    so far and new ``(keys, values)`` blocks; sorted keys, zero sums dropped."""
-    keys = np.concatenate([keys] + [k for k, _ in blocks])
-    values = np.concatenate([values] + [v for _, v in blocks])
-    keys, inverse = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=object)
-    np.add.at(sums, inverse.ravel(), values)
+def _merge(keys, values):
+    """Sum the values of equal keys; sorted keys, zero sums dropped."""
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(values, starts)
     keep = np.flatnonzero(sums)
-    return keys[keep], sums[keep]
+    return keys[starts][keep], sums[keep]
+
+
+def _check_variables(op, series):
+    if op.nvars != series.nvars:
+        raise ValueError(
+            f"operator acts on {op.nvars} variables, series on {series.nvars}"
+        )
 
 
 def _integer_images(ops, series: LogSeries):
     """Each operator applied to ``series`` in integers, as ``(totals, scale)``.
 
     The image coefficient of ``(offset, logpow)`` is ``totals[key] / scale``
-    with ``scale = D * O * q^r``: ``D`` clears the series' coefficients once,
-    ``O`` the operator's, and ``q`` the exponents'; a term of derivative order
-    ``|w|`` is scaled by ``q^(r-|w|)``, ``r`` the operator's order.  ``totals``
-    holds the nonzero coefficients in ascending key order.
+    with ``scale = D * O * q^r``: ``D`` clears the series' coefficients (the
+    series' integer form), ``O`` the operator's, and ``q`` the exponents'; a
+    term of derivative order ``|w|`` is scaled by ``q^(r-|w|)``, ``r`` the
+    operator's order.  ``totals`` holds the nonzero coefficients in ascending
+    key order.  Returns one pair per operator, in order.
 
-    An operator term expands the rows one active variable at a time by that
-    variable's derivative columns (``_derivative_columns``, shared by all
-    operators).  Keys are int64 mixed-radix codes of (offset, log index), or
-    int64 rows when the radix product does not fit in int64; equal keys are
-    summed by sorting, about ``_BLOCK`` expanded rows at a time.  Yields one
-    pair per operator, in order.
+    One expansion serves every operator.  An image is keyed by one code:
+    the operator's index as the leading digit, then the mixed-radix digits
+    of its (offset, log index), so a shift or a log lowering is one integer
+    add.  The terms of all operators are grouped by derivative pattern
+    ``w``: the rows expand once per pattern, one differentiated variable at
+    a time, by that variable's derivative columns (``_derivative_columns``),
+    and every term with the pattern then adds its shift code and scales the
+    column product by its coefficient.  These small factors are summed per
+    (row, image) by sorting; each nonzero sum costs one product with the
+    row's big-integer numerator, and the products are summed per image.
+    Factors are int64 when an exact bound on every partial sum (per
+    operator, the sum over its terms of ``|factor| * prod max |column| *
+    prod (number of columns)``) lies below ``_INT64_BOUND``, and codes when
+    ``image * rows + row`` fits; otherwise they are Python ints in object
+    arrays, on the same path.  Rows are expanded about ``_BLOCK`` expanded
+    rows at a time.  Raises ValueError on an operator on another number of
+    variables than the series, before any work.
     """
+    for op in ops:
+        _check_variables(op, series)
+    V, M, C, D = series._integer_form()
+    p, rows = series.nvars, len(C)
     q = math.lcm(*(g.denominator for g in series.gamma))
     qgamma = [int(q * g) for g in series.gamma]
-    D = math.lcm(*(c.denominator for c in series.terms.values()))
-    p = series.nvars
-    rows = len(series.terms)
-    V = np.array([v for v, _ in series.terms], dtype=np.int64).reshape(rows, p)
-    M = np.array([m for _, m in series.terms], dtype=np.int64).reshape(rows, p)
-    C = np.array(
-        [c.numerator * (D // c.denominator) for c in series.terms.values()], dtype=object
-    )
-    top = M.max(axis=0, initial=0).tolist()  # highest log power per variable
-    distinct, tables = {}, {}
-
-    def columns(i, k):
-        # each row's (offset, log power) pair of variable i, and the
-        # derivative columns over the distinct pairs
-        if i not in distinct:
-            distinct[i] = np.unique(V[:, i] * (top[i] + 1) + M[:, i], return_inverse=True)
-        if (i, k) not in tables:
-            v, m = (x.astype(object) for x in np.divmod(distinct[i][0], top[i] + 1))
-            cols = _derivative_columns(qgamma[i] + q * v, q, m, k)
-            tables[i, k] = [(col, col != 0) for col in cols]
-        return distinct[i][1], tables[i, k]
-
-    for op in ops:
+    scales, terms = [], []  # terms: (operator index, u - w, w, factor)
+    for o, op in enumerate(ops):
         coeffs = op.constant_coefficients()
         order = max((sum(w) for _, w in coeffs), default=0)
         O = math.lcm(*(c.denominator for c in coeffs.values()))
-        scale = D * O * q**order
-        if not rows or not coeffs:
-            yield {}, scale
-            continue
-        shifts = np.array([[ui - wi for ui, wi in zip(u, w)] for u, w in coeffs], dtype=np.int64)
-        # the radices cover the rows and their shifted images, so every
-        # partial code lies in [0, prod(radix))
-        lo = V.min(axis=0) + shifts.min(axis=0, initial=0)
-        hi = V.max(axis=0) + shifts.max(axis=0, initial=0)
-        radix = (hi - lo + 1).tolist() + [t + 1 for t in top]
-        if math.prod(radix) < 2**63:
-            weight = np.array([math.prod(radix[j + 1 :]) for j in range(2 * p)], dtype=np.int64)
-        else:
-            weight = np.eye(2 * p, dtype=np.int64)  # keys are the rows themselves
-        base = np.concatenate([V - lo, M], axis=1) @ weight
-        shift_keys = shifts @ weight[:p]
-        terms = [
-            (shift_key, [(i, k) for i, k in enumerate(w) if k],
+        scales.append(D * O * q**order)
+        terms += [
+            (o, [ui - wi for ui, wi in zip(u, w)], w,
              c.numerator * (O // c.denominator) * q ** (order - sum(w)))
-            for ((u, w), c), shift_key in zip(coeffs.items(), shift_keys)
+            for (u, w), c in coeffs.items()
         ]
-        spread = sum(math.prod(min(k, top[i]) + 1 for i, k in active) for _, active, _ in terms)
-        step = max(1, _BLOCK // spread)
-        acc_keys, acc_vals = base[:0], C[:0]
-        # row blocks in series order, all terms at once: an image is complete,
-        # and dropped if it cancelled, once the rows feeding it are merged
-        for start in range(0, rows, step):
-            block = np.arange(start, min(start + step, rows))
-            images = []
-            for shift_key, active, factor in terms:
-                idx, keys, vals = block, base[block] + shift_key, C[block] * factor
-                for i, k in active:
-                    pair_of, cols = columns(i, k)
-                    pairs = pair_of[idx]
-                    parts = []
-                    for j, (col, nonzero) in enumerate(cols):
-                        sel = np.flatnonzero(nonzero[pairs])
-                        if sel.size:
-                            parts.append(
-                                (idx[sel], keys[sel] - j * weight[p + i], vals[sel] * col[pairs[sel]])
-                            )
-                    if not parts:
-                        break  # every image of this term vanishes
-                    idx, keys, vals = (np.concatenate(x) for x in zip(*parts))
-                else:
-                    images.append((keys, vals))
-            acc_keys, acc_vals = _merge(acc_keys, acc_vals, images)
-        if acc_keys.ndim == 1:
-            acc_keys = np.stack(np.unravel_index(acc_keys, radix), axis=1)
-        acc_keys[:, :p] += lo
-        yield {
+    if not rows or not terms:
+        return [({}, scale) for scale in scales]
+
+    top = M.max(axis=0).tolist()  # highest log power per variable
+    patterns = {}  # derivative pattern w -> indices of the terms with it
+    for t, (_, _, w, _) in enumerate(terms):
+        patterns.setdefault(tuple(w), []).append(t)
+    # per differentiated variable: each row's index in the grid of (distinct
+    # offset, log power) pairs, and the derivative columns of each order in
+    # use over that grid
+    pair_of, qe, tables = {}, {}, {}
+    for w in patterns:
+        for i, k in enumerate(w):
+            if k and (i, k) not in tables:
+                if i not in pair_of:
+                    offsets, index = np.unique(V[:, i], return_inverse=True)
+                    pair_of[i] = index * (top[i] + 1) + M[:, i]
+                    qe[i] = [qgamma[i] + q * x for x in offsets.tolist()]
+                tables[i, k] = _derivative_columns(qe[i], q, top[i], k)
+    # an exact bound on every partial sum of the factors of one (row, image);
+    # each column must fit as well, also where another variable's vanish
+    reach = {
+        ik: (max(max(map(abs, col)) for col in cols), len(cols))
+        for ik, cols in tables.items()
+    }
+    bound = [0] * len(ops)
+    for w, group in patterns.items():
+        size = count = 1
+        for i, k in enumerate(w):
+            if k:
+                size, count = size * reach[i, k][0], count * reach[i, k][1]
+        for t in group:
+            bound[terms[t][0]] += abs(terms[t][3]) * size * count
+    fits = max(bound) < _INT64_BOUND and all(c < _INT64_BOUND for c, _ in reach.values())
+    dtype = np.int64 if fits else object
+    tables = {ik: np.array(cols, dtype=object).astype(dtype) for ik, cols in tables.items()}
+    # row blocks in series order of about _BLOCK expanded rows each, from
+    # the nonzero columns at each row's pairs
+    expanded = np.zeros(rows, dtype=np.int64)
+    for w, group in patterns.items():
+        count = np.full(rows, len(group))
+        for i, k in enumerate(w):
+            if k:
+                count *= np.count_nonzero(tables[i, k], axis=0)[pair_of[i]]
+        expanded += count
+    ends = np.cumsum(expanded)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK), side="right")
+    bounds = sorted({0, *cuts.tolist(), rows})
+
+    # the radices cover the rows and their shifted images, so every code of
+    # operator o lies in [o*R, (o+1)*R)
+    shifts = np.array([s for _, s, _, _ in terms], dtype=np.int64)
+    lo = V.min(axis=0) + shifts.min(axis=0)
+    hi = V.max(axis=0) + shifts.max(axis=0)
+    radix = (hi - lo + 1).tolist() + [t + 1 for t in top]
+    R = math.prod(radix)
+    weight = [math.prod(radix[j + 1 :]) for j in range(2 * p)]
+    # a (row, image) code is image * rows + row
+    key_type = np.int64 if len(ops) * R * rows < 2**63 else object
+    digits = np.concatenate([V - lo, M], axis=1).astype(key_type, copy=False)
+    base = digits @ np.array(weight, dtype=key_type)
+    groups = [
+        (w, np.array([
+            (terms[t][0] * R + sum(s * x for s, x in zip(terms[t][1], weight))) * rows
+            for t in group
+        ], dtype=key_type), np.array([terms[t][3] for t in group], dtype=dtype))
+        for w, group in patterns.items()
+    ]
+
+    keys, totals = base[:0], C[:0]
+    # an image is complete, and dropped if it cancelled, once the rows
+    # feeding it are merged
+    for start, stop in zip(bounds, bounds[1:]):
+        block = np.arange(start, stop)
+        codes, factors = [], []
+        for w, term_codes, term_factors in groups:
+            # the images of each row under d^w: (row, key, column product)
+            idx, key, prod = block, base[block], np.ones(len(block), dtype=dtype)
+            for i, k in enumerate(w):
+                if not k:
+                    continue
+                pairs = pair_of[i][idx]
+                parts = []
+                for j, col in enumerate(tables[i, k]):
+                    col = col[pairs]
+                    sel = np.flatnonzero(col)
+                    if sel.size == len(col):
+                        parts.append((idx, key - j * weight[p + i], prod * col))
+                    elif sel.size:
+                        parts.append((idx[sel], key[sel] - j * weight[p + i], prod[sel] * col[sel]))
+                if not parts:
+                    break  # every image of the pattern vanishes
+                idx, key, prod = parts[0] if len(parts) == 1 else (
+                    np.concatenate(x) for x in zip(*parts)
+                )
+            else:
+                # every term with the pattern, as (row, image) codes
+                row_codes = key * rows + idx
+                codes.append((row_codes[None, :] + term_codes[:, None]).ravel())
+                factors.append((prod[None, :] * term_factors[:, None]).ravel())
+        if not codes:
+            continue
+        # the small factors summed per (row, image), one product per sum
+        codes, factors = np.concatenate(codes), np.concatenate(factors)
+        code, sums = _merge(codes, factors)
+        key, row = code // rows, np.asarray(code % rows, dtype=np.int64)
+        keys, totals = _merge(np.concatenate([keys, key]), np.concatenate([totals, C[row] * sums]))
+
+    op_of, code = keys // R, keys % R
+    split = np.searchsorted(op_of.astype(np.int64), np.arange(len(ops) + 1))
+    columns = []
+    for r in reversed(radix):
+        code, digit = code // r, code % r
+        columns.append(digit)
+    rows_out = np.stack(columns[::-1], axis=1)
+    rows_out[:, :p] += lo
+    rows_out = rows_out.tolist()
+    totals = totals.tolist()
+    return [
+        ({
             (tuple(key[:p]), tuple(key[p:])): total
-            for key, total in zip(acc_keys.tolist(), acc_vals.tolist())
-        }, scale
+            for key, total in zip(rows_out[a:b], totals[a:b])
+        }, scale)
+        for a, b, scale in zip(split[:-1].tolist(), split[1:].tolist(), scales)
+    ]
 
 
 def apply_operator(op, series: LogSeries) -> dict:
@@ -542,16 +690,11 @@ def apply_operator(op, series: LogSeries) -> dict:
     ``sum_j K(e, m_i, k, j) a_i^(e-k) log^(m_i-j) a_i``.  The sum is formed
     in integers (``_integer_images``) and divided once per image term; an
     image term is keyed by the integer offset ``v - w + u`` and its log
-    multi-index, so no exponent is ever formed.
+    multi-index, so no exponent is ever formed.  An operator on another
+    number of variables than the series raises ValueError.
     """
     ((totals, scale),) = _integer_images([op], series)
     return {key: Fraction(total, scale) for key, total in totals.items()}
-
-
-def _require_rational(series: LogSeries):
-    for c in series.terms.values():
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
 
 
 def annihilate_check(spec: SystemSpec, series: LogSeries):
@@ -561,9 +704,12 @@ def annihilate_check(spec: SystemSpec, series: LogSeries):
     could feed it lies inside the series' guaranteed-complete window; the
     frontier terms produced by truncation are counted but not judged.  The
     report is ``clean`` when every trusted coefficient vanishes exactly.
-    Raises TypeError on a coefficient that is not rational.
+    Raises TypeError on a coefficient that is not rational, ValueError on
+    an operator on a different number of variables than the series.
     """
-    _require_rational(series)
+    for op in spec.operators:
+        _check_variables(op, series)
+    series._integer_form()
     walk = LatticeWalk(series.lattice, series.nvars)
     for op in spec.operators:
         if (
@@ -624,7 +770,7 @@ def _rank_mod_p(rows, ncols):
     echelon = []  # (pivot column, row scaled to 1 there), in insertion order
     for cols, values in rows:
         row = np.zeros(ncols, dtype=np.int64)
-        row[cols] = [c % _P for c in values]
+        row[cols] = np.asarray(values, dtype=object) % _P
         for col, pivot_row in echelon:
             f = row[col]
             if f:
@@ -639,42 +785,61 @@ def _rank_mod_p(rows, ncols):
 def count_independent(series_list) -> int:
     """Exact rank of the coefficient matrix over the shared monomial/log basis.
 
-    The rows are cleared of denominators, which leaves the rank unchanged,
-    and ranked mod the prime ``_P`` first: a full rank there is the rank
-    over Q, since a nonzero minor mod ``_P`` is nonzero.  A lower modular
-    rank falls back to exact elimination of the same integer rows.  Raises
-    TypeError on a coefficient that is not rational.
+    The rows are the series' integer forms (cleared of denominators, which
+    leaves the rank unchanged), ranked mod the prime ``_P`` first: a full
+    rank there is the rank over Q, since a nonzero minor mod ``_P`` is
+    nonzero.  A lower modular rank falls back to exact elimination of the
+    same integer rows.  Raises TypeError on a coefficient that is not
+    rational, ValueError on series on different numbers of variables.
     """
     series_list = list(series_list)
     if not series_list:
         return 0
+    counts = sorted({s.nvars for s in series_list})
+    if len(counts) > 1:
+        raise ValueError(f"series on different numbers of variables: {counts}")
     # a^(gamma+v) with gamma = floor + frac is keyed by the index of the
     # fractional class frac and the integer exponent floor + v, counted from
     # the floor of the class's first series
     classes = {}  # frac -> (index, floor)
-    column = {}
-    keyed = []
+    parts = []  # (class, shift, offsets, log indices, numerators) per series
     for s in series_list:
-        _require_rational(s)
+        V, M, C, _ = s._integer_form()
         floor = tuple(math.floor(g) for g in s.gamma)
         cls, first = classes.setdefault(
             tuple(g - f for g, f in zip(s.gamma, floor)), (len(classes), floor)
         )
-        shift = tuple(f - f0 for f, f0 in zip(floor, first))
-        keys = s.terms if not any(shift) else (
-            (tuple([d + x for d, x in zip(shift, v)]), m) for v, m in s.terms
-        )
-        keyed.append([column.setdefault((cls, v, m), len(column)) for v, m in keys])
-    cleared = []
-    for s, cols in zip(series_list, keyed):
-        D = math.lcm(*(c.denominator for c in s.terms.values()))
-        cleared.append((cols, [c.numerator * (D // c.denominator) for c in s.terms.values()]))
-    if _rank_mod_p(cleared, len(column)) == len(series_list):
+        shift = np.array([f - f0 for f, f0 in zip(floor, first)], dtype=np.int64)
+        parts.append((cls, shift, V, M, C))
+    filled = [x for x in parts if len(x[4])]
+    if not filled:
+        return 0
+    # one mixed-radix code per (class, exponent, log index), Python ints
+    # when it does not fit in int64
+    lo = np.min([V.min(axis=0) + shift for _, shift, V, _, _ in filled], axis=0)
+    hi = np.max([V.max(axis=0) + shift for _, shift, V, _, _ in filled], axis=0)
+    top = np.max([M.max(axis=0) for *_, M, _ in filled], axis=0)
+    radix = [len(classes)] + (hi - lo + 1).tolist() + (top + 1).tolist()
+    weight = [math.prod(radix[j + 1 :]) for j in range(len(radix))]
+    key_type = np.int64 if math.prod(radix) < 2**63 else object
+    p = len(lo)
+    wv, wm = (np.array(w, dtype=key_type) for w in (weight[1 : p + 1], weight[p + 1 :]))
+    codes = np.concatenate([
+        cls * weight[0]
+        + (V - (lo - shift)).astype(key_type, copy=False) @ wv
+        + M.astype(key_type, copy=False) @ wm
+        for cls, shift, V, M, _ in parts
+    ])
+    distinct, column = np.unique(codes, return_inverse=True)
+    bounds = np.cumsum([0] + [len(x[4]) for x in parts]).tolist()
+    cleared = [(column[a:b], x[4]) for a, b, x in zip(bounds, bounds[1:], parts)]
+    ncols = len(distinct)
+    if _rank_mod_p(cleared, ncols) == len(series_list):
         return len(series_list)
     rows = []
     for cols, values in cleared:
-        row = [0] * len(column)
-        for j, c in zip(cols, values):
+        row = [0] * ncols
+        for j, c in zip(cols.tolist(), values.tolist()):
             row[j] = c
         rows.append(row)
     return intlinalg.rank(rows)

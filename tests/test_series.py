@@ -476,6 +476,30 @@ class TestEvaluate:
         assert s.evaluate((4.0,)) == 2
         assert repr(s) == text and s == monomial_series((Fraction(1, 2),))
 
+    def test_replaced_series_is_cleared_from_its_own_terms(self):
+        spec = make_spec(SEGMENT, 1)
+        s = frobenius_basis(spec, order=6)[0]
+        text = repr(s)
+        assert count_independent([s]) == 1
+        assert all(r.clean for r in annihilate_check(spec, s))
+        # the integer form is built once and rides outside the fields, like
+        # the numeric form
+        assert s._integer_form() is s._integer_form()
+        assert repr(s) == text and s == frobenius_basis(spec, order=6)[0]
+        key, c = next(kv for kv in s.sorted_terms() if any(kv[0][0]))
+        bumped = replace(s, terms={**s.terms, key: c + 1})
+        assert not all(r.clean for r in annihilate_check(spec, bumped))
+        assert count_independent([s, bumped]) == 2
+        zero = replace(s, terms={k: 0 * c for k, c in s.terms.items()})
+        assert count_independent([zero]) == 0
+        assert all(r.clean for r in annihilate_check(spec, s))
+        # a float coefficient is still rejected, on first use
+        floats = replace(s, terms={**s.terms, key: 0.5})
+        with pytest.raises(TypeError):
+            annihilate_check(spec, floats)
+        with pytest.raises(TypeError):
+            count_independent([floats])
+
 
 class TestCountIndependent:
     def test_proportional_series(self):
@@ -494,3 +518,14 @@ class TestCountIndependent:
         with pytest.raises(TypeError):
             annihilate_check(make_spec(SEGMENT, 1), a.scaled(3.0))
         assert count_independent([a, a.scaled(3)]) == 1
+
+    def test_series_on_different_numbers_of_variables_are_rejected(self):
+        with pytest.raises(ValueError, match="different numbers of variables"):
+            count_independent([monomial_series((0, -1)), monomial_series((0, 0, -1))])
+
+    def test_operator_on_other_variables_is_rejected(self):
+        s = monomial_series((0, -1))
+        with pytest.raises(ValueError, match="operator acts on 3 variables, series on 2"):
+            apply_operator(WeylElement.partial(0, 3), s)
+        with pytest.raises(ValueError, match="operator acts on 4 variables, series on 2"):
+            annihilate_check(make_spec(HESSE, 2), s)

@@ -10,6 +10,7 @@ for ``count_independent``.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -187,6 +188,91 @@ class TestIntegerImages:
         _check_against_reference(s, [op, WeylElement.partial(3, 4)])
 
 
+@st.composite
+def wide_factor_cases(draw):
+    """Series whose factor bound exceeds int64: gamma denominators up to
+    10^6, operator coefficients up to 2^80, derivative orders up to 6."""
+    p = draw(st.integers(1, 3))
+    gamma = tuple(draw(st.lists(
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+        min_size=p, max_size=p,
+    )))
+    keys = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * p), st.tuples(*[st.integers(0, 3)] * p)),
+        min_size=1, max_size=8, unique=True,
+    ))
+    terms = {key: draw(small_rationals) for key in keys}
+    big = st.builds(Fraction, st.integers(-(2**80), 2**80).filter(bool), st.integers(1, 10**4))
+    op_terms = draw(st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2)] * p),
+            st.tuples(*[st.integers(0, 6)] * p).filter(lambda w: sum(w) <= 6),
+            big,
+        ),
+        min_size=1, max_size=3,
+    ))
+    # one coefficient of at least 2^63 keeps the factors out of int64
+    op_terms[0] = op_terms[0][:2] + (Fraction(2**63 + 1),)
+    op = WeylElement(p, {(u, w): c for u, w, c in op_terms})
+    return LogSeries(gamma=gamma, terms=terms), op
+
+
+def _factor_dtypes(s, ops):
+    """The kernel's images of ``s``, checked against the reference, and the
+    dtypes of the small factors it summed per (row, image)."""
+    seen = []
+    merge = series._merge
+    with pytest.MonkeyPatch.context() as mp:
+        # the first merge of a block sums the small factors
+        mp.setattr(series, "_merge", lambda k, v: seen.append(v.dtype) or merge(k, v))
+        _check_against_reference(s, ops)
+    return set(seen[::2])
+
+
+class TestFactorWidth:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(wide_factor_cases())
+    def test_wide_factors_against_reference(self, case):
+        s, op = case
+        assert _factor_dtypes(s, [op, WeylElement.one(s.nvars)]) <= {np.dtype(object)}
+
+    def test_bound_just_under_int64_limit(self):
+        # a constant operator's one factor is its numerator, and its bound
+        # the factor itself
+        s = LogSeries(
+            gamma=(Fraction(1, 3), Fraction(-2, 7)),
+            terms={((0, 1), (1, 0)): Fraction(2**70 + 1, 3), ((1, -1), (0, 2)): -5},
+        )
+        under = WeylElement.constant(series._INT64_BOUND - 1, 2)
+        at = WeylElement.constant(series._INT64_BOUND, 2)
+        assert _factor_dtypes(s, [under]) == {np.dtype(np.int64)}
+        assert _factor_dtypes(s, [at]) == {np.dtype(object)}
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(series_cases(), st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+    def test_one_call_per_operator_list(self, case, multipliers):
+        # batching every operator into one expansion changes no pair
+        s, op = case
+        ops = [op, op.scaled(multipliers[0] + 1) + WeylElement.partial(0, s.nvars),
+               WeylElement.coordinate(s.nvars - 1, s.nvars) * op]
+        batched = series._integer_images(ops, s)
+        single = [pair for o in ops for pair in series._integer_images([o], s)]
+        assert batched == single
+        assert [list(t) for t, _ in batched] == [list(t) for t, _ in single]
+
+    @pytest.mark.parametrize("pts, dim, order", [([(-1,), (0,), (1,)], 1, 8), (HESSE, 2, 6)])
+    def test_object_path_gives_identical_bases(self, pts, dim, order, monkeypatch):
+        spec = tautsys.gkz_system(lattice.homogenize(pts, dim), tautsys.cy_beta(dim))
+        basis = frobenius_basis(spec, order=order)
+        expected = [series._integer_images(spec.operators, s) for s in basis]
+        monkeypatch.setattr(series, "_INT64_BOUND", 0)
+        for s, want in zip(basis, expected):
+            got = series._integer_images(spec.operators, s)
+            assert got == want
+            assert [list(t) for t, _ in got] == [list(t) for t, _ in want]
+            assert _factor_dtypes(s, spec.operators) == {np.dtype(object)}
+
+
 # -- the modular rank certificate ----------------------------------------------
 
 
@@ -222,6 +308,15 @@ class TestRankCertificate:
         a = _monomial_row({((0, 0), (0, 0)): Fraction(1, 2), ((1, 0), (0, 1)): 3})
         b = _monomial_row({((1, 0), (0, 1)): Fraction(-2, 9)})
         assert count_independent([a, b]) == 2
+
+    def test_wide_exponent_codes(self):
+        # exponents spread over 2^32 + 1 and 2^32 values: the column codes
+        # leave int64, where (2^32, 0) and (0, 0) would share a code mod 2^64
+        wide = 2**32
+        a = _monomial_row({((0, 0), (0, 0)): 1, ((0, wide - 1), (0, 0)): Fraction(1, 2)})
+        b = _monomial_row({((wide, 0), (0, 0)): 1, ((0, wide - 1), (0, 0)): Fraction(1, 2)})
+        assert count_independent([a, b]) == 2
+        assert count_independent([a, b, a.scaled(3)]) == 2
 
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(
