@@ -1,17 +1,19 @@
 """Assembly of tautological / GKZ differential systems.
 
 A system is presented as a finite list of Weyl-algebra operators: box
-operators from the relation lattice of the exponent matrix, first-order
-Euler (torus) operators from its rows together with the parameter vector
-beta, and optional extra first-order symmetry operators built from square
-matrices.
+operators from the toric ideal I_A of the exponent matrix (one per element
+of its reduced Groebner basis, computed by Bayer-Stillman saturation of the
+kernel-basis binomials), first-order Euler (torus) operators from its rows
+together with the parameter vector beta, and optional extra first-order
+symmetry operators built from square matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from heapq import heappop, heappush
+from operator import le, sub
 
 from .errors import SaturationBudgetExceeded
 from .lattice import ExponentMatrix, homogenize, integer_kernel
@@ -60,14 +62,16 @@ def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
     """The GKZ system of an exponent matrix: box plus Euler operators.
 
     ``beta`` has length dim+1; the Calabi-Yau normalization is
-    ``beta = (1, 0, ..., 0)``.  Box operators come from the canonical
-    saturated kernel basis (one per basis vector).
+    ``beta = (1, 0, ..., 0)``.  The box operators carry the toric ideal
+    I_A: one per element of its reduced Groebner basis
+    (``saturate_lattice_ideal`` of the kernel basis), which raises
+    SaturationBudgetExceeded when the default step cap runs out.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != A.dim + 1:
         raise ValueError(f"beta must have length {A.dim + 1}")
     p = A.nsections
-    ops = [fourier_box(ell, p) for ell in integer_kernel(A)]
+    ops = [fourier_box(ell, p) for ell in saturate_lattice_ideal(integer_kernel(A))]
     for k, row in enumerate(A.A):
         ops.append(symmetry_operator(_diagonal(row), beta[k]))
     return SystemSpec(operators=tuple(ops), A=A, beta=beta, label="GKZ")
@@ -102,19 +106,14 @@ def unipotent_p1_system() -> SystemSpec:
 
 # -- lattice ideal saturation -------------------------------------------------
 #
-# A small lex Buchberger engine on binomials.  It exists for one purpose:
-# saturating the kernel-basis binomial ideal by the product of the variables,
-# which can add binomials the kernel basis itself misses (the twisted cubic
-# being the classic case).  Every polynomial it meets is a pure-difference
-# binomial x^lead - x^trail, since S-pairs and reductions of such binomials
-# stay binomials (Eisenbud-Sturmfels, Binomial ideals, Duke Math. J. 84,
-# 1996, Prop. 1.1).  So a generator is the pair of exponent tuples
-# ``(lead, trail)`` with lead > trail in lex order; the ideal does not see
-# its sign, and the engine does no coefficient arithmetic.
-
-
-def _divides(m1, m2):
-    return all(map(le, m1, m2))
+# A Buchberger engine on binomials.  S-pairs and reductions of pure-difference
+# binomials x^lead - x^trail stay such binomials (Eisenbud-Sturmfels, Duke
+# Math. J. 84, 1996, Prop. 1.1), so a generator is the pair of exponent tuples
+# ``(lead, trail)`` and no coefficient arithmetic is done.  A has a row of
+# ones, so both terms have one degree, and in coordinates that put x_i first,
+# grevlex with x_i last leads with the lex-smaller tuple.  Dividing a Groebner
+# basis for that order by its powers of x_i saturates by x_i (Bayer-Stillman;
+# Sturmfels, Groebner Bases and Convex Polytopes, 1996, ch. 12).
 
 
 def _spend(budget, what):
@@ -123,81 +122,80 @@ def _spend(budget, what):
         raise SaturationBudgetExceeded(f"{what} cap exceeded")
 
 
-def _step(m, basis, budget):
-    """One reduction step: ``m - c + d`` for the first generator ``(c, d)``
-    whose lead divides ``m``, or None when no lead does."""
-    _spend(budget, "reduction step")
-    for c, d in basis:
-        if _divides(c, m):
-            return tuple(x - y + z for x, y, z in zip(m, c, d))
-    return None
+def _normal_form(m, basis, budget):
+    """Rewrite the monomial ``m`` by the first generator whose lead divides
+    it, one step each, until no lead does."""
+    while g := next((g for g in basis if all(map(le, g[0], m))), None):
+        _spend(budget, "reduction step")
+        m = tuple(x - c + d for x, c, d in zip(m, *g))
+    return m
 
 
-def _reduce(a, b, basis, budget):
-    """Normal form of x^a - x^b (a > b) modulo ``basis``: a pair, or None.
-
-    The larger live monomial is rewritten until no lead divides it; the two
-    terms cancel when they meet.  Then the smaller one is rewritten alone.
+def _buchberger(gens, budget):
+    """Groebner basis of binomial pairs, taken by lcm degree; one step per
+    S-pair.  Buchberger's criteria skip a pair when its leads are coprime, or
+    when a third lead divides their lcm and both of that generator's pairs
+    with them are already treated.
     """
-    while (m := _step(a, basis, budget)) is not None:
-        if m == b:
-            return None
-        a, b = max(m, b), min(m, b)
-    while (m := _step(b, basis, budget)) is not None:
-        b = m
-    return a, b
+    basis, queue, pending = [], [], set()
 
+    def add(g):
+        basis.append(g)
+        j = len(basis) - 1
+        for i in range(j):
+            pending.update([(i, j), (j, i)])
+            heappush(queue, (sum(map(max, basis[i][0], g[0])), i, j))
 
-def _buchberger(basis, budget):
-    """Lex Groebner basis of binomial pairs; one step per S-pair.
-
-    The pairs (i, j), j < i, are taken in lex order, which is the order of
-    a queue that appends a new generator's pairs: ``basis`` grows while it
-    is walked.
-    """
-    basis = list(basis)
-    for i, (lf, tf) in enumerate(basis):
-        for lg, tg in basis[:i]:
-            _spend(budget, "S-pair")
-            if not any(map(min, lf, lg)):
-                continue  # coprime leading terms produce nothing
-            lcm = tuple(map(max, lf, lg))
-            u = tuple(m - x + y for m, x, y in zip(lcm, lf, tf))
-            v = tuple(m - x + y for m, x, y in zip(lcm, lg, tg))
-            # equal new monomials make the S-pair zero, with no reduction step
-            if u != v and (s := _reduce(max(u, v), min(u, v), basis, budget)):
-                basis.append(s)
+    for g in gens:
+        add(g)
+    while queue:
+        _, i, j = heappop(queue)
+        pending.difference_update([(i, j), (j, i)])
+        _spend(budget, "S-pair")
+        (lf, tf), (lg, tg) = basis[i], basis[j]
+        if not any(map(min, lf, lg)):
+            continue  # coprime leading terms produce nothing
+        lcm = tuple(map(max, lf, lg))
+        if any(all(map(le, c, lcm)) and k not in (i, j) and (i, k) not in pending
+               and (j, k) not in pending for k, (c, _) in enumerate(basis)):
+            continue
+        u = _normal_form(tuple(m - x + y for m, x, y in zip(lcm, lf, tf)), basis, budget)
+        v = _normal_form(tuple(m - x + y for m, x, y in zip(lcm, lg, tg)), basis, budget)
+        if u != v:
+            add((min(u, v), max(u, v)))
     return basis
 
 
-def saturate_lattice_ideal(kernel, step_cap=20000):
-    """Generating set of the saturated lattice ideal, as exponent vectors.
-
-    Starting from the binomials of the kernel basis, the ideal is saturated
-    by each variable in turn (adjoining t*x_i - 1 and eliminating t with a
-    lexicographic Groebner basis).  Returns the canonical integer vectors
-    ``lead - trail`` (first nonzero entry positive) of the binomials of the
-    minimal generating set, sorted; when they are the kernel basis, the
-    ``kernel`` argument itself.  Each S-pair and each reduction step costs
-    one of ``step_cap`` steps; SaturationBudgetExceeded when they run out.
-    """
-    if not kernel:
-        return ()
-    p = len(kernel[0])
-    budget = [step_cap]
-    gens = []
-    for ell in kernel:
-        plus, minus = tuple(max(x, 0) for x in ell), tuple(max(-x, 0) for x in ell)
-        gens.append((max(plus, minus), min(plus, minus)))
-    for i in range(p):
-        # work in k[t, x1..xp] with t as the (eliminated) first variable
-        relation = ((1,) + tuple(int(j == i) for j in range(p)), (0,) * (p + 1))
-        lifted = [((0,) + a, (0,) + b) for a, b in gens] + [relation]
-        gens = [(a[1:], b[1:]) for a, b in _buchberger(lifted, budget) if a[0] == 0]
-    # drop generators whose lead an earlier-sorted lead divides
+def _reduced(basis, budget):
+    """Minimal leads, each trail in normal form: the reduced form of a
+    Groebner basis, which depends only on the ideal and the order."""
     kept = []
-    for lead, trail in sorted(gens, key=lambda g: g[0]):
-        if not any(_divides(c, lead) for c, _ in kept):
+    for lead, trail in sorted(basis):  # a lead divides only leads sorted after it
+        if not any(all(map(le, c, lead)) for c, _ in kept):
             kept.append((lead, trail))
-    out = sorted({tuple(a - b for a, b in zip(lead, trail)) for lead, trail in kept})
-    return tuple(kernel) if out == sorted(set(kernel)) else tuple(out)
+    return [(lead, _normal_form(trail, kept, budget)) for lead, trail in kept]
+
+
+def saturate_lattice_ideal(kernel, step_cap=20000):
+    """The reduced Groebner basis of the saturated lattice ideal, as vectors.
+
+    The binomials of ``kernel`` (vectors that sum to zero, since A has a row
+    of ones) are saturated by each variable in turn: a grevlex Groebner basis
+    with that variable last, divided by its powers of the variable, then
+    reduced.  For the kernel of A this is the toric ideal I_A.  The last
+    basis has x_1 last; it is returned as the integer vectors ``trail -
+    lead`` (first nonzero entry positive), sorted, so the output depends only
+    on the ideal.  Each S-pair and each reduction step costs one of
+    ``step_cap`` steps; SaturationBudgetExceeded when they run out.
+    """
+    if any(map(sum, kernel)):
+        raise ValueError("kernel vectors must sum to zero")
+    budget = [step_cap]
+    gens = [(tuple(max(x, 0) for x in ell), tuple(max(-x, 0) for x in ell)) for ell in kernel]
+    for _ in range(len(kernel[0]) if kernel else 0):
+        # rotate so that the next variable comes first, and orient the pairs
+        gens = [(a[1:] + a[:1], b[1:] + b[:1]) for a, b in gens]
+        gens = _buchberger([(min(a, b), max(a, b)) for a, b in gens], budget)
+        gens = _reduced([((a[0] - k,) + a[1:], (b[0] - k,) + b[1:])
+                         for a, b in gens for k in [min(a[0], b[0])]], budget)
+    return tuple(sorted(tuple(map(sub, t, a)) for a, t in gens))

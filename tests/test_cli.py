@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -71,6 +72,30 @@ def test_build(tmp_path, capsys):
     assert code == 0
     assert "d1 d3 - d2^2" in out
     assert "a1 d1 + a2 d2 + a3 d3 + 1" in out
+
+
+def test_build_lists_the_toric_ideal(tmp_path, capsys):
+    # the kernel basis of the twisted cubic gives d1 d4^2 - d3^3 and
+    # d2 d4 - d3^2; I_A is generated by three quadrics
+    job = {"schema_version": 1, "dim": 1, "points": [[0], [1], [2], [3]]}
+    code, out, _ = run(capsys, ["build", "--input", write_job(tmp_path, job)])
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "  [0] d2 d4 - d3^2",
+        "  [1] d1 d3 - d2^2",
+        "  [2] d1 d4 - d2 d3",
+    ]
+
+
+def test_build_exits_3_when_saturation_runs_out(tmp_path, capsys):
+    # a set whose saturation exceeds the default step cap fails fast
+    points = [[-2, 3, 2], [-1, -2, 1], [-1, 2, -1], [0, 2, 2], [2, 3, -2], [3, -1, 2]]
+    job = {"schema_version": 1, "dim": 3, "points": points}
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["build", "--input", write_job(tmp_path, job)])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "cap exceeded" in err
 
 
 def test_build_unipotent(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,8 @@ from gkz_forge.weyl import commutator, fourier_box
 
 SEGMENT = [(-1,), (0,), (1,)]
 HESSE = [(0, 0), (1, 0), (0, 1), (-1, -1)]
+TWISTED_CUBIC = [(0,), (1,), (2,), (3,)]
+CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 def test_gkz_segment_operators():
@@ -30,6 +33,19 @@ def test_gkz_hesse_operators():
     assert len(boxes) == 1
     assert boxes[0] == fourier_box((3, -1, -1, -1))
     assert len(spec.operators) == 4  # one box, three Euler rows
+
+
+def test_gkz_twisted_cubic_carries_toric_ideal():
+    # the kernel basis gives d1 d4^2 - d3^3 and d2 d4 - d3^2, which do not
+    # generate I_A; the system has its three quadrics
+    A = lattice.homogenize(TWISTED_CUBIC, 1)
+    spec = tautsys.gkz_system(A, tautsys.cy_beta(1))
+    assert [op.render() for op in spec.operators[:3]] == [
+        "d2 d4 - d3^2",
+        "d1 d3 - d2^2",
+        "d1 d4 - d2 d3",
+    ]
+    assert [op.order() for op in spec.operators[3:]] == [1, 1]
 
 
 def test_gkz_empty_kernel_only_euler():
@@ -111,14 +127,18 @@ class TestUnipotentResiduals:
 
 
 def test_box_euler_commutator_identity():
-    # [E_k, box_ell] = -(A_k . ell+) box_ell, the same multiple from ell-
-    for pts, dim in [(SEGMENT, 1), (HESSE, 2), ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)]:
+    # [E_k, box_ell] = -(A_k . ell+) box_ell, the same multiple from ell-, on
+    # every generator of I_A, also those the kernel basis lacks (the twisted
+    # cubic's d1 d4 - d2 d3, the cross with its origin's d1 d2 - d3 d4)
+    families = [(SEGMENT, 1), (HESSE, 2), (CROSS, 2), (TWISTED_CUBIC, 1), (CROSS + [(0, 0)], 2)]
+    for pts, dim in families:
         A = lattice.homogenize(pts, dim)
         spec = tautsys.gkz_system(A, tautsys.cy_beta(dim))
-        kernel = lattice.integer_kernel(A)
-        boxes = spec.operators[: len(kernel)]
-        eulers = spec.operators[len(kernel) :]
-        for ell, box in zip(kernel, boxes):
+        gens = tautsys.saturate_lattice_ideal(lattice.integer_kernel(A))
+        boxes = tuple(fourier_box(ell) for ell in gens)
+        assert spec.operators[: len(gens)] == boxes
+        eulers = spec.operators[len(gens) :]
+        for ell, box in zip(gens, boxes):
             plus = [max(x, 0) for x in ell]
             minus = [max(-x, 0) for x in ell]
             for row, e_op in zip(A.A, eulers):
@@ -126,6 +146,83 @@ def test_box_euler_commutator_identity():
                 cm = sum(r * x for r, x in zip(row, minus))
                 assert cp == cm  # the multiple is well defined since A.ell = 0
                 assert commutator(e_op, box) == box.scaled(-cp)
+
+
+# -- oracle: the lex engine with an adjoined variable t ------------------------
+#
+# Saturates by each x_i in turn by adjoining t*x_i - 1 and eliminating t with
+# a lexicographic Groebner basis; a generator is (lead, trail) with lead the
+# lex-larger tuple.  Returns the minimal generating set read off that basis.
+
+
+def _lex_saturation(kernel, step_cap=20000):
+    budget = [step_cap]
+
+    def spend():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SaturationBudgetExceeded("oracle cap exceeded")
+
+    def step(m, basis):
+        spend()
+        for c, d in basis:
+            if all(map(le, c, m)):
+                return tuple(x - y + z for x, y, z in zip(m, c, d))
+        return None
+
+    def reduce(a, b, basis):
+        while (m := step(a, basis)) is not None:
+            if m == b:
+                return None
+            a, b = max(m, b), min(m, b)
+        while (m := step(b, basis)) is not None:
+            b = m
+        return a, b
+
+    def buchberger(basis):
+        basis = list(basis)
+        for i, (lf, tf) in enumerate(basis):
+            for lg, tg in basis[:i]:
+                spend()
+                if not any(map(min, lf, lg)):
+                    continue
+                lcm = tuple(map(max, lf, lg))
+                u = tuple(m - x + y for m, x, y in zip(lcm, lf, tf))
+                v = tuple(m - x + y for m, x, y in zip(lcm, lg, tg))
+                if u != v and (s := reduce(max(u, v), min(u, v), basis)):
+                    basis.append(s)
+        return basis
+
+    p = len(kernel[0])
+    gens = []
+    for ell in kernel:
+        plus, minus = tuple(max(x, 0) for x in ell), tuple(max(-x, 0) for x in ell)
+        gens.append((max(plus, minus), min(plus, minus)))
+    for i in range(p):
+        relation = ((1,) + tuple(int(j == i) for j in range(p)), (0,) * (p + 1))
+        lifted = [((0,) + a, (0,) + b) for a, b in gens] + [relation]
+        gens = [(a[1:], b[1:]) for a, b in buchberger(lifted) if a[0] == 0]
+    kept = []
+    for lead, trail in sorted(gens):
+        if not any(all(map(le, c, lead)) for c, _ in kept):
+            kept.append((lead, trail))
+    return tuple(sorted(tuple(a - b for a, b in zip(lead, trail)) for lead, trail in kept))
+
+
+def _reduces_to_zero(v, basis, lead):
+    """Whether x^v+ - x^v- lies in the ideal of the Groebner basis ``basis``
+    (vectors) whose binomials lead with ``lead`` (min or max) of their terms."""
+    pairs = []
+    for w in basis:
+        a, b = tuple(max(x, 0) for x in w), tuple(max(-x, 0) for x in w)
+        pairs.append((a, b) if lead(a, b) == a else (b, a))
+
+    def normal_form(m):
+        while g := next((g for g in pairs if all(map(le, g[0], m))), None):
+            m = tuple(x - c + d for x, c, d in zip(m, *g))
+        return m
+
+    return normal_form(tuple(max(x, 0) for x in v)) == normal_form(tuple(max(-x, 0) for x in v))
 
 
 class TestSaturation:
@@ -159,39 +256,43 @@ class TestSaturation:
         with pytest.raises(SaturationBudgetExceeded):
             tautsys.saturate_lattice_ideal(k, step_cap=3)
 
-    # (points, dim, generators, smallest step cap that passes); one step per
-    # S-pair and per reduction step, so the cap pins the engine's work too
+    # (points, dim, reduced Groebner basis, smallest step cap that passes);
+    # one step per S-pair and per reduction step, so the cap pins the
+    # engine's work too
     PINNED = [
-        (
+        pytest.param(
             [(0,), (1,), (2,), (3,)],
             1,
             ((0, 1, -2, 1), (1, -2, 1, 0), (1, -1, -1, 1)),
-            356,
+            22,
+            id="twisted-cubic",
         ),
-        (
+        pytest.param(
             [(0,), (1,), (2,), (3,), (4,)],
             1,
             (
-                (0, 0, 1, -2, 1), (0, 1, -2, 1, 0), (0, 1, -1, -1, 1),
-                (1, -2, 1, 0, 0), (1, -1, -1, 1, 0), (1, -1, 0, -1, 1),
+                (0, 0, 1, -2, 1), (0, 1, -1, -1, 1), (1, -2, 1, 0, 0),
+                (1, -1, -1, 1, 0), (1, -1, 0, -1, 1), (1, 0, -2, 0, 1),
             ),
-            5935,
+            185,
+            id="rational-normal-quartic",
         ),
-        (
+        pytest.param(
             [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
             2,
             (
-                (0, 0, 3, -2, 1, -2), (0, 1, -1, 1, -1, 0), (0, 1, 2, -1, 0, -2),
-                (0, 2, 1, 0, -1, -2), (1, -1, -1, 0, 0, 1), (1, 0, 1, -1, 0, -1),
-                (1, 1, 0, 0, -1, -1), (2, -1, 0, -1, 0, 0),
+                (1, -1, -1, 0, 0, 1), (1, 0, 1, -1, 0, -1), (1, 1, 0, 0, -1, -1),
+                (2, -1, 0, -1, 0, 0), (2, 0, -1, 0, -1, 0),
             ),
-            2084,
+            242,
+            id="cross-origin-corner",
         ),
-        (
+        pytest.param(
             [(0, 3), (1, -2), (1, 3), (2, -1), (3, 3)],
             2,
-            ((0, 8, -3, -10, 5), (1, -4, 0, 5, -2), (1, 4, -3, -5, 3), (2, 0, -3, 0, 1)),
-            19739,
+            ((1, -4, 0, 5, -2), (2, 0, -3, 0, 1)),
+            63,
+            id="five-points",
         ),
     ]
 
@@ -202,9 +303,13 @@ class TestSaturation:
         with pytest.raises(SaturationBudgetExceeded):
             tautsys.saturate_lattice_ideal(k, step_cap=cap - 1)
 
-    # coordinate boxes per dimension; over every full-rank set of dim + 2 or
-    # dim + 3 points in them, saturating the kernel and then its output
-    # takes at most 5,195 steps, well inside the default cap of 20,000
+    def test_unbalanced_vectors_rejected(self):
+        with pytest.raises(ValueError):
+            tautsys.saturate_lattice_ideal([(1, -2, 2)])
+
+    # coordinate boxes per dimension; on the full-rank sets of dim + 2 or
+    # dim + 3 points in them drawn below, each saturation takes at most 60
+    # steps, well inside the default cap of 20,000
     BOXES = {1: (-2, 2), 2: (-1, 1), 3: (0, 1)}
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -234,4 +339,13 @@ class TestSaturation:
             assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in A.A)
         # together they span the kernel lattice, whose Hermite form is unique
         assert tuple(r for r in intlinalg.hermite_form(gens) if any(r)) == kernel
-        assert tautsys.saturate_lattice_ideal(gens) == gens
+        # the ideal is the lex engine's: each basis reduces the other's
+        # generators to zero (leads: lex-smaller terms here, lex-larger there)
+        oracle = _lex_saturation(kernel)
+        assert all(_reduces_to_zero(v, gens, min) for v in oracle)
+        assert all(_reduces_to_zero(v, oracle, max) for v in gens)
+        # the output depends only on the ideal: not on the order or sign of
+        # the kernel rows, and saturating it returns it
+        negated = [tuple(-x for x in v) for v in kernel]
+        for rows in (negated[::-1], negated[:1] + list(kernel[1:]), gens):
+            assert tautsys.saturate_lattice_ideal(rows) == gens
