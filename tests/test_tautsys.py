@@ -35,19 +35,6 @@ def test_gkz_hesse_operators():
     assert len(spec.operators) == 4  # one box, three Euler rows
 
 
-def test_gkz_twisted_cubic_carries_toric_ideal():
-    # the kernel basis gives d1 d4^2 - d3^3 and d2 d4 - d3^2, which do not
-    # generate I_A; the system has its three quadrics
-    A = lattice.homogenize(TWISTED_CUBIC, 1)
-    spec = tautsys.gkz_system(A, tautsys.cy_beta(1))
-    assert [op.render() for op in spec.operators[:3]] == [
-        "d2 d4 - d3^2",
-        "d1 d3 - d2^2",
-        "d1 d4 - d2 d3",
-    ]
-    assert [op.order() for op in spec.operators[3:]] == [1, 1]
-
-
 def test_gkz_empty_kernel_only_euler():
     A = lattice.homogenize([(0, 0), (1, 0), (0, 1)], 2)
     spec = tautsys.gkz_system(A, (1, 0, 0))
