@@ -6,8 +6,9 @@ matrices, section coefficients, chains) and runs one of the subcommands
 Reports are deterministic: identical job files and options produce
 byte-identical output.  Exit codes: 0 success, 2 job-file problems,
 3 mathematical degeneracy, 4 numerical non-convergence, 5 a ``verify``
-candidate with a nonzero symbolic residual or a ``rank`` whose Ehrhart
-oracle disagrees with the normalized volume.
+candidate with a nonzero symbolic residual or a failed finite-difference
+verdict, or a ``rank`` whose Ehrhart oracle disagrees with the normalized
+volume.
 """
 
 from __future__ import annotations
@@ -341,6 +342,19 @@ def _candidate_series(job, spec):
     return periods.torus_period_series(spec.A, job.i0, job.order)
 
 
+# the FD certificate of ``verify``: step and stencil accuracy
+_FD_STEP = 0.002
+_FD_ACCURACY = 4
+
+
+def _fd_holds(rep, tol):
+    """An operator's FD residual converges at the stencil's order to within
+    tol, or both of its residuals are rounding noise."""
+    if rep.observed_order is not None:
+        return abs(rep.observed_order - _FD_ACCURACY) <= 0.5 and abs(rep.richardson) <= tol
+    return abs(rep.residual) <= rep.floor and abs(rep.residual_refined) <= rep.floor_refined
+
+
 def cmd_verify(job, args):
     spec = job.system()
     if job.candidate is None:
@@ -366,25 +380,29 @@ def cmd_verify(job, args):
             }
         )
     failed = [rep.operator.render() for rep in reports if not rep.clean]
-    verdict = "failed" if failed else "certified"
     machine = {
         "command": "verify",
         "symbolic": machine_ops,
         "all_clean": not failed,
-        "verdict": verdict,
+        "verdict": "failed" if failed else "certified",
     }
+    fd_failed = []
     if job.section is not None:
         fd = periods.finite_difference_residual(
-            spec, cand.evaluate, job.section, h=0.002
+            spec, cand.evaluate, job.section, h=_FD_STEP, accuracy=_FD_ACCURACY
         )
-        text.append("finite-difference residuals (h = 0.002):")
+        text.append(f"finite-difference residuals (h = {_FD_STEP}):")
         fd_ops = []
         for rep in fd.reports:
             order = "n/a" if rep.observed_order is None else f"{rep.observed_order:.2f}"
-            text.append(
+            line = (
                 f"  [{rep.operator.render()}] |res| = {abs(rep.residual):.3e},"
                 f" observed order {order}"
             )
+            if not _fd_holds(rep, job.tol):
+                fd_failed.append(rep.operator.render())
+                line += " FAILED"
+            text.append(line)
             fd_ops.append(
                 {
                     "operator": rep.operator.render(),
@@ -394,10 +412,18 @@ def cmd_verify(job, args):
                 }
             )
         machine["finite_difference"] = fd_ops
+        if fd_failed:
+            machine["verdict"] = "failed"
     _emit(args, text, machine)
     if failed:
         raise CertificateFailed(
             "symbolic residual NONZERO under " + "; ".join(failed)
+        )
+    if fd_failed:
+        raise CertificateFailed(
+            f"finite-difference residual neither converges at order {_FD_ACCURACY}"
+            f" to within tol {job.tol:g} nor stays at rounding level under "
+            + "; ".join(fd_failed)
         )
 
 

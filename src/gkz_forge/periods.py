@@ -50,7 +50,7 @@ from .errors import (
 )
 from . import intlinalg
 from .lattice import ExponentMatrix, LatticeWalk, integer_kernel
-from .series import LogSeries
+from .series import LogSeries, _ratio_jet_family
 
 # a section (or chart denominator) whose modulus falls below this fraction
 # of the sum of its terms' moduli counts as vanishing on a torus or a path
@@ -178,8 +178,11 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
     ``m`` away from i0 is ``(-1)^|m| multinomial(|m|; m)`` on the monomial
     ``prod a_i^{m_i} * a_{i0}^{-|m|-1}``; this equals ``(2 pi i)^{-n}``
     times the period of the holomorphic form over the product torus where
-    ``a_{i0}`` dominates.  ValueError unless ``order`` is a nonnegative int
-    and ``i0`` is None or an int in ``range(A.nsections)``.
+    ``a_{i0}`` dominates.  It is the gamma-ratio series of ``-e_{i0}`` read
+    at eps^0 along ``e_{i0}``: off i0 the slope is zero, so a negative
+    offset there meets 1/Gamma at a nonpositive integer and the term is an
+    exact zero.  ValueError unless ``order`` is a nonnegative int and ``i0``
+    is None or an int in ``range(A.nsections)``.
     """
     if not _is_int(order) or order < 0:
         raise ValueError(f"order must be a nonnegative int, got {order!r}")
@@ -200,21 +203,13 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
     kernel = integer_kernel(A)
     p = A.nsections
     gamma = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(p))
-    terms = {}
+    unit = tuple(int(i == i0) for i in range(p))
+    window = LatticeWalk(kernel, p).window(order)
     zl = (0,) * p
-    for _, v in LatticeWalk(kernel, p).window(order):
-        if any(v[i] < 0 for i in range(p) if i != i0):
-            continue
-        total = -v[i0]
-        if total < 0:
-            continue
-        coeff = Fraction(math.factorial(total))
-        for i in range(p):
-            if i != i0 and v[i]:
-                coeff /= math.factorial(v[i])
-        if total % 2:
-            coeff = -coeff
-        terms[(v, zl)] = coeff
+    terms = {
+        (v, zl): Fraction(nums[0], den)
+        for _, v, (nums, den) in _ratio_jet_family(gamma, unit, window, 0)
+    }
     return LogSeries(gamma=gamma, terms=terms, lattice=kernel, radius=order)
 
 
@@ -627,14 +622,15 @@ def _chain_quadrature(num, den, chain: ChainSpec, quad):
 # -- residues ---------------------------------------------------------------------
 
 
+def _sorted_roots(den):
+    # a normalized denominator starts at x^0
+    roots = np.roots(_coefficients(den)[0])
+    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+
+
 def denominator_roots(s: SectionData):
     """Roots of the chart denominator polynomial, sorted deterministically."""
-    _, den = _chart_pair(s)
-    num, den = _normalize_pair({0: 1.0 + 0j}, den)
-    deg = max(den)
-    coeffs = [den.get(e, 0j) for e in range(deg, -1, -1)]
-    roots = np.roots(coeffs)
-    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+    return _sorted_roots(_normalize_pair(*_chart_pair(s))[1])
 
 
 def residue_period(s: SectionData, root_index: int) -> complex:
@@ -645,7 +641,7 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     unless ``root_index`` is an int in ``range(len(denominator_roots(s)))``.
     """
     num, den = _normalize_pair(*_chart_pair(s))
-    roots = denominator_roots(s)
+    roots = _sorted_roots(den)
     if not roots:
         raise DegeneracyError("the chart denominator has no roots")
     if not (_is_int(root_index) and 0 <= root_index < len(roots)):
@@ -727,11 +723,15 @@ def _central_stencil(derivative, accuracy):
 
 @dataclass(frozen=True)
 class OperatorFD:
+    """One operator's residuals at h and h/2, with their rounding floors."""
+
     operator: object
     residual: complex
     residual_refined: complex
     observed_order: object  # float or None when below the noise floor
     richardson: complex
+    floor: float
+    floor_refined: float
 
 
 @dataclass(frozen=True)
@@ -787,7 +787,8 @@ def finite_difference_residual(
     eps * max|sample| over the samples the operator read at that step, times
     the sum over the operator's terms of |coefficient * monomial| * (sum of
     |stencil weight products|) / step^|w|, the size of the last-bit errors of
-    the samples after the stencils have amplified them.
+    the samples after the stencils have amplified them.  Each report keeps
+    both floors (``floor``, ``floor_refined``).
     """
     if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
@@ -843,13 +844,5 @@ def finite_difference_residual(
             order = None
         # the leading error term is O(h^accuracy), so halving h divides it by 2^accuracy
         rich = (2**accuracy * r2 - r1) / (2**accuracy - 1)
-        reports.append(
-            OperatorFD(
-                operator=op,
-                residual=r1,
-                residual_refined=r2,
-                observed_order=order,
-                richardson=rich,
-            )
-        )
+        reports.append(OperatorFD(op, r1, r2, order, rich, floor1, floor2))
     return FDReport(reports=tuple(reports), h=float(h))

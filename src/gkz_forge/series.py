@@ -13,7 +13,8 @@ are decided exactly.
   order ``vol - 1``, the coefficients of ``eps^0 .. eps^(vol-1)`` as Python
   ints over one positive denominator, and extracts the logarithmic
   solutions as their eps-power coefficients, each made a ``Fraction`` once.
-  This is the only place jets occur.  Each coordinate keeps one prefix
+  Jets occur only here and in ``periods.torus_period_series``, which reads
+  the same tables at jet order 0.  Each coordinate keeps one prefix
   table of ratios over the window's shifts, built one integer linear factor
   at a time, so a coefficient is a product of table entries.  One search
   over (base exponent, kernel basis vector) pairs serves every kernel rank;

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import gkz_forge
-from gkz_forge import cli
+from gkz_forge import cli, lattice, periods, tautsys
 
 
 P1_JOB = {
@@ -230,6 +233,131 @@ def test_exit_code_5_on_failed_certificate(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "certified"
 
 
+def test_verify_exits_5_when_the_fd_residual_does_not_converge(tmp_path, capsys):
+    # z = a1 a3 / a2^2 = 0.36 lies outside the period series' disc |z| < 1/4:
+    # the truncated series is symbolically clean but no solution there
+    job = dict(P1_JOB)
+    job["section"] = {"a": [0.6, 1, 0.6], "i0": 1}
+    job["candidate"] = {"type": "period-series"}
+    job["options"] = {"order": 16}
+    path = write_job(tmp_path, job)
+    code, out, err = run(capsys, ["verify", "--input", path, "--report", "machine"])
+    assert code == 5
+    data = json.loads(out)
+    assert data["all_clean"] is True and data["verdict"] == "failed"
+    assert "finite-difference" in err and "d1 d3 - d2^2" in err
+    code, out, _ = run(capsys, ["verify", "--input", path])
+    assert code == 5
+    assert "[d1 d3 - d2^2] |res| = 5.367e+04, observed order -0.00 FAILED" in out
+
+
+def test_fd_verdict_rule():
+    op = object()
+    ok = dict(observed_order=4.3, richardson=1e-11, residual=1e-6, residual_refined=6e-8,
+              floor=1e-12, floor_refined=1e-11)
+    assert cli._fd_holds(periods.OperatorFD(op, **ok), 1e-10)
+    for patch in ({"observed_order": 3.4}, {"observed_order": 4.6}, {"richardson": 2e-10}):
+        assert not cli._fd_holds(periods.OperatorFD(op, **dict(ok, **patch)), 1e-10)
+    noise = dict(ok, observed_order=None, residual=2e-12, residual_refined=5e-12,
+                 floor=3e-12, floor_refined=5e-12)
+    assert cli._fd_holds(periods.OperatorFD(op, **noise), 1e-10)
+    # one residual above its floor still has no order, and certifies nothing
+    for patch in ({"residual": 4e-12}, {"residual_refined": 6e-12}):
+        assert not cli._fd_holds(periods.OperatorFD(op, **dict(noise, **patch)), 1e-10)
+
+
+def test_build_appends_symmetry_operators(tmp_path, capsys):
+    xi = [[0, 1, 0], [0, 0, "1/2"], [0, 0, 0]]
+    job = dict(P1_JOB, symmetry=[{"xi": xi, "beta": "1/3"}])
+    expected = tautsys.symmetry_operator(
+        tuple(tuple(Fraction(x) for x in row) for row in xi), Fraction(1, 3)
+    ).render()
+    path = write_job(tmp_path, job)
+    code, out, _ = run(capsys, ["build", "--input", path, "--report", "machine"])
+    assert code == 0
+    operators = json.loads(out)["operators"]
+    gkz = tautsys.gkz_system(lattice.homogenize(P1_JOB["points"], 1), (1, 0)).operators
+    assert operators[:-1] == [op.render() for op in gkz]
+    assert operators[-1] == expected
+    code, out, _ = run(capsys, ["build", "--input", path])
+    assert code == 0 and out.splitlines()[-1] == f"  [{len(gkz)}] {expected}"
+
+
+def test_chain_with_numerator_is_the_general_type_integral(tmp_path, capsys):
+    job = {
+        "schema_version": 1,
+        "dim": 1,
+        "points": [[-1], [0], [1], [2]],
+        "section": {"a": [1.0, 3.0, 2.0, 0.5]},
+        "numerator": {"exponents": [[0], [1]], "b": [0.7, [-0.2, 0.4]]},
+        "chains": CHAIN_JOB["chains"],
+        "options": {"tol": 1e-11},
+    }
+    code, out, _ = run(
+        capsys, ["chain", "--input", write_job(tmp_path, job), "--report", "machine"]
+    )
+    assert code == 0
+    (got,) = json.loads(out)["chains"]
+    section = periods.SectionData(
+        A=lattice.homogenize(job["points"], 1),
+        coeffs=(1.0, 3.0, 2.0, 0.5),
+        numerator_exponents=((0,), (1,)),
+        numerator_coeffs=(0.7, complex(-0.2, 0.4)),
+    )
+    chain = cli.Job(job).chains[0]
+    want = periods.general_type_integral(section, chain, periods.QuadratureSettings(tol=1e-11))
+    assert complex(*got["value"]) == want.value
+    assert (got["error"], got["evaluations"]) == (want.error, want.evaluations)
+    plain = periods.numeric_chain_integral(section, chain, periods.QuadratureSettings(tol=1e-11))
+    assert want.value != plain.value
+
+
+# drive ``python -m gkz_forge.cli`` once per argument list in one interpreter,
+# so that both hash seeds cost one start-up each
+_CLI_DRIVER = """
+import contextlib, io, json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    sys.argv = ["gkz_forge.cli"] + argv
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("gkz_forge.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_build_and_rank_do_not_depend_on_the_hash_seed(tmp_path):
+    rng = random.Random(20)
+    argvs = []
+    for k, dim in enumerate((1, 2, 3)):
+        points = set()
+        while len(points) < dim + 3:
+            points.add(tuple(rng.randint(-1, 2) for _ in range(dim)))
+        job = {"schema_version": 1, "dim": dim, "points": [list(p) for p in sorted(points)]}
+        path = write_job(tmp_path, job, f"random_{k}.json")
+        argvs += [[command, "--input", path, "--report", "machine"] for command in ("build", "rank")]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CLI_DRIVER, json.dumps(argvs)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    outs = [proc.communicate(timeout=60)[0] for proc in procs]
+    assert time.perf_counter() - start < 2
+    assert all(proc.returncode == 0 for proc in procs)
+    runs = [[json.loads(line) for line in out.splitlines()] for out in outs]
+    assert len(runs[0]) == len(argvs)
+    assert all(code == 0 for code, _ in runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_period_and_chain(tmp_path, capsys):
     code, out, _ = run(capsys, ["period", "--input", write_job(tmp_path, P1_JOB)])
     assert code == 0 and "cycle integral" in out
@@ -413,13 +541,30 @@ MALFORMED = {
     "true as a point entry": ("build", {"points": [[-1], [True], [1]]}),
     "true as the order": ("series", {"options": {"order": True}}),
     "rays key": ("build", {"rays": [[1], [-1]]}),
+    # the symmetry and numerator keys, with the message each must print
+    "symmetry matrix 2x2": (
+        "build", {"symmetry": [{"xi": [[1, 0], [0, 1]]}]}, "symmetry matrix 0 must be 3x3",
+    ),
+    "symmetry without xi": (
+        "build", {"symmetry": [{"beta": 1}]}, "each symmetry entry needs a matrix under 'xi'",
+    ),
+    "numerator without b": (
+        "chain", {"numerator": {"exponents": [[0]]}}, "numerator needs 'exponents' and 'b'",
+    ),
+    "numerator lengths differ": (
+        "chain",
+        {"numerator": {"exponents": [[0], [1]], "b": [1.0]}},
+        "numerator exponents and coefficients differ in length",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_job_exits_2(tmp_path, capsys, case):
-    command, patch = MALFORMED[case]
+    command, patch, *message = MALFORMED[case]
     job = dict(P1_JOB, **patch)
     code, out, err = run(capsys, [command, "--input", write_job(tmp_path, job)])
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    if message:
+        assert err == f"error: {message[0]}\n"

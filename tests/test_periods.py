@@ -77,6 +77,52 @@ def brute_constant_term(coeffs, order):
     return acc.get(0, 0.0)
 
 
+def multinomial_period_series(A, i0, order):
+    """Reference: the constant-term series by its own multinomial formula,
+    the coefficient (-1)^|m| |m|! / prod m_i! on the offset with
+    multiplicities m away from i0."""
+    kernel = lattice.integer_kernel(A)
+    p = A.nsections
+    gamma = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(p))
+    terms = {}
+    zl = (0,) * p
+    for _, v in lattice.LatticeWalk(kernel, p).window(order):
+        if any(v[i] < 0 for i in range(p) if i != i0):
+            continue
+        total = -v[i0]
+        if total < 0:
+            continue
+        coeff = Fraction(math.factorial(total))
+        for i in range(p):
+            if i != i0 and v[i]:
+                coeff /= math.factorial(v[i])
+        if total % 2:
+            coeff = -coeff
+        terms[(v, zl)] = coeff
+    return series.LogSeries(gamma=gamma, terms=terms, lattice=kernel, radius=order)
+
+
+def random_sets_with_origin(seed, count):
+    """Seeded point sets of dimension 1-3 with 0 among d+2 .. d+4 points;
+    every other set lies in the nonnegative orthant, so 0 is a vertex."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        dim = rng.randint(1, 3)
+        low = 0 if len(found) % 2 else -2
+        points = {(0,) * dim}
+        size = min(rng.randint(dim + 2, dim + 4), (3 - low) ** dim)
+        while len(points) < size:
+            points.add(tuple(rng.randint(low, 2) for _ in range(dim)))
+        points = sorted(points, key=lambda _: rng.random())
+        try:
+            A = lattice.homogenize(points, dim)
+        except DegeneracyError:
+            continue
+        found.append((A, low == 0))
+    return found
+
+
 class TestTorusPeriodSeries:
     def test_p1_coefficients(self):
         s = torus_period_series(A_SEG, order=8)
@@ -114,6 +160,21 @@ class TestTorusPeriodSeries:
             torus_period_series(A)
         with pytest.raises(NoInteriorMonomial):
             torus_period_series(A_SEG, i0=0)
+
+    def test_matches_multinomial_formula(self):
+        # the gamma-ratio tables at eps^0 give the multinomial series term
+        # for term, in dict order and as Fractions, with the origin interior
+        # or a vertex
+        cases = random_sets_with_origin(17, 210)
+        assert sum(vertex for _, vertex in cases) >= 100
+        for k, (A, _) in enumerate(cases):
+            order = k % 7
+            i0 = A.points.index((0,) * A.dim)
+            got = torus_period_series(A, order=order)
+            want = multinomial_period_series(A, i0, order)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert all(type(c) is Fraction for c in got.terms.values())
 
     @pytest.mark.parametrize(
         "kwargs",
