@@ -2,44 +2,19 @@
 
 Everything here works on plain Python ints / Fractions, organized as tuples
 of row tuples.  Matrices are tiny (dimensions a handful, at most a couple of
-dozen columns), so the classical algorithms are used directly: Bareiss for
-determinants, row Hermite normal form with a unimodular transform for
-kernels and for the one integer solver (back substitution on that form),
-and Gauss-Jordan elimination for ranks and for the one rational solver.
-That solver also gives the Ehrhart polynomial coefficients of the volume
-oracle and the exact finite-difference stencil weights, both from small
-Vandermonde systems.
+dozen columns), so the classical algorithms are used directly.  The row
+Hermite normal form is the one integer elimination: with its unimodular
+transform it gives saturated kernels, and its callers read determinants
+(the product of its pivots) and integer coordinates (back substitution down
+its staircase) from it.  Gauss-Jordan elimination gives ranks and the one
+rational solver.  That solver also gives the Ehrhart polynomial
+coefficients of the volume oracle and the exact finite-difference stencil
+weights, both from small Vandermonde systems.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def det(rows):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _gauss_jordan(a, ncols):
@@ -169,41 +144,4 @@ def solve_rational(rows, rhs):
     for i, col in enumerate(pivots):
         x[col] = Fraction(a[i][n])
     return tuple(x)
-
-
-def integer_solver(rows):
-    """Integer solver of ``rows @ x = rhs`` for many right-hand sides.
-
-    Factors the transpose once, ``U A^T = H`` (row Hermite form with its
-    unimodular transform), so each call only back-substitutes: it solves
-    ``y H = rhs`` down the staircase of ``H`` and returns ``x = y U``, or
-    None when ``rhs`` has no integer solution.  The entries of ``y`` at the
-    zero rows of ``H`` are pinned to zero.
-    """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return lambda rhs: ()
-    h, u = hermite_form(list(zip(*rows)), transform=True)
-    steps = [
-        (u[i], next(j for j, x in enumerate(hrow) if x), hrow)
-        for i, hrow in enumerate(h)
-        if any(hrow)
-    ]
-    nunknowns = len(h)
-
-    def solve(rhs):
-        rem = list(rhs)
-        x = [0] * nunknowns
-        for urow, col, hrow in steps:
-            q, r = divmod(rem[col], hrow[col])
-            if r:
-                return None
-            if q:
-                rem = [a - q * b for a, b in zip(rem, hrow)]
-                x = [a + q * b for a, b in zip(x, urow)]
-        if any(rem):
-            return None
-        return tuple(x)
-
-    return solve
 

@@ -63,16 +63,19 @@ class ExponentMatrix:
 class LatticeWalk:
     """Integer combinations ``sum_k c_k basis_k`` of independent rows in Z^nvars.
 
-    ``window`` walks the coordinate box and ``coords`` inverts it.  The
-    Hermite form that ``coords`` back-substitutes on is computed once, when
-    the walk is made.  An empty basis spans only the zero offset.
+    ``window`` walks the coordinate box and ``coords`` inverts it by back
+    substitution down the basis itself, which must be in echelon form: the
+    pivots (first nonzero entries) of its rows lie in strictly increasing
+    columns, as in the Hermite form ``integer_kernel`` returns.  Raises
+    ValueError on any other basis.  An empty basis spans only the zero
+    offset.
     """
 
     def __init__(self, basis, nvars):
         self.basis = tuple(tuple(b) for b in basis)
-        self._solve = intlinalg.integer_solver(
-            [tuple(b[j] for b in self.basis) for j in range(nvars)]
-        )
+        self._pivots = [next((j for j, x in enumerate(b) if x), None) for b in self.basis]
+        if None in self._pivots or self._pivots != sorted(set(self._pivots)):
+            raise ValueError(f"lattice basis {self.basis} is not in echelon form")
         self.nvars = nvars
 
     def window(self, radius):
@@ -96,7 +99,16 @@ class LatticeWalk:
 
     def coords(self, v):
         """Coordinates of the offset ``v``, or None when ``v`` is off the lattice."""
-        return self._solve(v)
+        rem = list(v)
+        out = []
+        for b, j in zip(self.basis, self._pivots):
+            c, r = divmod(rem[j], b[j])
+            if r:
+                return None
+            out.append(c)
+            if c:
+                rem = [x - c * y for x, y in zip(rem, b)]
+        return None if any(rem) else tuple(out)
 
 
 def homogenize(points, dim):
@@ -182,21 +194,14 @@ def _affine_rank(pts):
     return intlinalg.rank(diffs)
 
 
-def _cofactor_normal(diffs, d):
-    """Generalized cross product of d-1 integer vectors in Z^d."""
-    normal = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in diffs]
-        normal.append((-1) ** j * intlinalg.det(minor))
-    return tuple(normal)
-
-
 def _facet_hyperplanes(pts):
     """All facet inequalities c.x <= c0 of conv(pts), with incident points.
 
     Brute-force gift wrapping: every d-subset spanning a hyperplane is
-    tested for having all points on one side.  Returns a list of
-    ``(normal, offset, indices)`` with primitive integer normals.
+    tested for having all points on one side.  The normal of a subset is
+    the one vector of the saturated kernel of its edge vectors, so it is a
+    primitive integer vector.  Returns a list of ``(normal, offset,
+    indices)``.
     """
     d = len(pts[0])
     facets = {}
@@ -209,11 +214,10 @@ def _facet_hyperplanes(pts):
         for subset in combinations(range(len(pts)), d):
             base = pts[subset[0]]
             diffs = [tuple(x - y for x, y in zip(pts[i], base)) for i in subset[1:]]
-            normal = _cofactor_normal(diffs, d)
-            if all(x == 0 for x in normal):
+            kernel = intlinalg.kernel_basis(diffs)
+            if len(kernel) != 1:
                 continue
-            g = math.gcd(*(abs(x) for x in normal))
-            normal = tuple(x // g for x in normal)
+            (normal,) = kernel
             offset = sum(c * x for c, x in zip(normal, base))
             sides = [sum(c * x for c, x in zip(normal, p)) - offset for p in pts]
             if all(s <= 0 for s in sides):
@@ -260,16 +264,17 @@ def normalized_volume(points) -> int:
     """n! times the Euclidean volume of the convex hull of ``points``.
 
     Computed by exact gift wrapping plus a star triangulation; each simplex
-    contributes the absolute determinant of its edge matrix, so the result
-    is an exact integer.  Raises LowerDimensionalPolytope when the hull is
-    not full-dimensional.
+    contributes the absolute determinant of its edge matrix, the product of
+    the pivots of its Hermite form, so the result is an exact integer.
+    Raises LowerDimensionalPolytope when the hull is not full-dimensional.
     """
     pts = _polytope_points(points)
     total = 0
     for simplex in _triangulate(pts):
         base = pts[simplex[0]]
         edges = [tuple(x - y for x, y in zip(pts[i], base)) for i in simplex[1:]]
-        total += abs(intlinalg.det(edges))
+        h = intlinalg.hermite_form(edges)
+        total += math.prod(h[k][k] for k in range(len(h)))
     return total
 
 

@@ -297,13 +297,14 @@ def _coefficients(poly):
     return [poly.get(e, 0j) for e in range(max(poly), low - 1, -1)], low
 
 
-def _chart_pair(s: SectionData, general_type=False):
+def _chart_pair(s: SectionData, exponents=((0,),), coeffs=(1,)):
     """Numerator and denominator Laurent data of the chart integrand.
 
     On the 1-torus chart the holomorphic form is dx/x and the section has a
     pole order ``sigma = -min(mu)``; clearing it gives the polynomial
-    denominator ``x^sigma f`` and the monomial numerator ``x^(sigma-1)``
-    (times the numerator section for general type data).
+    denominator ``x^sigma f`` and the numerator ``x^(sigma-1) g``, ``g`` the
+    numerator section with the given exponents and coefficients.  The
+    default ``g = 1`` is the Calabi-Yau integrand.
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
@@ -316,14 +317,11 @@ def _chart_pair(s: SectionData, general_type=False):
     den = {e: c for e, c in den.items() if c != 0}
     if not den:
         raise DegeneracyError("section is identically zero")
-    if general_type:
-        num = {}
-        for nu, b in zip(s.numerator_exponents, s.numerator_coeffs):
-            e = nu[0] + sigma - 1
-            num[e] = num.get(e, 0) + complex(b)
-        num = {e: c for e, c in num.items() if c != 0}
-    else:
-        num = {sigma - 1: 1.0 + 0j}
+    num = {}
+    for nu, b in zip(exponents, coeffs):
+        e = nu[0] + sigma - 1
+        num[e] = num.get(e, 0) + complex(b)
+    num = {e: c for e, c in num.items() if c != 0}
     return num, den
 
 
@@ -337,8 +335,6 @@ def _invert_pair(num, den):
 def _normalize_pair(num, den):
     """Shift numerator and denominator so the denominator is a polynomial
     with nonzero constant term; the quotient is unchanged."""
-    if not num:
-        return {}, {0: 1.0 + 0j}
     k = -min(den)
     return {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
 
@@ -601,9 +597,7 @@ def general_type_integral(
     """Chain integral of ``g_b * Omega / f_a`` for general-type numerator data."""
     if not s.numerator_exponents:
         raise DegeneracyError("general_type_integral requires numerator data")
-    if all(b == 0 for b in s.numerator_coeffs):
-        return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    num, den = _chart_pair(s, general_type=True)
+    num, den = _chart_pair(s, s.numerator_exponents, s.numerator_coeffs)
     if not num:
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
     return _chain_quadrature(num, den, chain, quad)

@@ -35,9 +35,10 @@ are decided exactly.
   divided once.  Codes or factors that could leave int64 are Python ints
   on the same path.
 * ``count_independent`` certifies independence by a rank mod the prime
-  2^31 - 1 of the integer forms, eliminated on int64 rows; a modular rank
-  below the row count, or a denominator divisible by the prime, falls back
-  to exact rational elimination.
+  2^31 - 1 of the integer forms, eliminated on int64 rows; clearing
+  denominators scales each row by a nonzero integer, so a full modular rank
+  is the rank over Q whatever the denominators.  A modular rank below the
+  row count falls back to exact rational elimination.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def _ratio_table(base, slope, lo, hi, order):
     vanishes moves one power of eps into the valuation.  A factor ``g+x``
     with zero slope that vanishes in the denominator is a pole no
     deformation resolves: the shifts from there up are missing, so lookups
-    return ``None``.
+    return ``None``.  One that vanishes in the numerator makes the ratio
+    zero at every shift from there down: the table stops at the first zero
+    unit, and lookups below its lowest key read that entry.
     """
     q = math.lcm(base.denominator, slope.denominator)
     n0, m = int(q * base), int(q * slope)
@@ -124,6 +127,8 @@ def _ratio_table(base, slope, lo, hi, order):
         else:
             nums = [n * c + m * p for c, p in zip(nums, (0,) + nums[:-1])]
         val, (nums, den) = store(x, val, nums, den * q)
+        if not any(nums):
+            break
     return table
 
 
@@ -288,12 +293,13 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
         _ratio_table(Fraction(g), Fraction(s), min(xs), max(xs), jet_order)
         for g, s, xs in zip(gamma0, slope, zip(*(v for _, v in window)))
     ]
+    floors = [min(table) for table in tables]
     one = ((1,) + (0,) * jet_order, 1)
     family = []
     for coords, v in window:
         val, unit = 0, one
-        for table, x in zip(tables, v):
-            entry = table.get(x)
+        for table, floor, x in zip(tables, floors, v):
+            entry = table.get(max(x, floor))
             if entry is None:
                 return None
             if x:

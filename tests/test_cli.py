@@ -558,6 +558,7 @@ def test_cli_overrides_are_checked_like_options(tmp_path, capsys, command, flags
 _SEGMENT = {
     "start": [[1.0, 0.0]], "end": [[1.0, 0.0]], "start_flags": [-1], "end_flags": [0],
 }
+DROP = object()  # a patch value that removes its key from the job
 MALFORMED = {
     "radius is not a number": ("period", {"section": dict(P1_JOB["section"], radii=["a"])}),
     "radius is negative": ("period", {"section": dict(P1_JOB["section"], radii=[-1.0])}),
@@ -588,15 +589,70 @@ MALFORMED = {
         {"numerator": {"exponents": [[0], [1]], "b": [1.0]}},
         "numerator exponents and coefficients differ in length",
     ),
+    # every other check of the job file, with its message
+    "beta entry x": (
+        "build", {"beta": ["x", "0"]},
+        "beta entry must be an integer or a rational string like '3/4', got 'x'",
+    ),
+    "section coefficient x": (
+        "period", {"section": {"a": ["x", 1.0, 0.01]}},
+        "section coefficient must be a number or a [re, im] pair, got 'x'",
+    ),
+    "unknown system": ("build", {"system": "tautological"}, "system must be 'gkz' or 'p1-unipotent'"),
+    "no points": ("build", {"points": DROP}, "gkz jobs need 'dim' and 'points'"),
+    "dim is a string": ("build", {"dim": "1"}, "dim must be an integer"),
+    "section without a": ("period", {"section": {"i0": 1}}, "section needs coefficient list 'a'"),
+    "two section coefficients": (
+        "period", {"section": {"a": [1.0, 1.0]}}, "section coefficient count must match the points",
+    ),
+    "section i0 3": ("period", {"section": dict(P1_JOB["section"], i0=3)}, "section i0 out of range"),
+    "segment point of dimension 2": (
+        "chain",
+        {"chains": [{"segments": [dict(_SEGMENT, end=[[1.0, 0.0], [1.0, 0.0]])]}]},
+        "chain 0 segment points must have dimension 1",
+    ),
+    "candidate without type": ("verify", {"candidate": {}}, "candidate needs a 'type'"),
+    "candidate type cycle": (
+        "verify", {"candidate": {"type": "cycle"}},
+        "candidate type must be monomial, constant or period-series",
+    ),
+    "options is a list": ("period", {"options": []}, "options must be an object"),
+    "points empty": (
+        "build", {"points": []}, "points must be a nonempty list of integer vectors",
+    ),
+    "no section": ("period", {"section": DROP}, "this command needs a 'section' block"),
+    "candidate exponents of length 2": (
+        "verify", {"candidate": {"type": "monomial", "exponents": ["-1", "0"]}},
+        "candidate exponents must list 3 rationals",
+    ),
+    "no candidate": ("verify", {}, "verify needs a 'candidate' block"),
+    "no chains": ("chain", {}, "chain command needs at least one chain"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_job_exits_2(tmp_path, capsys, case):
     command, patch, *message = MALFORMED[case]
-    job = dict(P1_JOB, **patch)
+    job = {key: value for key, value in dict(P1_JOB, **patch).items() if value is not DROP}
     code, out, err = run(capsys, [command, "--input", write_job(tmp_path, job)])
     assert code == 2
     assert out == "" and err.startswith("error: ")
     if message:
         assert err == f"error: {message[0]}\n"
+
+
+def test_list_valued_job_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["build", "--input", write_job(tmp_path, [P1_JOB])])
+    assert (code, out, err) == (2, "", "error: job file must contain a JSON object\n")
+
+
+def test_missing_job_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["build", "--input", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot read job file: ")
+
+
+def test_series_of_the_unipotent_system_exits_3(tmp_path, capsys):
+    code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, UNIPOTENT_JOB)])
+    assert (code, out) == (3, "")
+    assert err == "error: series bases are defined for gkz systems only\n"

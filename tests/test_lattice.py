@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -125,15 +126,12 @@ class TestLatticeWalk:
         basis = intlinalg.kernel_basis(rows)
         p = len(rows[0])
         walk = lattice.LatticeWalk(basis, p)
-        columns = [tuple(b[j] for b in basis) for j in range(p)]
         window = walk.window(1)
         assert [c for c, _ in window] == sorted(c for c, _ in window)
         assert len(window) == 3 ** len(basis)
         for coords, v in window:
             assert v == tuple(sum(c * b[j] for c, b in zip(coords, basis)) for j in range(p))
             assert walk.coords(v) == coords
-            if basis:
-                assert intlinalg.integer_solver(columns)(v) == coords
         # the kernel is saturated: off the kernel means off the lattice
         e = data.draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
         if any(sum(r[j] * e[j] for j in range(p)) for r in rows):
@@ -144,6 +142,13 @@ class TestLatticeWalk:
             doubled = lattice.LatticeWalk([[2 * x for x in b] for b in basis], p)
             assert doubled.coords(basis[0]) is None
             assert doubled.coords([2 * x for x in basis[0]]) == (1,) + (0,) * (len(basis) - 1)
+
+    def test_basis_off_echelon_form_rejected(self):
+        # both pivots in column 0: back substitution would read the wrong entries
+        with pytest.raises(ValueError, match="not in echelon form"):
+            lattice.LatticeWalk([(1, 1, -2), (1, 0, -1)], 3)
+        with pytest.raises(ValueError, match="not in echelon form"):
+            lattice.LatticeWalk([(0, 1, -1), (0, 0, 0)], 3)
 
     def test_empty_basis_spans_the_zero_offset(self):
         walk = lattice.LatticeWalk((), 3)
@@ -292,3 +297,88 @@ class TestVolumes:
                 for x, y in pts
             ]
             assert lattice.normalized_volume(moved) == base
+
+
+# The facet normals and simplex determinants of an earlier design, kept as
+# an oracle: Bareiss determinants and the cofactor (generalized cross
+# product) normal of d-1 edge vectors, divided by its content.
+
+
+def bareiss_det(rows):
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def cofactor_normal(diffs, d):
+    return tuple(
+        (-1) ** j * bareiss_det([[row[k] for k in range(d) if k != j] for row in diffs])
+        for j in range(d)
+    )
+
+
+def cofactor_facets(pts):
+    """Facets of conv(pts) as ``lattice._facet_hyperplanes`` lists them,
+    each normal the primitive cofactor normal of a d-subset (in dimension 1
+    the empty determinant 1 gives the normals of both endpoints)."""
+    d = len(pts[0])
+    facets = set()
+    for subset in itertools.combinations(range(len(pts)), d):
+        base = pts[subset[0]]
+        diffs = [tuple(x - y for x, y in zip(pts[i], base)) for i in subset[1:]]
+        normal = cofactor_normal(diffs, d)
+        if not any(normal):
+            continue
+        g = math.gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        offset = sum(map(mul, normal, base))
+        sides = [sum(map(mul, normal, p)) - offset for p in pts]
+        if all(s <= 0 for s in sides):
+            facets.add((normal, offset))
+        elif all(s >= 0 for s in sides):
+            facets.add((tuple(-c for c in normal), -offset))
+    return sorted(
+        (c, c0, tuple(i for i, p in enumerate(pts) if sum(map(mul, c, p)) == c0))
+        for c, c0 in facets
+    )
+
+
+class TestCofactorOracle:
+    def test_facets_and_volumes_match_the_cofactor_oracle(self, monkeypatch):
+        rng = random.Random(5)
+        trials = 0
+        while trials < 400:
+            d = rng.randint(1, 4)
+            pts = sorted({
+                tuple(rng.randint(-2, 3) for _ in range(d))
+                for _ in range(rng.randint(d + 1, d + 5))
+            })
+            if len(pts) < d + 1 or lattice._affine_rank(pts) < d:
+                continue
+            trials += 1
+            assert lattice._facet_hyperplanes(pts) == cofactor_facets(pts), pts
+            volume = lattice.normalized_volume(pts)
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "_facet_hyperplanes", cofactor_facets)
+                simplices = lattice._triangulate(pts)
+            oracle = sum(
+                abs(bareiss_det([[x - y for x, y in zip(pts[i], pts[s[0]])] for i in s[1:]]))
+                for s in simplices
+            )
+            assert volume == oracle, pts

@@ -426,7 +426,7 @@ def stacked_integrand_case(name):
         numerator_exponents=((1,), (2,)),
         numerator_coeffs=(1.0, 0.5 - 0.25j),
     )
-    return periods._chart_pair(sec, general_type=True), halfline_chain()
+    return periods._chart_pair(sec, sec.numerator_exponents, sec.numerator_coeffs), halfline_chain()
 
 
 @pytest.mark.parametrize(
@@ -639,6 +639,11 @@ class TestGeneralType:
     def test_zero_numerator(self):
         res = general_type_integral(self.section((0, 0)), self.chain, TIGHT)
         assert res.value == 0
+
+    def test_missing_numerator_data_rejected(self):
+        sec = SectionData(A=self.A, coeffs=self.coeffs)
+        with pytest.raises(DegeneracyError, match="requires numerator data"):
+            general_type_integral(sec, self.chain, TIGHT)
 
     def test_matches_scipy_oracle(self):
         from scipy.integrate import quad
