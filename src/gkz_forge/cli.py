@@ -156,7 +156,7 @@ class Job:
                     _fail(f"radii must list {self.dim} positive numbers, got {radii!r}")
                 self.radii = tuple(float(r) for r in radii)
 
-        self.numerator = None
+        self.numerator = ((), ())  # exponents and coefficients; empty for g = 1
         if "numerator" in raw:
             numr = raw["numerator"]
             if not isinstance(numr, dict) or "exponents" not in numr or "b" not in numr:
@@ -246,14 +246,7 @@ class Job:
         if self.section is None:
             _fail("this command needs a 'section' block")
         A = lattice.homogenize(self.points, self.dim)
-        if self.numerator:
-            return periods.SectionData(
-                A=A,
-                coeffs=self.section,
-                numerator_exponents=self.numerator[0],
-                numerator_coeffs=self.numerator[1],
-            )
-        return periods.SectionData(A=A, coeffs=self.section)
+        return periods.SectionData(A, self.section, *self.numerator)
 
 
 # -- report helpers -----------------------------------------------------------
@@ -342,24 +335,8 @@ def _candidate_series(job, spec):
     return periods.torus_period_series(spec.A, job.i0, job.order)
 
 
-# the FD certificate of ``verify``: step and stencil accuracy
+# the step of the FD certificate of ``verify``
 _FD_STEP = 0.002
-_FD_ACCURACY = 4
-
-
-def _fd_holds(rep, tol):
-    """An operator's FD residual shrinks like h^accuracy when h is halved,
-    each residual allowed its rounding floor either way, and its Richardson
-    value is at most tol times the size of its stencil sums at h/2."""
-    r1, f1 = abs(rep.residual), rep.floor
-    r2, f2 = abs(rep.residual_refined), rep.floor_refined
-    # the observed order lies within 0.5 of the accuracy for some residuals
-    # within their floors: at the floors the order is noise, and a residual
-    # that reaches its floor at h/2 may be up to 2^accuracy times it at h
-    lo, hi = 2 ** (_FD_ACCURACY - 0.5), 2 ** (_FD_ACCURACY + 0.5)
-    converges = lo * (r2 - f2) <= r1 + f1 and r1 - f1 <= hi * (r2 + f2)
-    # a floor is eps times the size of the stencil sums at its step
-    return converges and abs(rep.richardson) <= tol * f2 / sys.float_info.epsilon
 
 
 def cmd_verify(job, args):
@@ -395,9 +372,7 @@ def cmd_verify(job, args):
     }
     fd_failed = []
     if job.section is not None:
-        fd = periods.finite_difference_residual(
-            spec, cand.evaluate, job.section, h=_FD_STEP, accuracy=_FD_ACCURACY
-        )
+        fd = periods.finite_difference_residual(spec, cand.evaluate, job.section, h=_FD_STEP)
         text.append(f"finite-difference residuals (h = {_FD_STEP}):")
         fd_ops = []
         for rep in fd.reports:
@@ -406,8 +381,8 @@ def cmd_verify(job, args):
                 f"  [{rep.operator.render()}] |res| = {abs(rep.residual):.3e},"
                 f" observed order {order}"
             )
-            if not _fd_holds(rep, job.tol):
-                fd_failed.append(rep.operator.render())
+            if not rep.holds(job.tol):
+                fd_failed.append(rep)
                 line += " FAILED"
             text.append(line)
             fd_ops.append(
@@ -423,14 +398,12 @@ def cmd_verify(job, args):
             machine["verdict"] = "failed"
     _emit(args, text, machine)
     if failed:
-        raise CertificateFailed(
-            "symbolic residual NONZERO under " + "; ".join(failed)
-        )
+        raise CertificateFailed("symbolic residual NONZERO under " + "; ".join(failed))
     if fd_failed:
         raise CertificateFailed(
-            f"finite-difference residual does not converge at order {_FD_ACCURACY}"
+            f"finite-difference residual does not converge at order {fd_failed[0].accuracy}"
             f" to within tol {job.tol:g} of its stencil sums under "
-            + "; ".join(fd_failed)
+            + "; ".join(rep.operator.render() for rep in fd_failed)
         )
 
 
@@ -460,10 +433,7 @@ def cmd_chain(job, args):
     values = []
     text = []
     for k, chain in enumerate(job.chains):
-        if job.numerator:
-            res = periods.general_type_integral(s, chain, quad)
-        else:
-            res = periods.numeric_chain_integral(s, chain, quad)
+        res = periods.numeric_chain_integral(s, chain, quad)
         values.append(
             {"value": _cnum(res.value), "error": res.error, "evaluations": res.evaluations}
         )

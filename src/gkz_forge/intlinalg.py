@@ -118,8 +118,6 @@ def kernel_basis(rows):
     nonzero entry of every vector positive.
     """
     rows = [tuple(r) for r in rows]
-    if not rows:
-        return ()
     t = list(zip(*rows))  # transpose: p x m
     h, u = hermite_form(t, transform=True)
     kernel = [u[i] for i in range(len(t)) if all(x == 0 for x in h[i])]

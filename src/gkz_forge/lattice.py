@@ -306,20 +306,18 @@ def _dilate_counts(pts, facets):
 
 
 def ehrhart_volume_oracle(points) -> int:
-    """Normalized volume from Ehrhart interpolation, independent of the hull path.
+    """Normalized volume from Ehrhart counting, independent of the triangulation.
 
-    Counts lattice points of the dilates k*conv(points) for k = 0..n by
+    Counts lattice points L(k) of the dilates k*conv(points) for k = 0..n by
     direct enumeration over a bounding box (membership decided by the exact
-    facet inequalities), interpolates the Ehrhart polynomial, and returns
-    n! times its leading coefficient.
+    facet inequalities of ``_facet_hyperplanes``) and returns the n-th
+    forward difference sum_k (-1)^(n-k) C(n, k) L(k) of the Ehrhart
+    polynomial, which is n! times its leading coefficient.
     """
     pts = _polytope_points(points)
     n = len(pts[0])
     counts = _dilate_counts(pts, _facet_hyperplanes(pts))
-    # solve the Vandermonde system for the Ehrhart coefficients
-    vander = [[Fraction(k) ** i for i in range(n + 1)] for k in range(n + 1)]
-    coeffs = intlinalg.solve_rational(vander, [Fraction(c) for c in counts])
-    leading = coeffs[n] * math.factorial(n)
-    if leading.denominator != 1 or leading <= 0:
-        raise NonIntegerVolume(f"Ehrhart leading coefficient {leading} is not a positive integer")
-    return int(leading)
+    leading = sum((-1) ** (n - k) * math.comb(n, k) * c for k, c in enumerate(counts))
+    if leading <= 0:
+        raise NonIntegerVolume(f"Ehrhart leading coefficient {leading} is not positive")
+    return leading

@@ -1,29 +1,31 @@
 """Numerical evaluation of period and chain integrals, plus certification.
 
-The torus-cycle period of a section is computed two ways: as an exact
-constant-term series near a dominant interior monomial, and by trapezoidal
-quadrature on a product torus (spectrally accurate for analytic
-integrands).  Chain integrals over paths reaching the toric boundary are
-integrated in a chart in which the integrand extends holomorphically across
-the flagged endpoints (reaching infinity is handled by inverting the
-coordinate), by one global adaptive Gauss-Kronrod (7, 15) integrator.  The
-segments of a chain form one stacked integrand: each segment is a row of
-path parameters and dense chart coefficients, and each round evaluates the
-nodes of every new interval at once by Horner's rule.  It stops when the
-summed error estimate is at most tol and raises NonConvergent when tol is
-below the roundoff floor (eps times the integral of |f| (50 + cond), cond
-the condition number of the Horner sums), when its evaluation budget runs
-out, or when an interval can no longer be split; a returned error is never
-above tol.
+Every integral of a section integrates g Omega / f, g its numerator or 1
+(the Calabi-Yau integrand).  The torus-cycle period is computed two ways:
+as an exact constant-term series near a dominant interior monomial (g = 1
+only), and by trapezoidal quadrature on a product torus (spectrally
+accurate for analytic integrands).  Chain integrals over paths reaching the
+toric boundary are integrated in a chart in which the integrand extends
+holomorphically across the flagged endpoints (reaching infinity is handled
+by inverting the coordinate), by one global adaptive Gauss-Kronrod (7, 15)
+integrator.  The segments of a chain form one stacked integrand: each
+segment is a row of path parameters and dense chart coefficients, and each
+round evaluates the nodes of every new interval at once by Horner's rule.
+It stops when the summed error estimate is at most tol and raises
+NonConvergent when tol is below the roundoff floor (eps times the integral
+of |f| (50 + cond), cond the condition number of the Horner sums), when its
+evaluation budget runs out, or when an interval can no longer be split; a
+returned error is never above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
 finite-difference stencils, which certifies "this integral solves the
-system" at a point without symbolic access to the function.  The stencil
-weights solve a small Vandermonde system with ``intlinalg``'s exact solver,
-once per derivative order and accuracy.  Each stencil sum is formed exactly
-in integers, and each stencil point is sampled once per certificate: the
-steps h and h/2 and all operators share the samples.
+system" at a point without symbolic access to the function; each
+operator's report gives the verdict.  The stencil weights solve a small
+Vandermonde system with ``intlinalg``'s exact solver, once per derivative
+order and accuracy.  Each stencil sum is formed exactly in integers, and
+each stencil point is sampled once per certificate: the steps h and h/2
+and all operators share the samples.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ def _is_int(value):
 class SectionData:
     """A point of the family: section coefficients over an exponent matrix.
 
-    ``numerator_exponents`` / ``numerator_coeffs`` optionally describe a
-    numerator section (general-type data); they may be empty.
+    ``numerator_exponents`` / ``numerator_coeffs`` optionally give the
+    numerator g that every integral reads (empty: g = 1).  DegeneracyError
+    when they differ in length or an exponent's length is not ``A.dim``.
     """
 
     A: ExponentMatrix
@@ -85,6 +88,8 @@ class SectionData:
             raise DegeneracyError("section is identically zero")
         if len(self.numerator_exponents) != len(self.numerator_coeffs):
             raise DegeneracyError("numerator exponents and coefficients differ in length")
+        if any(len(nu) != self.A.dim for nu in self.numerator_exponents):
+            raise DegeneracyError(f"numerator exponents must have length {self.A.dim}")
 
 
 @dataclass(frozen=True)
@@ -217,27 +222,27 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
 
 
 def _section_on_torus(s: SectionData, radii, grids):
-    """Values of f on the product torus grid, as a dense numpy array."""
+    """f and the numerator g (None without one) on the product torus grid."""
     n = s.A.dim
     angles = [np.linspace(0.0, 2.0 * np.pi, grids[j], endpoint=False) for j in range(n)]
     mesh = np.meshgrid(*angles, indexing="ij") if n > 1 else [angles[0]]
     x = [radii[j] * np.exp(1j * mesh[j]) for j in range(n)]
-    f = np.zeros(mesh[0].shape, dtype=complex)
-    for i, mu in enumerate(s.A.points):
-        if s.coeffs[i] == 0:
-            continue
-        mono = np.ones(mesh[0].shape, dtype=complex)
-        for j in range(n):
-            if mu[j]:
-                mono = mono * x[j] ** mu[j]
-        f = f + s.coeffs[i] * mono
-    return f
+
+    def laurent(points, coeffs):
+        total = np.zeros(mesh[0].shape, dtype=complex)
+        for mu, c in zip(points, coeffs):
+            if c != 0:
+                total = total + c * math.prod(xj**e for xj, e in zip(x, mu) if e)
+        return total
+
+    g = laurent(s.numerator_exponents, s.numerator_coeffs) if s.numerator_exponents else None
+    return laurent(s.A.points, s.coeffs), g
 
 
 def numeric_cycle_integral(
     s: SectionData, radii, quad: QuadratureSettings = QuadratureSettings()
 ) -> IntegrationResult:
-    """(2 pi i)^{-n} times the integral of dx_1/x_1 ... dx_n/x_n / f over |x_j| = r_j.
+    """(2 pi i)^{-n} times the integral of g dx_1/x_1 ... dx_n/x_n / f over |x_j| = r_j.
 
     Tensor-product trapezoidal rule with grid doubling; exponentially
     convergent for sections without zeros on the torus.  The reported error
@@ -255,13 +260,13 @@ def numeric_cycle_integral(
     prev = None
     total = 0
     while m**n <= quad.max_evals:
-        f = _section_on_torus(s, radii, (m,) * n)
+        f, g = _section_on_torus(s, radii, (m,) * n)
         total += f.size
         if np.min(np.abs(f)) < _CLEARANCE * scale:
             raise SingularOnContour(
                 f"|f| dips to {np.min(np.abs(f)):.3e} on the sampled torus"
             )
-        value = complex(np.mean(1.0 / f))
+        value = complex(np.mean(1.0 / f if g is None else g / f))
         if prev is not None:
             err = abs(value - prev)
             if err <= quad.tol:
@@ -297,14 +302,14 @@ def _coefficients(poly):
     return [poly.get(e, 0j) for e in range(max(poly), low - 1, -1)], low
 
 
-def _chart_pair(s: SectionData, exponents=((0,),), coeffs=(1,)):
+def _chart_pair(s: SectionData):
     """Numerator and denominator Laurent data of the chart integrand.
 
     On the 1-torus chart the holomorphic form is dx/x and the section has a
     pole order ``sigma = -min(mu)``; clearing it gives the polynomial
     denominator ``x^sigma f`` and the numerator ``x^(sigma-1) g``, ``g`` the
-    numerator section with the given exponents and coefficients.  The
-    default ``g = 1`` is the Calabi-Yau integrand.
+    section's numerator, or 1 (the Calabi-Yau integrand) when it has none.
+    The numerator is empty when every coefficient of ``g`` cancels.
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
@@ -317,8 +322,9 @@ def _chart_pair(s: SectionData, exponents=((0,),), coeffs=(1,)):
     den = {e: c for e, c in den.items() if c != 0}
     if not den:
         raise DegeneracyError("section is identically zero")
+    g = zip(s.numerator_exponents, s.numerator_coeffs) if s.numerator_exponents else [((0,), 1)]
     num = {}
-    for nu, b in zip(exponents, coeffs):
+    for nu, b in g:
         e = nu[0] + sigma - 1
         num[e] = num.get(e, 0) + complex(b)
     num = {e: c for e, c in num.items() if c != 0}
@@ -572,7 +578,7 @@ def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> Integrati
 def numeric_chain_integral(
     s: SectionData, chain: ChainSpec, quad: QuadratureSettings = QuadratureSettings()
 ) -> IntegrationResult:
-    """Integral of the holomorphic form over a chain bounded by the toric boundary.
+    """Integral of ``g * Omega / f`` over a chain bounded by the toric boundary.
 
     Each segment is parameterized in the chart where its flagged endpoint
     is a regular point (inverting the coordinate for endpoints at
@@ -587,28 +593,25 @@ def numeric_chain_integral(
     does not extend across a flagged endpoint and PoleNearPath when the
     section nearly vanishes on the path.
     """
-    num, den = _chart_pair(s)
-    return _chain_quadrature(num, den, chain, quad)
+    return _chain_integral(s, chain, quad)
 
 
 def general_type_integral(
     s: SectionData, chain: ChainSpec, quad: QuadratureSettings = QuadratureSettings()
 ) -> IntegrationResult:
-    """Chain integral of ``g_b * Omega / f_a`` for general-type numerator data."""
+    """``numeric_chain_integral`` of a section that must carry numerator data."""
     if not s.numerator_exponents:
         raise DegeneracyError("general_type_integral requires numerator data")
-    num, den = _chart_pair(s, s.numerator_exponents, s.numerator_coeffs)
-    if not num:
-        return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    return _chain_quadrature(num, den, chain, quad)
+    return _chain_integral(s, chain, quad)
 
 
-def _chain_quadrature(num, den, chain: ChainSpec, quad):
-    pieces = [
-        _segment_piece(num, den, seg) for seg in chain.segments if not seg.is_null()
-    ]
-    if not pieces:
+def _chain_integral(s: SectionData, chain: ChainSpec, quad):
+    # one body for both public integrals, so perfbench's tracer counts each call once
+    num, den = _chart_pair(s)
+    segments = [seg for seg in chain.segments if not seg.is_null()]
+    if not (num and segments):
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
+    pieces = [_segment_piece(num, den, seg) for seg in segments]
     with np.errstate(all="ignore"):  # a node on a pole is reported as such
         return _adaptive_gauss_kronrod(_chain_integrand(pieces), len(pieces), quad)
 
@@ -631,8 +634,9 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     """2 pi i times the residue of the chart integrand at the selected root.
 
     One-dimensional sections with simple roots only; the residue of
-    ``num/den`` at a simple root r is ``num(r)/den'(r)``.  ValueError
-    unless ``root_index`` is an int in ``range(len(denominator_roots(s)))``.
+    ``num/den`` at a simple root r is ``num(r)/den'(r)`` (0 for a zero
+    numerator).  ValueError unless ``root_index`` is an int in
+    ``range(len(denominator_roots(s)))``.
     """
     num, den = _normalize_pair(*_chart_pair(s))
     roots = _sorted_roots(den)
@@ -648,6 +652,8 @@ def residue_period(s: SectionData, root_index: int) -> complex:
         for rr in roots[i + 1 :]:
             if abs(r - rr) < 1e-5 * scale:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
+    if not num:
+        return 0j
     r = roots[root_index]
     dden = {e - 1: e * c for e, c in den.items() if e}
     top, low = _coefficients(num)
@@ -717,15 +723,35 @@ def _central_stencil(derivative, accuracy):
 
 @dataclass(frozen=True)
 class OperatorFD:
-    """One operator's residuals at h and h/2, with their rounding floors."""
+    """One operator's residuals at h and h/2, their floors and stencil accuracy."""
 
     operator: object
     residual: complex
     residual_refined: complex
-    observed_order: object  # float or None when below the noise floor
-    richardson: complex
     floor: float
     floor_refined: float
+    accuracy: int
+
+    @property
+    def observed_order(self):
+        """log2 of the residuals' ratio, None when either is at or below its floor."""
+        r1, r2 = abs(self.residual), abs(self.residual_refined)
+        return math.log2(r1 / r2) if r1 > self.floor and r2 > self.floor_refined else None
+
+    @property
+    def richardson(self):
+        # the leading error term is O(h^accuracy): halving h divides it by 2^accuracy
+        k = 2**self.accuracy
+        return (k * self.residual_refined - self.residual) / (k - 1)
+
+    def holds(self, tol):
+        """The order is within 0.5 of the accuracy for some residuals within their
+        floors, and the Richardson value at most tol times floor_refined / eps."""
+        r1, f1 = abs(self.residual), self.floor
+        r2, f2 = abs(self.residual_refined), self.floor_refined
+        lo, hi = 2 ** (self.accuracy - 0.5), 2 ** (self.accuracy + 0.5)
+        converges = lo * (r2 - f2) <= r1 + f1 and r1 - f1 <= hi * (r2 + f2)
+        return converges and abs(self.richardson) <= tol * f2 / math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -782,7 +808,8 @@ def finite_difference_residual(
     the sum over the operator's terms of |coefficient * monomial| * (sum of
     |stencil weight products|) / step^|w|, the size of the last-bit errors of
     the samples after the stencils have amplified them.  Each report keeps
-    both floors (``floor``, ``floor_refined``).
+    both floors (``floor``, ``floor_refined``) and the accuracy, and its
+    ``holds(tol)`` is the certificate's verdict for that operator.
     """
     if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
@@ -830,13 +857,6 @@ def finite_difference_residual(
         return total, _EPS * gain * max(map(abs, used.values()), default=0.0)
 
     for op in spec.operators:
-        r1, floor1 = residual_at(op, h)
-        r2, floor2 = residual_at(op, h / 2.0)
-        if abs(r1) > floor1 and abs(r2) > floor2:
-            order = math.log2(abs(r1) / abs(r2))
-        else:
-            order = None
-        # the leading error term is O(h^accuracy), so halving h divides it by 2^accuracy
-        rich = (2**accuracy * r2 - r1) / (2**accuracy - 1)
-        reports.append(OperatorFD(op, r1, r2, order, rich, floor1, floor2))
+        (r1, floor1), (r2, floor2) = residual_at(op, h), residual_at(op, h / 2.0)
+        reports.append(OperatorFD(op, r1, r2, floor1, floor2, accuracy))
     return FDReport(reports=tuple(reports), h=float(h))

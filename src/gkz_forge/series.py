@@ -51,7 +51,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import TruncationTooSmall, UnsupportedFamily
+from .errors import LimitExceeded, TruncationTooSmall, UnsupportedFamily
 from . import intlinalg
 from .lattice import LatticeWalk, integer_kernel, normalized_volume
 from .tautsys import SystemSpec
@@ -280,6 +280,9 @@ def monomial_series(gamma, coeff=Fraction(1)) -> LogSeries:
 
 # -- Frobenius bases ----------------------------------------------------------
 
+# (window offset, log multi-index) pairs one eps-expansion may enumerate
+MAX_LOG_TERMS = 100_000
+
 
 def _ratio_jet_family(gamma0, slope, window, jet_order):
     """Exact jets of the gamma-ratio coefficients over a window of offsets.
@@ -338,8 +341,17 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
     factor ``a^(eps*slope)`` contributes ``prod_i (slope_i log a_i)^alpha_i /
     alpha_i!`` to the power ``eps^|alpha|``, so the eps^j coefficient carries
     the log multi-index ``alpha`` with the jet coefficient ``c_v[j - |alpha|]``.
+    Raises LimitExceeded, before enumerating any, when the family's offsets
+    times the multi-indices exceed ``MAX_LOG_TERMS``.
     """
     support = [i for i, s in enumerate(slope) if s != 0]
+    # the multi-indices of total below count on the support
+    indices = math.comb(count - 1 + len(support), len(support))
+    if len(family) * indices > MAX_LOG_TERMS:
+        raise LimitExceeded(
+            f"{len(family)} offsets times {indices} log multi-indices exceed"
+            f" the supported cap of {MAX_LOG_TERMS}"
+        )
     logs = []  # (|alpha|, alpha, prod_i slope_i^alpha_i / alpha_i!)
     for total in range(count):
         for alpha in _compositions(total, support, len(gamma0)):
@@ -412,7 +424,8 @@ def frobenius_basis(spec: SystemSpec, order):
     one-sided and whose ``vol`` coefficients are independent (checked by
     ``count_independent``) gives the basis, so its length is the normalized
     volume of the exponent polytope.  Exact rational coefficients
-    throughout.  The lattice window is capped by ``lattice.MAX_WINDOW``.
+    throughout.  The lattice window is capped by ``lattice.MAX_WINDOW``, the
+    log terms of one expansion by ``MAX_LOG_TERMS``.
     An order that is not a nonnegative int raises ValueError.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:
@@ -424,10 +437,8 @@ def frobenius_basis(spec: SystemSpec, order):
     gamma_star = intlinalg.solve_rational(A.A, neg_beta)
     if gamma_star is None:
         raise UnsupportedFamily("no exponent solves the degree constraints")
-    if not kernel:
-        if all(abs(g) <= order for g in gamma_star):
-            return [monomial_series(gamma_star)]
-        return []
+    if not kernel:  # the one solution is the monomial a^gamma, with offset 0 only
+        return [monomial_series(gamma_star)]
 
     window = LatticeWalk(kernel, A.nsections).window(order)
     delta = kernel[0]

@@ -1,18 +1,18 @@
 import hashlib
 import json
-import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gkz_forge
 from gkz_forge import cli, lattice, periods, tautsys
+from gkz_forge.errors import SaturationBudgetExceeded
 
 
 P1_JOB = {
@@ -91,13 +91,24 @@ def test_build_lists_the_toric_ideal(tmp_path, capsys):
     ]
 
 
-def test_build_exits_3_when_saturation_runs_out(tmp_path, capsys):
-    # a set whose saturation exceeds the default step cap fails fast
+def test_build_exits_3_when_saturation_runs_out(tmp_path, capsys, monkeypatch):
+    # a set whose saturation exceeds the default step cap stops at the cap:
+    # it spends the 20,000 steps, and the next one raises
     points = [[-2, 3, 2], [-1, -2, 1], [-1, 2, -1], [0, 2, 2], [2, 3, -2], [3, -1, 2]]
     job = {"schema_version": 1, "dim": 3, "points": points}
-    start = time.perf_counter()
+    spend, calls, raised = tautsys._spend, [], []
+
+    def counted(budget, what):
+        calls.append(what)
+        try:
+            spend(budget, what)
+        except SaturationBudgetExceeded:
+            raised.append(len(calls))
+            raise
+
+    monkeypatch.setattr(tautsys, "_spend", counted)
     code, out, err = run(capsys, ["build", "--input", write_job(tmp_path, job)])
-    assert time.perf_counter() - start < 2
+    assert (len(calls), raised) == (20_001, [20_001])
     assert code == 3 and out == ""
     assert "cap exceeded" in err
 
@@ -275,17 +286,16 @@ def test_verify_certifies_the_period_series_inside_its_disc(tmp_path, capsys, se
     assert json.loads(out)["verdict"] == "certified"
 
 
-def _fd_report(r1, r2, f1, f2, rich=0.0):
-    order = math.log2(r1 / r2) if r1 > f1 and r2 > f2 else None
-    return periods.OperatorFD(object(), r1, r2, order, rich, f1, f2)
+def _fd_report(r1, r2, f1, f2):
+    return periods.OperatorFD(object(), r1, r2, f1, f2, accuracy=4)
 
 
 def test_fd_verdict_rule():
-    ok = cli._fd_holds
-    # converging at order 4, Richardson within tol of the stencil sums
-    # (floor / eps = 4.5e4 at f2 = 1e-11)
-    assert ok(_fd_report(1.6e-6, 1e-7, 1e-12, 1e-11, rich=4e-6), 1e-10)
-    assert not ok(_fd_report(1.6e-6, 1e-7, 1e-12, 1e-11, rich=5e-6), 1e-10)
+    ok = periods.OperatorFD.holds
+    # converging at order 4, Richardson (16 r2 - r1) / 15 within tol of the
+    # stencil sums (floor / eps = 4.5e4 at f2 = 1e-11)
+    assert ok(_fd_report(1.6e-3 + 4e-6j, 1e-4 + 4e-6j, 1e-12, 1e-11), 1e-10)
+    assert not ok(_fd_report(1.6e-3 + 5e-6j, 1e-4 + 5e-6j, 1e-12, 1e-11), 1e-10)
     # observed order 3.4 or 4.6, or a residual that does not shrink
     for r1 in (1.06e-6, 2.43e-6, 1e-7):
         assert not ok(_fd_report(r1, 1e-7, 1e-12, 1e-11), 1e-10)
@@ -339,11 +349,50 @@ def test_chain_with_numerator_is_the_general_type_integral(tmp_path, capsys):
         numerator_coeffs=(0.7, complex(-0.2, 0.4)),
     )
     chain = cli.Job(job).chains[0]
-    want = periods.general_type_integral(section, chain, periods.QuadratureSettings(tol=1e-11))
+    quad = periods.QuadratureSettings(tol=1e-11)
+    want = periods.general_type_integral(section, chain, quad)
     assert complex(*got["value"]) == want.value
     assert (got["error"], got["evaluations"]) == (want.error, want.evaluations)
-    plain = periods.numeric_chain_integral(section, chain, periods.QuadratureSettings(tol=1e-11))
-    assert want.value != plain.value
+    # numeric_chain_integral reads the numerator too; without one it differs
+    assert periods.numeric_chain_integral(section, chain, quad) == want
+    cy = periods.SectionData(A=section.A, coeffs=section.coeffs)
+    assert periods.numeric_chain_integral(cy, chain, quad).value != want.value
+
+
+def test_period_with_numerator_integrates_g_over_f(tmp_path, capsys):
+    job = dict(P1_JOB, section={"a": [0.3, 1.0, 0.2], "radii": [1.0]})
+    job["numerator"] = {"exponents": [[0], [1]], "b": [0.5, [0.1, -0.2]]}
+    job["options"] = {"tol": 1e-12}
+    code, out, _ = run(
+        capsys, ["period", "--input", write_job(tmp_path, job), "--report", "machine"]
+    )
+    assert code == 0
+    # the trapezoid rule on 4096 points of the unit circle
+    x = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    want = np.mean((0.5 + (0.1 - 0.2j) * x) / (0.3 / x + 1.0 + 0.2 * x))
+    assert abs(complex(*json.loads(out)["value"]) - want) < 1e-12
+
+
+def test_chain_on_a_two_dimensional_job_exits_3(tmp_path, capsys):
+    ends = {"start": [1.0, 1.0], "end": [1.0, 1.0]}
+    job = {
+        "schema_version": 1,
+        "dim": 2,
+        "points": [[0, 0], [1, 0], [0, 1], [-1, -1]],
+        "section": {"a": [1.0, 0.05, 0.05, 0.05]},
+        "chains": [{"segments": [dict(ends, start_flags=[-1, 0])]}],
+    }
+    code, out, err = run(capsys, ["chain", "--input", write_job(tmp_path, job)])
+    assert (code, out) == (3, "")
+    assert "one-dimensional charts" in err
+
+
+def test_series_exits_3_when_log_multi_indices_exceed_the_cap(tmp_path, capsys):
+    points = [[-2, 1, -2], [-2, 2, -2], [-1, 0, 0], [1, -2, 1], [1, 1, 2], [2, -2, 2], [0, 0, 0]]
+    job = {"schema_version": 1, "dim": 3, "points": points, "options": {"order": 2}}
+    code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
+    assert (code, out) == (3, "")
+    assert "log multi-indices exceed the supported cap" in err
 
 
 # drive ``python -m gkz_forge.cli`` once per argument list in one interpreter,

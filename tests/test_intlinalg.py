@@ -107,6 +107,10 @@ class TestIntLinAlg:
         )
         assert prod == h
 
+    def test_kernel_basis_of_no_rows_or_full_rank_is_empty(self):
+        assert intlinalg.kernel_basis([]) == ()
+        assert intlinalg.kernel_basis([(1, 1), (0, 2)]) == ()
+
     def test_kernel_basis_properties(self):
         rng = random.Random(4)
         for _ in range(25):

@@ -46,6 +46,12 @@ class TestHomogenize:
         with pytest.raises(DuplicatePoint):
             lattice.homogenize([(1,), (1,)], 1)
 
+    def test_no_points_or_a_point_of_another_dimension(self):
+        with pytest.raises(DegenerateConfiguration, match="no points"):
+            lattice.homogenize([], 1)
+        with pytest.raises(DegenerateConfiguration, match="does not have dimension 2"):
+            lattice.homogenize([(0, 0), (1, 0, 0), (0, 1)], 2)
+
     def test_rank_deficient(self):
         # all points on a line through the origin in dim 2
         with pytest.raises(DegenerateConfiguration):
@@ -221,6 +227,25 @@ class TestVolumes:
     def test_ehrhart_examples(self):
         assert lattice.ehrhart_volume_oracle(SEGMENT) == 2
         assert lattice.ehrhart_volume_oracle([(1, 0), (0, 1), (-1, -1)]) == 3
+
+    def test_ehrhart_forward_difference(self):
+        # n! times the leading Ehrhart coefficient is the n-th forward
+        # difference of L(0..n): the quintic's L = 1, 6, 21, 56, 126 gives 5
+        quintic = [(0,) * 4, (-1, -1, -1, -1)] + [
+            tuple(int(i == j) for j in range(4)) for i in range(4)
+        ]
+        pts = lattice._polytope_points(quintic)
+        counts = lattice._dilate_counts(pts, lattice._facet_hyperplanes(pts))
+        assert counts == [1, 6, 21, 56, 126]
+        assert lattice.ehrhart_volume_oracle(quintic) == 5
+        assert lattice.ehrhart_volume_oracle(HESSE) == 3
+        assert lattice.ehrhart_volume_oracle(CROSS + [(0, 0)]) == 4
+
+    def test_empty_or_too_wide_point_sets_rejected(self):
+        with pytest.raises(LowerDimensionalPolytope, match="empty"):
+            lattice.normalized_volume([])
+        with pytest.raises(LimitExceeded, match="dimension 5"):
+            lattice.ehrhart_volume_oracle([(0,) * 5, (1, 0, 0, 0, 0)])
 
     def test_segment_dilate_counts(self):
         # 3 points at k=1, 5 at k=2 for the segment [-1, 1]

@@ -219,6 +219,12 @@ class TestCycleIntegral:
         with pytest.raises(SingularOnContour):
             numeric_cycle_integral(s, (1.0,), TIGHT)
 
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.0,), (-1.0,)])
+    def test_radii_rejected(self, radii):
+        s = SectionData(A=A_SEG, coeffs=(0.02, 1.0, 0.03))
+        with pytest.raises(DegeneracyError, match="one positive radius"):
+            numeric_cycle_integral(s, radii, TIGHT)
+
     def test_scaling_covariance(self):
         s = SectionData(A=A_SEG, coeffs=(0.02, 1.0, 0.03))
         lam = 1.7 - 0.3j
@@ -426,7 +432,7 @@ def stacked_integrand_case(name):
         numerator_exponents=((1,), (2,)),
         numerator_coeffs=(1.0, 0.5 - 0.25j),
     )
-    return periods._chart_pair(sec, sec.numerator_exponents, sec.numerator_coeffs), halfline_chain()
+    return periods._chart_pair(sec), halfline_chain()
 
 
 @pytest.mark.parametrize(
@@ -571,6 +577,18 @@ class TestAdaptiveGaussKronrod:
 
 
 class TestResidues:
+    def test_chart_of_a_two_dimensional_section_rejected(self):
+        sec = SectionData(A=A_HESSE, coeffs=(1.0, 0.05, 0.05, 0.05))
+        with pytest.raises(DegeneracyError, match="one-dimensional charts"):
+            numeric_chain_integral(sec, halfline_chain(), TIGHT)
+        with pytest.raises(DegeneracyError, match="one-dimensional charts"):
+            residue_period(sec, 0)
+
+    def test_denominator_without_roots_rejected(self):
+        # f = a2 alone: the chart denominator x f is x, a constant once normalized
+        with pytest.raises(DegeneracyError, match="no roots"):
+            residue_period(SectionData(A=A_SEG, coeffs=(0, 1, 0)), 0)
+
     def test_sum_of_residues_zero(self):
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         total = residue_period(sec, 0) + residue_period(sec, 1)
@@ -644,6 +662,50 @@ class TestGeneralType:
         sec = SectionData(A=self.A, coeffs=self.coeffs)
         with pytest.raises(DegeneracyError, match="requires numerator data"):
             general_type_integral(sec, self.chain, TIGHT)
+
+    def test_numerator_exponents_of_another_dimension_rejected(self):
+        with pytest.raises(DegeneracyError, match="must have length 1"):
+            SectionData(
+                A=self.A, coeffs=self.coeffs,
+                numerator_exponents=((0,), (1, 0)), numerator_coeffs=(1.0, 1.0),
+            )
+
+    def test_every_integral_of_a_zero_numerator_is_zero(self):
+        sec = self.section((0, 0))
+        res = numeric_chain_integral(sec, self.chain, TIGHT)
+        assert (res.value, res.error, res.evaluations) == (0, 0, 0)
+        assert [residue_period(sec, i) for i in range(3)] == [0, 0, 0]
+        assert numeric_cycle_integral(sec, (1.0,), TIGHT).value == 0
+
+    def test_chain_integral_reads_the_numerator(self):
+        sec = self.section((0.7, -0.3))
+        assert numeric_chain_integral(sec, self.chain, TIGHT) == general_type_integral(
+            sec, self.chain, TIGHT
+        )
+
+    def test_loops_agree_with_residues(self):
+        sec = self.section((0.7, 0.2 - 0.4j))
+        quad = QuadratureSettings(tol=1e-12)
+        for idx, root in enumerate(denominator_roots(sec)):
+            loop = numeric_chain_integral(sec, loop_chain(root, 0.15), quad).value
+            assert abs(loop - residue_period(sec, idx)) < 2e-12
+
+    def test_torus_period_of_the_section_over_itself_is_one(self):
+        sec = SectionData(
+            A=self.A, coeffs=self.coeffs,
+            numerator_exponents=self.A.points, numerator_coeffs=self.coeffs,
+        )
+        assert abs(numeric_cycle_integral(sec, (1.0,), TIGHT).value - 1) < 1e-15
+
+    def test_torus_period_matches_the_residues_inside(self):
+        # (2 pi i)^-1 of g dx / (x f) around |x| = 1 is the sum of the
+        # residues of the chart integrand at the roots inside: here the
+        # one root at -0.456 (the others have modulus 2.09), and x = 0,
+        # where the chart numerator x^(sigma - 1) g = g has no pole
+        sec = self.section((0.7, 0.2 - 0.4j))
+        inside = [i for i, r in enumerate(denominator_roots(sec)) if abs(r) < 1]
+        want = sum(residue_period(sec, i) for i in inside) / (2j * math.pi)
+        assert abs(numeric_cycle_integral(sec, (1.0,), TIGHT).value - want) < 1e-12
 
     def test_matches_scipy_oracle(self):
         from scipy.integrate import quad

@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from gkz_forge import lattice, series, tautsys
-from gkz_forge.errors import TruncationTooSmall, UnsupportedFamily
+from gkz_forge.errors import LimitExceeded, TruncationTooSmall, UnsupportedFamily
 from gkz_forge.weyl import WeylElement
 from gkz_forge.series import (
     annihilate_check,
@@ -78,6 +78,20 @@ class TestFrobeniusBasis:
             ((k, -2 * k, k), (0, 0, 0)): Fraction(math.comb(2 * k, k))
             for k in range(7)
         }
+
+    def test_log_multi_indices_are_capped_before_they_are_listed(self):
+        # vol 19 and a first kernel vector on 6 coordinates: 75 offsets of
+        # the window carry terms, times C(18 + 6, 6) = 134,596 log indices
+        pts = [(-2, 1, -2), (-2, 2, -2), (-1, 0, 0), (1, -2, 1), (1, 1, 2), (2, -2, 2), (0, 0, 0)]
+        with pytest.raises(LimitExceeded, match="75 offsets times 134596 log multi-indices"):
+            frobenius_basis(make_spec(pts, 3), order=2)
+
+    def test_empty_kernel_gives_the_monomial_at_any_order(self):
+        # the one solution a^(-3/2, -7/2) has offset 0 only, so order 2 keeps it
+        spec = tautsys.gkz_system(lattice.homogenize([(0,), (2,)], 1), (5, 7))
+        (s,) = frobenius_basis(spec, order=2)
+        assert s == series.monomial_series((Fraction(-3, 2), Fraction(-7, 2)))
+        assert all(r.clean for r in annihilate_check(spec, s))
 
     @pytest.mark.parametrize("order", [-1, True, 2.0, "3"])
     def test_bad_order_is_rejected(self, order, monkeypatch):

@@ -64,6 +64,13 @@ def test_symmetry_operator_zero_matrix():
     assert op.render() == "5/2"
 
 
+def test_malformed_symmetry_matrix_or_beta_rejected():
+    with pytest.raises(ValueError, match="square"):
+        tautsys.symmetry_operator([[1, 0], [0]], 1)
+    with pytest.raises(ValueError, match="length 2"):
+        tautsys.gkz_system(lattice.homogenize(SEGMENT, 1), (1, 0, 0))
+
+
 def test_symmetry_operator_linearity():
     import random
 

@@ -126,6 +126,13 @@ def test_variable_mismatch():
         multiply(WeylElement.one(2), WeylElement.one(3))
 
 
+def test_term_and_relation_lengths_must_match_nvars():
+    with pytest.raises(VariableMismatch, match="term exponent length"):
+        WeylElement(2, {((0, 0), (1,)): 1})
+    with pytest.raises(VariableMismatch, match="relation vector length"):
+        fourier_box((1, -1), 3)
+
+
 def test_render_fractions():
     x = WeylElement.monomial((1,), (0,), Fraction(3, 4))
     assert x.render() == "3/4 a1"
