@@ -7,10 +7,11 @@ only), and by trapezoidal quadrature on a product torus (spectrally
 accurate for analytic integrands).  Chain integrals over paths reaching the
 toric boundary are integrated in a chart in which the integrand extends
 holomorphically across the flagged endpoints (reaching infinity is handled
-by inverting the coordinate), by one global adaptive Gauss-Kronrod (7, 15)
-integrator.  The segments of a chain form one stacked integrand: each
-segment is a row of path parameters and dense chart coefficients, and each
-round evaluates the nodes of every new interval at once by Horner's rule.
+by inverting the coordinate), by one global adaptive Gauss-Kronrod (10, 21)
+integrator (QUADPACK's dqk21 pair, the default rule of its QAGS driver).
+The segments of a chain form one stacked integrand: each segment is a row
+of path parameters and dense chart coefficients, and each round evaluates
+the nodes of every new interval at once by Horner's rule.
 It stops when the summed error estimate is at most tol and raises
 NonConvergent when tol is below the roundoff floor (eps times the integral
 of |f| (50 + cond), cond the condition number of the Horner sums), when its
@@ -456,21 +457,26 @@ def _chain_integrand(pieces):
     return integrand
 
 
-# Gauss-Kronrod 15-point rule on [-1, 1] (QUADPACK qk15, Piessens et al.
+# Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK dqk21, Piessens et al.
 # 1983): the nonnegative Kronrod nodes, their weights, and the weights of
-# the embedded 7-point Gauss rule on the nodes of odd index.
+# the embedded 10-point Gauss rule on the nodes of odd index.
 _KRONROD_HALF = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074, 0.0),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.0, 0.149445554002916905664936468389821, 0.0),
 )
 _GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
@@ -583,15 +589,17 @@ def numeric_chain_integral(
     Each segment is parameterized in the chart where its flagged endpoint
     is a regular point (inverting the coordinate for endpoints at
     infinity), and all segments are integrated together, as one stacked
-    integrand, by one global adaptive Gauss-Kronrod (7, 15) integrator.  It
-    stops once the summed error estimate is at most ``quad.tol``, so the
-    returned error is never above tol; it raises NonConvergent when tol is
-    below the roundoff floor (eps times the integral of |f| (50 + cond), cond
-    the condition number of the Horner sums, which grows like 1/distance
-    beside a pole), when the evaluation budget runs out or when an interval
-    can no longer be split.  Raises DivergentAtBoundary when the integrand
-    does not extend across a flagged endpoint and PoleNearPath when the
-    section nearly vanishes on the path.
+    integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator: the
+    21-point Kronrod rule, exact to degree 31, with its embedded 10-point
+    Gauss rule for the error estimate.  It stops once the summed error
+    estimate is at most ``quad.tol``, so the returned error is never above
+    tol; it raises NonConvergent when tol is below the roundoff floor (eps
+    times the integral of |f| (50 + cond), cond the condition number of the
+    Horner sums, which grows like 1/distance beside a pole), when the
+    evaluation budget runs out or when an interval can no longer be split.
+    Raises DivergentAtBoundary when the integrand does not extend across a
+    flagged endpoint and PoleNearPath when the section nearly vanishes on
+    the path.
     """
     return _chain_integral(s, chain, quad)
 
@@ -666,13 +674,14 @@ def loop_chain(center, radius, points=12) -> ChainSpec:
 
     Built from ``points`` multiplicative arcs between points on a circle;
     for ``center = 0`` the arcs are exact circle pieces.  Raises
-    DegeneracyError unless the radius is a positive finite number and there
-    are at least 3 points: fewer points, or a zero radius, give no loop.
+    DegeneracyError unless the radius is a positive finite number and
+    ``points`` an int of at least 3: fewer points, or a zero radius, give
+    no loop.
     """
     if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
         raise DegeneracyError(f"loop radius must be a positive finite number, got {radius!r}")
-    if points < 3:
-        raise DegeneracyError(f"a loop needs at least 3 points, got {points!r}")
+    if not _is_int(points) or points < 3:
+        raise DegeneracyError(f"a loop needs an int of at least 3 points, got {points!r}")
     center = complex(center)
     verts = [
         center + radius * cmath.exp(2j * math.pi * k / points) for k in range(points)
@@ -799,7 +808,8 @@ def finite_difference_residual(
     accuracy (a positive even integer); each residual is recomputed at h/2
     (h a positive finite number) for an observed convergence order and a
     Richardson extrapolation.  ``F`` takes a coefficient tuple and returns a
-    complex value.
+    complex value; ``a0`` holds one coefficient per variable of the system,
+    else ValueError before any sample is taken.
 
     Each stencil point is sampled once per certificate, whichever operators
     and steps read it: the node 2k at h/2 is the node k at h.  The observed
@@ -816,6 +826,8 @@ def finite_difference_residual(
     if not (isinstance(accuracy, numbers.Integral) and accuracy > 0 and accuracy % 2 == 0):
         raise ValueError(f"accuracy must be a positive even integer, got {accuracy!r}")
     a0 = tuple(complex(z) for z in a0)
+    if len(a0) != spec.nvars:
+        raise ValueError(f"a0 must hold {spec.nvars} coefficients, got {len(a0)}")
     reports = []
     orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
     # per derivative order: the stencil nodes, and its weights as integers

@@ -324,19 +324,68 @@ class TestChainIntegral:
             numeric_chain_integral(sec, bad, TIGHT)
 
 
+class TestInputChecks:
+    def test_section_coefficient_count(self):
+        with pytest.raises(DegeneracyError, match="coefficient count does not match"):
+            SectionData(A=A_SEG, coeffs=(1.0, 3.0))
+
+    def test_section_identically_zero(self):
+        with pytest.raises(DegeneracyError, match="section is identically zero"):
+            SectionData(A=A_SEG, coeffs=(0, 0.0, 0j))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"start": (1.0,), "end": (1.0, 2.0)},
+            {"start": (1.0,), "end": (2.0,), "start_flags": (0, 0)},
+            {"start": (1.0,), "end": (2.0,), "end_flags": (0, 1)},
+        ],
+    )
+    def test_segment_of_inconsistent_dimension(self, kwargs):
+        with pytest.raises(DegeneracyError, match="inconsistent dimension"):
+            Segment(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"start": (0.0,), "end": (1.0,)}, {"start": (1.0,), "end": (0j,)}]
+    )
+    def test_segment_unflagged_point_on_the_boundary(self, kwargs):
+        with pytest.raises(DegeneracyError, match="unflagged control point on the boundary"):
+            Segment(**kwargs)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"end_flags": (1,)}, {}),
+            ({}, {"start_flags": (-1,)}),
+        ],
+    )
+    def test_chain_flags_at_an_interior_junction(self, first, second):
+        segs = (
+            Segment(start=(0.5,), end=(1.0,), **first),
+            Segment(start=(1.0,), end=(2.0,), **second),
+        )
+        with pytest.raises(DegeneracyError, match="interior junctions must not carry"):
+            ChainSpec(segments=segs)
+
+    def test_chain_segments_that_do_not_meet(self):
+        segs = (Segment(start=(0.5,), end=(1.0,)), Segment(start=(1.0 + 1e-6j,), end=(2.0,)))
+        with pytest.raises(DegeneracyError, match="do not match at the junction"):
+            ChainSpec(segments=segs)
+
+
 # The exact partition of three chains of the section (1, 3, 1): the
 # evaluation count and the value to 1e-14 relative.  A change to the adaptive
 # integrator's arithmetic or bisection order shows here at once.
 PINNED_CHAINS = {
     # the half-line of jobs/chain_131.json at its tol 1e-12: two linear segments
-    "halfline": (0.860817881928008 + 0j, 150),
+    "halfline": (0.860817881928008 + 0j, 126),
     # a 12-arc loop_chain of radius 0.15 around the root -0.38196..., tol 1e-13
-    "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 240),
+    "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 252),
     # the mixed chain of test_homotopy_invariance, tol 1e-13
-    "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 120),
+    "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 84),
     # ARC_TO_INFINITY, tol 1e-13: the numerator's lowest exponent is -1 in
     # the arc's chart and 0 in the inverted chart
-    "arc to infinity": (0.25541281188299536 - 6.938893903907228e-18j, 30),
+    "arc to infinity": (0.25541281188299536 - 6.938893903907228e-18j, 42),
 }
 
 # dx / (x (2 + 3x)) on an arc from 1 to 2 + i and on to infinity
@@ -479,14 +528,35 @@ def near_pole_section(p, offset=1e-4):
 
 class TestAdaptiveGaussKronrod:
     def test_rule_degrees(self):
-        # Kronrod 15 points: exact to degree 22; embedded Gauss 7 points: 13
+        # Kronrod 21 points: exact to degree 31; embedded Gauss 10 points: 19
         x = periods._GK_NODES
-        for k in range(23):
+        for k in range(32):
             exact = (1 - (-1) ** (k + 1)) / (k + 1)
             assert abs(periods._GK_WEIGHTS @ x**k - exact) < 1e-15
-            if k < 14:
+            if k < 20:
                 assert abs(periods._GAUSS_WEIGHTS @ x**k - exact) < 1e-15
-        assert abs(periods._GAUSS_WEIGHTS @ x**14 - 2 / 15) > 1e-6
+        assert abs(periods._GK_WEIGHTS @ x**32 - 2 / 33) > 1e-12
+        assert abs(periods._GAUSS_WEIGHTS @ x**20 - 2 / 21) > 1e-6
+
+    def test_rule_matches_quadpack_qk21(self):
+        # scipy's copy of QUADPACK's dqk21 table, read through its rule on
+        # [-1, 1]: the integrand is the unit vector of its node, so the rule
+        # returns the Kronrod weights, and the first vector its norm sees is
+        # the Kronrod minus the Gauss weights
+        from scipy.integrate._quad_vec import _quadrature_gk21
+
+        nodes, seen = list(periods._GK_NODES), []
+
+        def unit(x):
+            return np.eye(len(nodes))[nodes.index(x)]
+
+        def norm(v):
+            seen.append(v)
+            return 1.0
+
+        kronrod, _, _ = _quadrature_gk21(-1.0, 1.0, unit, norm)
+        assert np.array_equal(kronrod, periods._GK_WEIGHTS)
+        assert np.array_equal(seen[0], periods._GK_WEIGHTS - periods._GAUSS_WEIGHTS)
 
     def test_near_pole_converges_fast(self):
         # a pole 1e-4 beside the inverted half of the chain, at tol 1e-10
@@ -515,15 +585,28 @@ class TestAdaptiveGaussKronrod:
         with pytest.raises(ValueError):
             QuadratureSettings(**kwargs)
 
-    def test_unsplittable_interval_raises(self):
-        # a pole 1e-14 off the path needs intervals below the resolution of t
+    @staticmethod
+    def pole_beside_path(offset):
+        # the root 2^(1/300) + offset i beside the path from 1 to 2, at t = 1/300
         A = lattice.homogenize([(0,), (1,)], 1)
-        sec = SectionData(A=A, coeffs=(-(2 ** (1 / 300) + 1e-14j), 1.0))
-        chain = ChainSpec(segments=(Segment(start=(1.0,), end=(2.0,)),))
-        with pytest.raises(NonConvergent, match="narrower"):
+        sec = SectionData(A=A, coeffs=(-(2 ** (1 / 300) + offset * 1j), 1.0))
+        return sec, ChainSpec(segments=(Segment(start=(1.0,), end=(2.0,)),))
+
+    def test_pole_1e_14_off_the_path_stops_at_the_roundoff_floor(self):
+        sec, chain = self.pole_beside_path(1e-14)
+        with pytest.raises(NonConvergent, match="roundoff floor"):
             numeric_chain_integral(
                 sec, chain, QuadratureSettings(tol=1e-2, max_evals=2**22)
             )
+
+    def test_unsplittable_interval_raises(self):
+        # a pole 1e-15 off the path needs intervals below the resolution of t
+        sec, chain = self.pole_beside_path(1e-15)
+        for tol in (1e-2, 1e-1, 1.0):
+            with pytest.raises(NonConvergent, match="narrower"):
+                numeric_chain_integral(
+                    sec, chain, QuadratureSettings(tol=tol, max_evals=2**22)
+                )
 
     def test_pole_on_path_between_clearance_samples(self):
         # the root 2^(1/300) lies on the path at t = 1/300; the integral
@@ -612,10 +695,12 @@ class TestResidues:
         [
             (0, 12), (0.0, 12), (-0.15, 12), (math.nan, 12), (math.inf, 12),
             (0.15, 2), (0.15, 1), (0.15, 0),
+            (0.15, 3.5), (0.15, 12.0), (0.15, "4"), (0.15, True),
         ],
     )
     def test_degenerate_loop_rejected(self, radius, points):
-        # a zero radius or fewer than 3 points once came back as the period 0
+        # a zero radius or fewer than 3 points once came back as the period 0,
+        # and a point count that is no int raised a bare TypeError
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         with pytest.raises(DegeneracyError):
             loop_chain(denominator_roots(sec)[1], radius, points)
@@ -883,6 +968,20 @@ class TestFiniteDifference:
         spec = tautsys.unipotent_p1_system()
         with pytest.raises(ValueError, match="step h"):
             finite_difference_residual(spec, lambda a: 1.0 / a[0], (1.0, 0.7, 1.3), h=h)
+
+    @pytest.mark.parametrize("a0", [(1.0, 3.0, 1.0, 2.0), (1.0, 3.0)])
+    def test_a0_must_hold_one_coefficient_per_variable(self, a0):
+        # four coordinates once gave a meaningless residual, two a bare IndexError
+        spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
+        calls = []
+
+        def F(a):
+            calls.append(a)
+            return sum(a)
+
+        with pytest.raises(ValueError, match=rf"a0 must hold 3 coefficients, got {len(a0)}"):
+            finite_difference_residual(spec, F, a0, h=0.02)
+        assert not calls
 
     @pytest.mark.parametrize("accuracy", [0, 1, 3, -2, 4.0])
     def test_accuracy_must_be_positive_even(self, accuracy):

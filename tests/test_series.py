@@ -186,6 +186,14 @@ class TestFrobeniusBasis:
         for s in basis:
             assert all(r.clean for r in annihilate_check(spec, s))
 
+    def test_no_exponent_solves_the_degree_constraints(self):
+        # a rank-deficient hand-built matrix: the rows (1,1,1) and (2,2,2)
+        # cannot give the degrees (-1, 0) of the Calabi-Yau beta
+        A = lattice.ExponentMatrix(dim=1, points=((0,), (1,), (2,)), A=((1, 1, 1), (2, 2, 2)))
+        spec = tautsys.gkz_system(A, tautsys.cy_beta(1))
+        with pytest.raises(UnsupportedFamily, match="no exponent solves the degree constraints"):
+            frobenius_basis(spec, order=2)
+
     def test_kernel_rank_cap(self):
         # five points on a line: kernel rank 3, no longer capped
         spec = make_spec([(0,), (1,), (2,), (3,), (4,)], 1)
