@@ -305,18 +305,13 @@ def cmd_series(job, args):
         raise DegeneracyError("series bases are defined for gkz systems only")
     spec = job.system()
     basis = series.frobenius_basis(spec, order=job.order)
-    # frobenius_basis only returns linearly independent lists
-    count = len(basis)
     rendered = [s.render() for s in basis]
-    text = [f"frobenius basis: {len(basis)} series, {count} independent"]
+    # the series are independent by construction (see frobenius_basis)
+    text = [f"frobenius basis: {len(basis)} series, {len(basis)} independent"]
     for k, r in enumerate(rendered):
         text.append(f"-- series {k} --")
         text.append(r)
-    machine = {
-        "command": "series",
-        "count": count,
-        "series": rendered,
-    }
+    machine = {"command": "series", "count": len(basis), "series": rendered}
     _emit(args, text, machine)
 
 

@@ -53,7 +53,7 @@ from .errors import (
 )
 from . import intlinalg
 from .lattice import ExponentMatrix, LatticeWalk, integer_kernel
-from .series import LogSeries, _ratio_jet_family
+from .series import LogSeries, _eps_coefficients, _ratio_jet_family
 
 # a section (or chart denominator) whose modulus falls below this fraction
 # of the sum of its terms' moduli counts as vanishing on a torus or a path
@@ -61,8 +61,12 @@ _CLEARANCE = 1e-6
 
 
 def _is_int(value):
-    # bool is a subclass of int, but no count or index
+    # bool is a subclass of int, but no count, index or size
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_size(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 # -- data types ----------------------------------------------------------------
@@ -160,9 +164,8 @@ class QuadratureSettings:
     max_evals: int = 2**20
 
     def __post_init__(self):
-        tol = self.tol
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise ValueError(f"tol must be a positive finite real, got {tol!r}")
+        if not _is_size(self.tol):
+            raise ValueError(f"tol must be a positive finite real, got {self.tol!r}")
         if not _is_int(self.max_evals) or self.max_evals < 1:
             raise ValueError(f"max_evals must be a positive int, got {self.max_evals!r}")
 
@@ -211,12 +214,8 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
     gamma = tuple(Fraction(-1) if i == i0 else Fraction(0) for i in range(p))
     unit = tuple(int(i == i0) for i in range(p))
     window = LatticeWalk(kernel, p).window(order)
-    zl = (0,) * p
-    terms = {
-        (v, zl): Fraction(nums[0], den)
-        for _, v, (nums, den) in _ratio_jet_family(gamma, unit, window, 0)
-    }
-    return LogSeries(gamma=gamma, terms=terms, lattice=kernel, radius=order)
+    family = _ratio_jet_family(gamma, unit, window, 0)
+    return _eps_coefficients(gamma, unit, family, kernel, order, 1)[0]
 
 
 # -- torus-cycle quadrature ------------------------------------------------------
@@ -247,12 +246,13 @@ def numeric_cycle_integral(
 
     Tensor-product trapezoidal rule with grid doubling; exponentially
     convergent for sections without zeros on the torus.  The reported error
-    is the difference of the two finest grids.
+    is the difference of the two finest grids.  DegeneracyError unless
+    ``radii`` holds one positive finite real (no bool) per coordinate.
     """
     n = s.A.dim
-    radii = tuple(float(r) for r in radii)
-    if len(radii) != n or any(r <= 0 for r in radii):
+    if len(radii) != n or not all(map(_is_size, radii)):
         raise DegeneracyError("one positive radius per torus coordinate is required")
+    radii = tuple(map(float, radii))
     scale = sum(
         abs(s.coeffs[i]) * math.prod(radii[j] ** mu[j] for j in range(n))
         for i, mu in enumerate(s.A.points)
@@ -678,7 +678,7 @@ def loop_chain(center, radius, points=12) -> ChainSpec:
     ``points`` an int of at least 3: fewer points, or a zero radius, give
     no loop.
     """
-    if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):
+    if not _is_size(radius):
         raise DegeneracyError(f"loop radius must be a positive finite number, got {radius!r}")
     if not _is_int(points) or points < 3:
         raise DegeneracyError(f"a loop needs an int of at least 3 points, got {points!r}")
@@ -713,19 +713,22 @@ def fd_weights(derivative, nodes):
     return list(intlinalg.solve_rational(rows, rhs))
 
 
+def _check_accuracy(accuracy):
+    if not (isinstance(accuracy, numbers.Integral) and accuracy > 0 and accuracy % 2 == 0):
+        raise ValueError(f"accuracy must be a positive even integer, got {accuracy!r}")
+
+
 def central_stencil(derivative, accuracy=4):
-    """Symmetric nodes and exact weights for a central difference."""
+    """Symmetric nodes and exact weights for a central difference; ValueError
+    unless ``accuracy`` is a positive even integer."""
+    _check_accuracy(accuracy)
     nodes, weights = _central_stencil(derivative, accuracy)
     return list(nodes), list(weights)
 
 
 @functools.lru_cache(maxsize=None)
 def _central_stencil(derivative, accuracy):
-    half = (derivative + 1) // 2
-    count = 2 * half - 1 + accuracy
-    if count % 2 == 0:
-        count += 1
-    k = count // 2
+    k = (derivative + 1) // 2 + accuracy // 2 - 1
     nodes = tuple(range(-k, k + 1))
     return nodes, tuple(fd_weights(derivative, nodes))
 
@@ -821,10 +824,9 @@ def finite_difference_residual(
     both floors (``floor``, ``floor_refined``) and the accuracy, and its
     ``holds(tol)`` is the certificate's verdict for that operator.
     """
-    if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+    if not _is_size(h):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
-    if not (isinstance(accuracy, numbers.Integral) and accuracy > 0 and accuracy % 2 == 0):
-        raise ValueError(f"accuracy must be a positive even integer, got {accuracy!r}")
+    _check_accuracy(accuracy)
     a0 = tuple(complex(z) for z in a0)
     if len(a0) != spec.nvars:
         raise ValueError(f"a0 must hold {spec.nvars} coefficients, got {len(a0)}")

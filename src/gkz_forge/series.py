@@ -14,11 +14,12 @@ are decided exactly.
   ints over one positive denominator, and extracts the logarithmic
   solutions as their eps-power coefficients, each made a ``Fraction`` once.
   Jets occur only here and in ``periods.torus_period_series``, which reads
-  the same tables at jet order 0.  Each coordinate keeps one prefix
-  table of ratios over the window's shifts, built one integer linear factor
-  at a time, so a coefficient is a product of table entries.  One search
-  over (base exponent, kernel basis vector) pairs serves every kernel rank;
-  the lattice window, not the rank, is capped (``lattice.MAX_WINDOW``).
+  the same tables at jet order 0.  Each coordinate keeps one prefix table
+  of ratios over the window's shifts, built one integer linear factor at a
+  time, so a coefficient is a product of table entries.  One search over
+  (base exponent, kernel basis vector) pairs serves every kernel rank, its
+  coefficients independent by construction (``frobenius_basis``); the
+  lattice window, not the rank, is capped (``lattice.MAX_WINDOW``).
 * A series keeps its integer form on the instance, built on first use:
   int64 offset and log-index columns beside an object column of
   Python-int numerators over ``D``, the lcm of the reduced denominators.
@@ -34,8 +35,8 @@ are decided exactly.
   by sorting, one block of rows at a time, and each nonzero total is
   divided once.  Codes or factors that could leave int64 are Python ints
   on the same path.
-* ``count_independent`` certifies independence by a rank mod the prime
-  2^31 - 1 of the integer forms, eliminated on int64 rows; clearing
+* ``count_independent`` certifies independence for callers by a rank mod
+  the prime 2^31 - 1 of the integer forms, eliminated on int64 rows; clearing
   denominators scales each row by a nonzero integer, so a full modular rank
   is the rank over Q whatever the denominators.  A modular rank below the
   row count falls back to exact rational elimination.
@@ -421,12 +422,16 @@ def frobenius_basis(spec: SystemSpec, order):
     ``torus_period_series``) comes first when the origin is a point and
     ``-e_i0`` solves the constraints.  The directions are the kernel basis
     vectors, in order.  The first pair whose family is holomorphic and
-    one-sided and whose ``vol`` coefficients are independent (checked by
-    ``count_independent``) gives the basis, so its length is the normalized
-    volume of the exponent polytope.  Exact rational coefficients
-    throughout.  The lattice window is capped by ``lattice.MAX_WINDOW``, the
-    log terms of one expansion by ``MAX_LOG_TERMS``.
-    An order that is not a nonnegative int raises ValueError.
+    one-sided gives the basis, so its length is the normalized volume of the
+    exponent polytope.  Its coefficients are independent by construction:
+    offset 0 is in every window, with the jet (1, 0, ..., 0) over 1, so the
+    eps^j series has the term ``(0, alpha)`` for each ``alpha`` of total j
+    on the slope's support, with coefficient ``prod_i slope_i^alpha_i /
+    alpha_i! != 0``, and no other eps-series has one: the offset-0 columns
+    are block-diagonal with nonzero blocks (``count_independent`` certifies
+    it for callers).  Exact rational coefficients throughout.  The window is
+    capped by ``lattice.MAX_WINDOW``, the log terms of one expansion by
+    ``MAX_LOG_TERMS``; an order that is not a nonnegative int raises ValueError.
     """
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise ValueError(f"order must be a nonnegative int, got {order!r}")
@@ -455,11 +460,8 @@ def frobenius_basis(spec: SystemSpec, order):
     for gamma0 in bases:
         for slope in kernel:
             family = _ratio_jet_family(gamma0, slope, window, vol - 1)
-            if family is None or not _one_sided(family):
-                continue
-            basis = _eps_coefficients(gamma0, slope, family, kernel, order, vol)
-            if count_independent(basis) == vol:
-                return basis
+            if family is not None and _one_sided(family):
+                return _eps_coefficients(gamma0, slope, family, kernel, order, vol)
     raise UnsupportedFamily("no base exponent and kernel direction yields a full basis")
 
 

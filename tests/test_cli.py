@@ -181,6 +181,15 @@ def test_series_window_over_the_cap_exits_3(tmp_path, capsys):
     assert out == "" and err.startswith("error: lattice window of 83521 offsets")
 
 
+def test_series_exits_3_when_the_search_finds_no_basis(tmp_path, capsys):
+    # the segment with the origin at a vertex: a limit of the current search
+    # that bases from the standard pairs of in_w(I_A) should lift
+    job = {"schema_version": 1, "dim": 1, "points": [[-2], [-1], [0]]}
+    code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
+    assert (code, out) == (3, "")
+    assert err == "error: no base exponent and kernel direction yields a full basis\n"
+
+
 def test_verify_unipotent_golden(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", "--input", write_job(tmp_path, UNIPOTENT_JOB)])
     assert code == 0

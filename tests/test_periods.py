@@ -219,8 +219,11 @@ class TestCycleIntegral:
         with pytest.raises(SingularOnContour):
             numeric_cycle_integral(s, (1.0,), TIGHT)
 
-    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.0,), (-1.0,)])
+    @pytest.mark.parametrize(
+        "radii", [(1.0, 1.0), (0.0,), (-1.0,), (math.nan,), (math.inf,), (True,)]
+    )
     def test_radii_rejected(self, radii):
+        # NaN and inf once ran the grid up to its cap, True the unit torus
         s = SectionData(A=A_SEG, coeffs=(0.02, 1.0, 0.03))
         with pytest.raises(DegeneracyError, match="one positive radius"):
             numeric_cycle_integral(s, radii, TIGHT)
@@ -695,12 +698,13 @@ class TestResidues:
         [
             (0, 12), (0.0, 12), (-0.15, 12), (math.nan, 12), (math.inf, 12),
             (0.15, 2), (0.15, 1), (0.15, 0),
-            (0.15, 3.5), (0.15, 12.0), (0.15, "4"), (0.15, True),
+            (0.15, 3.5), (0.15, 12.0), (0.15, "4"), (0.15, True), (True, 12),
         ],
     )
     def test_degenerate_loop_rejected(self, radius, points):
         # a zero radius or fewer than 3 points once came back as the period 0,
-        # and a point count that is no int raised a bare TypeError
+        # a point count that is no int raised a bare TypeError, and a radius
+        # True gave a unit loop
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         with pytest.raises(DegeneracyError):
             loop_chain(denominator_roots(sec)[1], radius, points)
@@ -963,8 +967,9 @@ class TestFiniteDifference:
             got = [x for r in rep.reports for x in (r.residual, r.residual_refined)]
             assert got == fraction_fd_residuals(spec, F, a0, h, accuracy)
 
-    @pytest.mark.parametrize("h", [0, 0.0, -0.01, math.nan, math.inf, 1j])
+    @pytest.mark.parametrize("h", [0, 0.0, -0.01, math.nan, math.inf, 1j, True])
     def test_step_must_be_positive_finite(self, h):
+        # True once ran as the step 1.0
         spec = tautsys.unipotent_p1_system()
         with pytest.raises(ValueError, match="step h"):
             finite_difference_residual(spec, lambda a: 1.0 / a[0], (1.0, 0.7, 1.3), h=h)
@@ -983,15 +988,27 @@ class TestFiniteDifference:
             finite_difference_residual(spec, F, a0, h=0.02)
         assert not calls
 
-    @pytest.mark.parametrize("accuracy", [0, 1, 3, -2, 4.0])
+    def test_central_stencil_widths(self):
+        # 2 ceil(m / 2) - 1 + accuracy nodes: the fewest symmetric ones
+        for m in range(1, 7):
+            for acc in (2, 4, 6, 8):
+                nodes, _ = central_stencil(m, acc)
+                k = (2 * ((m + 1) // 2) - 1 + acc) // 2
+                assert nodes == list(range(-k, k + 1))
+
+    @pytest.mark.parametrize("accuracy", [0, 1, 3, -2, 4.0, True])
     def test_accuracy_must_be_positive_even(self, accuracy):
         # an odd accuracy rounds up to the next even stencil, so the
-        # Richardson factor 2^accuracy would be wrong
+        # Richardson factor 2^accuracy would be wrong; central_stencil once
+        # returned the accuracy-4 stencil for 3 and failed on 0 for want of nodes
         spec = tautsys.unipotent_p1_system()
-        with pytest.raises(ValueError, match="accuracy"):
+        want = f"accuracy must be a positive even integer, got {accuracy!r}"
+        with pytest.raises(ValueError, match=want):
             finite_difference_residual(
                 spec, lambda a: cmath.exp(a[0]), (0.8, 0.7, 1.3), h=0.1, accuracy=accuracy
             )
+        with pytest.raises(ValueError, match=want):
+            central_stencil(2, accuracy)
 
     @pytest.mark.parametrize("accuracy", [4, 6])
     def test_richardson_factor_is_two_to_the_accuracy(self, accuracy):
