@@ -11,7 +11,10 @@ by inverting the coordinate), by one global adaptive Gauss-Kronrod (10, 21)
 integrator (QUADPACK's dqk21 pair, the default rule of its QAGS driver).
 The segments of a chain form one stacked integrand: each segment is a row
 of path parameters and dense chart coefficients, and each round evaluates
-the nodes of every new interval at once by Horner's rule.
+the nodes of every new interval at once by Horner's rule.  The first round
+takes every segment as its two halves and evaluates their nodes together
+with a 129-point pole-clearance scan of every path, in one call, so a chain
+that meets its tolerance at once costs one call of the integrand.
 It stops when the summed error estimate is at most tol and raises
 NonConvergent when tol is below the roundoff floor (eps times the integral
 of |f| (50 + cond), cond the condition number of the Horner sums), when its
@@ -246,8 +249,11 @@ def numeric_cycle_integral(
 
     Tensor-product trapezoidal rule with grid doubling; exponentially
     convergent for sections without zeros on the torus.  The reported error
-    is the difference of the two finest grids.  DegeneracyError unless
-    ``radii`` holds one positive finite real (no bool) per coordinate.
+    is the difference of the two finest grids.  ``quad.max_evals`` bounds
+    the evaluations summed over all grids, as it does for a chain: a grid
+    that would take the total past it is not sampled, and NonConvergent is
+    raised instead.  DegeneracyError unless ``radii`` holds one positive
+    finite real (no bool) per coordinate.
     """
     n = s.A.dim
     if len(radii) != n or not all(map(_is_size, radii)):
@@ -260,7 +266,7 @@ def numeric_cycle_integral(
     m = 8
     prev = None
     total = 0
-    while m**n <= quad.max_evals:
+    while total + m**n <= quad.max_evals:
         f, g = _section_on_torus(s, radii, (m,) * n)
         total += f.size
         if np.min(np.abs(f)) < _CLEARANCE * scale:
@@ -274,7 +280,10 @@ def numeric_cycle_integral(
                 return IntegrationResult(value=value, error=err, evaluations=total)
         prev = value
         m *= 2
-    raise NonConvergent("torus quadrature did not reach the tolerance within the grid cap")
+    raise NonConvergent(
+        "torus quadrature did not reach the tolerance within its budget"
+        f" of {quad.max_evals} evaluations"
+    )
 
 
 # -- chart rational forms (one-dimensional chains) --------------------------------
@@ -391,11 +400,13 @@ def _chain_integrand(pieces):
 
     ``pieces`` come from ``_segment_piece``.  The returned function maps
     interval rows ``piece`` (the segment of each row) and parameters ``t``
-    in [0, 1] (one row of nodes per interval) to ``num(x) / den(x) * dx/dt``
-    and an estimate of its rounding error, evaluating every row at once by
-    Horner's rule on the rows' chart coefficients.  Raises PoleNearPath when
-    a denominator nearly vanishes at one of 129 equally spaced parameters of
-    its segment.
+    in [0, 1] (a row of parameters per interval row, or one row for all) to
+    ``num(x) / den(x) * dx/dt``, an estimate of its rounding error, and the
+    condition number ``sum |d_e| |x|^e / |den(x)|`` of the denominator,
+    evaluating every row at once by Horner's rule on the rows' chart
+    coefficients.  The condition number above ``1 / _CLEARANCE`` marks a
+    parameter where the denominator nearly vanishes; the quadrature reads it
+    on its pole-clearance scan.
     """
     nums, dens, paths, arcs = zip(*pieces)
     # the direct and the inverted chart of a chain have numerators of one
@@ -414,28 +425,14 @@ def _chain_integrand(pieces):
     shifts = sorted(set(lows) - {0})
     lows = np.array(lows)
 
-    def path(c, arc, t):
-        # x = p (c0 + c1 t) on a linear segment, p exp(c1 t) on an arc
-        p, c0, c1 = c[:3]
-        u = t * c1
-        x = c0 + u
-        np.exp(u, out=x, where=arc)
-        return p * x
-
-    # pole clearance along every path
-    t = np.arange(129) / 128.0
-    x = path(rows.T[..., None], arcs[:, None], t)
-    scale = _horner(rows_abs[:, k:].T[..., None], np.abs(x))
-    value = _horner(rows[:, k:].T[..., None], x)
-    near = np.abs(value) < _CLEARANCE * np.maximum(scale, 1e-300)
-    if near.any():
-        first = near[near.any(axis=1)][0]
-        raise PoleNearPath(f"denominator nearly vanishes at t = {t[np.argmax(first)]:.4f}")
-
     def integrand(piece, t):
         c, c_abs = rows[piece].T[..., None], rows_abs[piece].T[..., None]
         arc = arcs[piece, None]
-        x = path(c, arc, t)
+        # x = p (c0 + c1 t) on a linear segment, p exp(c1 t) on an arc
+        u = t * c[2]
+        x = c[1] + u
+        np.exp(u, out=x, where=arc)
+        x = c[0] * x
         dx = np.where(arc, c[2] * x, c[3])
         top, bottom = _horner(c[4:k], x), _horner(c[k:], x)
         size = np.abs(x)
@@ -452,7 +449,7 @@ def _chain_integrand(pieces):
         noise = _EPS * np.abs(dx / bottom) * (
             (_ROUNDOFF + cond) * np.abs(top) + num_size
         )
-        return top / bottom * dx, noise
+        return top / bottom * dx, noise, cond
 
     return integrand
 
@@ -488,19 +485,23 @@ _ROUNDOFF = 50
 _MIN_WIDTH = 1000 * _EPS
 
 
-def _gauss_kronrod_intervals(integrand, piece, lo, hi):
+# the first round's parameters on every segment: the Kronrod nodes of
+# [0, 1/2] and of [1/2, 1], then the pole-clearance scan t = k / 128
+_FIRST_ROUND = np.concatenate(
+    (0.25 + 0.25 * _GK_NODES, 0.75 + 0.25 * _GK_NODES, np.arange(129) / 128.0)
+)
+
+
+def _gauss_kronrod_sums(t, f, noise, half):
     """Value, error estimate and roundoff floor on each interval.
 
-    ``piece[i]`` names the segment of interval ``[lo[i], hi[i]]``; the
-    nodes of all intervals are evaluated in one call of the chain's
-    integrand, which returns its values and estimates of their rounding
-    errors.  The floor is the integral of that bound.  The error estimate is
+    Row ``i`` of ``f`` and ``noise`` holds the chain integrand's values and
+    rounding-error estimates at the Kronrod nodes ``t[i]`` of an interval of
+    half-width ``half[i]`` (or ``half``, one width for all).  The floor is
+    the integral of the rounding-error estimates.  The error estimate is
     QUADPACK's: the Kronrod-Gauss difference rescaled by the integrand's
     variation, and never below the floor.
     """
-    half = (hi - lo) / 2.0
-    t = ((hi + lo) / 2.0)[:, None] + half[:, None] * _GK_NODES
-    f, noise = integrand(piece, t)
     finite = np.isfinite(f) & np.isfinite(noise)
     if not finite.all():
         bad = t[~finite][0]
@@ -515,23 +516,54 @@ def _gauss_kronrod_intervals(integrand, piece, lo, hi):
     return kronrod * half, np.maximum(err, floor), floor
 
 
+def _first_round(integrand, n):
+    """Both halves of each of the ``n`` segments, by one integrand call.
+
+    The call also evaluates every segment at the 129 parameters ``k / 128``
+    of the pole-clearance scan, and raises PoleNearPath when the
+    denominator nearly vanishes at one of them, before any node value is
+    used.  Returns the interval rows in the order a bisection of every whole
+    segment gives: the left halves of segments ``0 .. n-1``, then their
+    right halves, with their bounds, values, error estimates and floors.
+    """
+    m = len(_GK_NODES)
+    segments = np.arange(n)
+    f, noise, cond = integrand(segments, _FIRST_ROUND)
+    near = cond[:, 2 * m :] > 1.0 / _CLEARANCE
+    if near.any():
+        first = near[near.any(axis=1)][0]
+        t = _FIRST_ROUND[2 * m + np.argmax(first)]
+        raise PoleNearPath(f"denominator nearly vanishes at t = {t:.4f}")
+    lo = np.repeat((0.0, 0.5), n)
+    value, err, floor = _gauss_kronrod_sums(
+        np.repeat(_FIRST_ROUND[: 2 * m].reshape(2, m), n, axis=0),
+        np.concatenate((f[:, :m], f[:, m : 2 * m])),
+        np.concatenate((noise[:, :m], noise[:, m : 2 * m])),
+        0.25,
+    )
+    return np.concatenate((segments, segments)), value, np.array([lo, lo + 0.5, err, floor])
+
+
 def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> IntegrationResult:
     """Sum over the ``n`` segments of a chain of their integrals over [0, 1],
     within ``quad.tol``.
 
     One global pool of intervals holds every segment (they share the
-    tolerance), and each round evaluates all new intervals by one call of the
-    stacked integrand.  Each round bisects the intervals of largest error,
-    all at once, until the summed error is at most tol.  Raises
-    NonConvergent when the roundoff floor (the integral of the integrand's
-    rounding-error estimates) is above tol, when the evaluation budget runs
-    out, or when an interval can no longer be split.
+    tolerance).  It starts with every segment as its two halves, [0, 1/2]
+    and [1/2, 1], evaluated together with the pole-clearance scan by one
+    call of the stacked integrand (``_first_round``), so a chain that meets
+    tol at once costs one call.  Each further round bisects the intervals of
+    largest error, all at once, and evaluates the new ones by one call,
+    until the summed error is at most tol.  Raises NonConvergent when the
+    roundoff floor (the integral of the integrand's rounding-error
+    estimates) is above tol, when the evaluation budget runs out (checked
+    before every call, the first included), or when an interval can no
+    longer be split.
     """
-    piece, lo, hi = np.arange(n), np.zeros(n), np.ones(n)
-    value, err, noise = _gauss_kronrod_intervals(integrand, piece, lo, hi)
-    # one column per interval: its bounds, error estimate and roundoff floor
-    pool = np.array([lo, hi, err, noise])
-    evals = len(_GK_NODES) * n
+    evals = 2 * len(_GK_NODES) * n
+    if evals > quad.max_evals:
+        raise _over_budget(quad)
+    piece, value, pool = _first_round(integrand, n)
     while True:
         err, noise = pool[2:]
         total = err.sum()
@@ -560,9 +592,7 @@ def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> Integrati
         split = order[: np.count_nonzero(rest > goal / 2.0) + 1]
         evals += 2 * len(_GK_NODES) * len(split)
         if evals > quad.max_evals:
-            raise NonConvergent(
-                f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
-            )
+            raise _over_budget(quad)
         left, right = pool[:2, split]
         if (right - left).min() < _MIN_WIDTH:
             raise NonConvergent(
@@ -573,12 +603,21 @@ def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> Integrati
         parents = piece[split]
         halves = np.concatenate((parents, parents))
         left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
-        new_value, new_err, new_noise = _gauss_kronrod_intervals(integrand, halves, left, right)
+        half = (right - left) / 2.0
+        t = ((right + left) / 2.0)[:, None] + half[:, None] * _GK_NODES
+        f, new_noise, _ = integrand(halves, t)
+        new_value, new_err, new_noise = _gauss_kronrod_sums(t, f, new_noise, half)
         keep = np.ones(len(piece), dtype=bool)
         keep[split] = False
         piece = np.concatenate((piece[keep], halves))
         value = np.concatenate((value[keep], new_value))
         pool = np.concatenate((pool[:, keep], [left, right, new_err, new_noise]), axis=1)
+
+
+def _over_budget(quad):
+    return NonConvergent(
+        f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
+    )
 
 
 def numeric_chain_integral(
@@ -591,15 +630,21 @@ def numeric_chain_integral(
     infinity), and all segments are integrated together, as one stacked
     integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator: the
     21-point Kronrod rule, exact to degree 31, with its embedded 10-point
-    Gauss rule for the error estimate.  It stops once the summed error
-    estimate is at most ``quad.tol``, so the returned error is never above
-    tol; it raises NonConvergent when tol is below the roundoff floor (eps
-    times the integral of |f| (50 + cond), cond the condition number of the
-    Horner sums, which grows like 1/distance beside a pole), when the
-    evaluation budget runs out or when an interval can no longer be split.
-    Raises DivergentAtBoundary when the integrand does not extend across a
-    flagged endpoint and PoleNearPath when the section nearly vanishes on
-    the path.
+    Gauss rule for the error estimate.  The integrator starts from both
+    halves of every segment, evaluated with the pole-clearance scan of every
+    path by one call of the integrand, and bisects from there; a chain that
+    meets tol at once takes 42 evaluations per segment, all in that one
+    call.  It stops once the summed error estimate is at most
+    ``quad.tol``, so the returned error is never above tol; it raises
+    NonConvergent when tol is below the roundoff floor (eps times the
+    integral of |f| (50 + cond), cond the condition number of the Horner
+    sums, which grows like 1/distance beside a pole), when the evaluation
+    budget ``quad.max_evals`` would run out (checked before every call, the
+    first included) or when an interval can no longer be split.  Raises
+    DivergentAtBoundary when the integrand does not extend across a flagged
+    endpoint and PoleNearPath when the section nearly vanishes at one of 129
+    equally spaced parameters of a segment or the integrand is not finite
+    at a node.
     """
     return _chain_integral(s, chain, quad)
 

@@ -161,14 +161,13 @@ def test_series_counts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "points,code",
-    [([[-1], [0], [1], [2]], 0), ([[-2], [-1], [0], [1]], 0),
-     ([[1, 0], [0, 1], [-1, 0], [-1, -1], [0, 0]], 0)],
+    "points",
+    [[[-1], [0], [1], [2]], [[-2], [-1], [0], [1]], [[1, 0], [0, 1], [-1, 0], [-1, -1], [0, 0]]],
 )
-def test_series_rank_two_pole_exits_cleanly(tmp_path, capsys, points, code):
+def test_series_rank_two_pole_exits_cleanly(tmp_path, capsys, points):
     job = {"schema_version": 1, "dim": len(points[0]), "points": points, "options": {"order": 6}}
-    got, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
-    assert got == code
+    code, out, err = run(capsys, ["series", "--input", write_job(tmp_path, job)])
+    assert code == 0
     count = 4 if len(points[0]) == 2 else 3  # the normalized volume
     assert f"{count} series, {count} independent" in out
 

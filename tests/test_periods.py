@@ -236,6 +236,16 @@ class TestCycleIntegral:
         v2 = numeric_cycle_integral(scaled, (1.0,), TIGHT).value
         assert abs(v2 - v1 / lam) < 1e-12
 
+    @pytest.mark.parametrize("max_evals", [64, 100, 119])
+    def test_budget_counts_every_grid(self, max_evals):
+        # the grids 8, 16, 32 and 64 take 120 evaluations; the grid of 64
+        # alone once fit under max_evals and the run returned 120
+        s = SectionData(A=A_SEG, coeffs=(0.3, 1.0, 0.3))
+        with pytest.raises(NonConvergent, match=f"budget of {max_evals} evaluations"):
+            numeric_cycle_integral(s, (1.0,), QuadratureSettings(max_evals=max_evals))
+        res = numeric_cycle_integral(s, (1.0,), QuadratureSettings(max_evals=120))
+        assert res.evaluations == 120 and res.error <= 1e-10
+
 
 class TestChainIntegral:
     # the half-line deformed through the upper half plane: linear segments
@@ -307,7 +317,8 @@ class TestChainIntegral:
     def test_pole_near_path(self):
         # root on the positive axis blocks the chain
         sec = SectionData(A=A_SEG, coeffs=(-1.0, 0.0, 1.0))  # roots at +-1
-        with pytest.raises(PoleNearPath):
+        # raised by the clearance scan, not by a node value that is not finite
+        with pytest.raises(PoleNearPath, match=r"^denominator nearly vanishes at t = 1\.0000$"):
             numeric_chain_integral(sec, halfline_chain(), TIGHT)
 
     @pytest.mark.parametrize("flags", [{"start_flags": (2,)}, {"end_flags": (-3,)}])
@@ -381,14 +392,14 @@ class TestInputChecks:
 # integrator's arithmetic or bisection order shows here at once.
 PINNED_CHAINS = {
     # the half-line of jobs/chain_131.json at its tol 1e-12: two linear segments
-    "halfline": (0.860817881928008 + 0j, 126),
+    "halfline": (0.860817881928008 + 0j, 84),
     # a 12-arc loop_chain of radius 0.15 around the root -0.38196..., tol 1e-13
-    "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 252),
+    "loop": (-1.8735013540549517e-16 + 2.8099258924162904j, 504),
     # the mixed chain of test_homotopy_invariance, tol 1e-13
-    "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 84),
+    "mixed": (0.8608178819280081 + 2.7755575615628914e-17j, 168),
     # ARC_TO_INFINITY, tol 1e-13: the numerator's lowest exponent is -1 in
     # the arc's chart and 0 in the inverted chart
-    "arc to infinity": (0.25541281188299536 - 6.938893903907228e-18j, 42),
+    "arc to infinity": (0.25541281188299536 - 6.938893903907228e-18j, 84),
 }
 
 # dx / (x (2 + 3x)) on an arc from 1 to 2 + i and on to infinity
@@ -422,6 +433,48 @@ def test_pinned_quadrature_partition(name):
     assert res.evaluations == evaluations
     assert res.error <= quad.tol
     assert abs(res.value - value) <= 1e-14 * abs(value)
+
+
+# chains that meet their tol on the first round, with their values before the
+# first round started from the two halves of each segment
+ONE_CALL_CHAINS = {
+    # jobs/chain_131.json: the half-line at tol 1e-12
+    "chain_131": ((1.0, 3.0, 1.0), QuadratureSettings(tol=1e-12), 0.8608178819280081),
+    # a section of the benchmark's chain-FD certificates, at their tol 1e-13
+    "chain-fd": ((0.9, 3.1, 1.1), TIGHT, 0.8518654577489119),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CALL_CHAINS))
+def test_chain_that_converges_at_once_takes_one_integrand_call(name, monkeypatch):
+    # both halves of every segment and the pole-clearance scan share one call
+    coeffs, quad, value = ONE_CALL_CHAINS[name]
+    calls = []
+    stacked = periods._chain_integrand
+
+    def counted(pieces):
+        integrand = stacked(pieces)
+
+        def call(piece, t):
+            calls.append(len(piece))
+            return integrand(piece, t)
+
+        return call
+
+    monkeypatch.setattr(periods, "_chain_integrand", counted)
+    res = numeric_chain_integral(SectionData(A=A_SEG, coeffs=coeffs), halfline_chain(), quad)
+    assert calls == [2]  # one call, one row per segment
+    assert res.evaluations == 84 and res.error <= quad.tol
+    assert abs(res.value - value) <= 1e-15 * abs(value)
+
+
+def test_first_round_is_held_to_the_budget():
+    # 12 arcs take 504 evaluations in the first round, far past 50
+    sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+    with pytest.raises(NonConvergent, match="exceeded its budget of 50 evaluations"):
+        numeric_chain_integral(
+            sec, loop_chain(0, 1.0, 12), QuadratureSettings(tol=1e-6, max_evals=50)
+        )
 
 
 def reference_integrand(num, den, seg, t):
@@ -503,7 +556,7 @@ def test_stacked_integrand_matches_each_segment(name):
     (num, den), chain = stacked_integrand_case(name)
     pieces = [periods._segment_piece(num, den, seg) for seg in chain.segments]
     t = np.arange(1, 16) / 16.0
-    f, noise = periods._chain_integrand(pieces)(
+    f, noise, _ = periods._chain_integrand(pieces)(
         np.arange(len(pieces)), np.tile(t, (len(pieces), 1))
     )
     for i, seg in enumerate(chain.segments):
