@@ -72,6 +72,13 @@ def _is_size(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
+def _finite(values):
+    try:
+        return all(map(cmath.isfinite, values))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
 # -- data types ----------------------------------------------------------------
 
 
@@ -81,7 +88,8 @@ class SectionData:
 
     ``numerator_exponents`` / ``numerator_coeffs`` optionally give the
     numerator g that every integral reads (empty: g = 1).  DegeneracyError
-    when they differ in length or an exponent's length is not ``A.dim``.
+    when they differ in length, an exponent's length is not ``A.dim``, or a
+    coefficient of the section or of g is not finite.
     """
 
     A: ExponentMatrix
@@ -98,6 +106,8 @@ class SectionData:
             raise DegeneracyError("numerator exponents and coefficients differ in length")
         if any(len(nu) != self.A.dim for nu in self.numerator_exponents):
             raise DegeneracyError(f"numerator exponents must have length {self.A.dim}")
+        if not _finite([*self.coeffs, *self.numerator_coeffs]):
+            raise DegeneracyError("section and numerator coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -108,8 +118,8 @@ class Segment:
     points (so circles around the origin are exact arcs).  A flag of -1
     sends the coordinate to 0 at that end, +1 sends it to infinity; the
     control point entry of a flagged coordinate gives the approach
-    direction (the path is linear in the chart coordinate).  Any other flag
-    raises DegeneracyError.
+    direction (the path is linear in the chart coordinate).  Any other flag,
+    or a control point that is not finite, raises DegeneracyError.
     """
 
     start: tuple
@@ -127,6 +137,8 @@ class Segment:
         object.__setattr__(self, "end_flags", tuple(self.end_flags or (0,) * n))
         if len(self.end) != n or len(self.start_flags) != n or len(self.end_flags) != n:
             raise DegeneracyError("segment data of inconsistent dimension")
+        if not _finite(self.start + self.end):
+            raise DegeneracyError("segment control points must be finite")
         if any(f not in (-1, 0, 1) for f in self.start_flags + self.end_flags):
             raise DegeneracyError(
                 f"boundary flags must be -1, 0 or 1, got {self.start_flags} and {self.end_flags}"
@@ -225,21 +237,22 @@ def torus_period_series(A: ExponentMatrix, i0=None, order=10) -> LogSeries:
 
 
 def _section_on_torus(s: SectionData, radii, grids):
-    """f and the numerator g (None without one) on the product torus grid."""
+    """f and the numerator g (1 without one) on the product torus grid."""
     n = s.A.dim
     angles = [np.linspace(0.0, 2.0 * np.pi, grids[j], endpoint=False) for j in range(n)]
     mesh = np.meshgrid(*angles, indexing="ij") if n > 1 else [angles[0]]
     x = [radii[j] * np.exp(1j * mesh[j]) for j in range(n)]
 
-    def laurent(points, coeffs):
+    def laurent(terms):
         total = np.zeros(mesh[0].shape, dtype=complex)
-        for mu, c in zip(points, coeffs):
+        for mu, c in terms:
             if c != 0:
                 total = total + c * math.prod(xj**e for xj, e in zip(x, mu) if e)
         return total
 
-    g = laurent(s.numerator_exponents, s.numerator_coeffs) if s.numerator_exponents else None
-    return laurent(s.A.points, s.coeffs), g
+    g = zip(s.numerator_exponents, s.numerator_coeffs)
+    g = g if s.numerator_exponents else [((0,) * n, 1)]
+    return laurent(zip(s.A.points, s.coeffs)), laurent(g)
 
 
 def numeric_cycle_integral(
@@ -273,7 +286,7 @@ def numeric_cycle_integral(
             raise SingularOnContour(
                 f"|f| dips to {np.min(np.abs(f)):.3e} on the sampled torus"
             )
-        value = complex(np.mean(1.0 / f if g is None else g / f))
+        value = complex(np.mean(g / f))
         if prev is not None:
             err = abs(value - prev)
             if err <= quad.tol:
@@ -834,9 +847,12 @@ def _derivative_at(F, points, weights, denominator, order, step, samples, used):
     for point in points:
         if point not in samples:
             try:
-                samples[point] = complex(F(point))
+                value = complex(F(point))
             except Exception as exc:  # the sampled function left its domain
                 raise StencilOutOfDomain(str(exc)) from exc
+            if not cmath.isfinite(value):
+                raise StencilOutOfDomain(f"the sampled function is {value} at {point}")
+            samples[point] = value
         v = used[point] = samples[point]
         ratios.append((v.real.as_integer_ratio(), v.imag.as_integer_ratio()))
     parts = []
@@ -856,8 +872,9 @@ def finite_difference_residual(
     accuracy (a positive even integer); each residual is recomputed at h/2
     (h a positive finite number) for an observed convergence order and a
     Richardson extrapolation.  ``F`` takes a coefficient tuple and returns a
-    complex value; ``a0`` holds one coefficient per variable of the system,
-    else ValueError before any sample is taken.
+    finite complex value, else StencilOutOfDomain, as when it raises; ``a0``
+    holds one finite coefficient per variable of the system, else ValueError
+    before any sample is taken.
 
     Each stencil point is sampled once per certificate, whichever operators
     and steps read it: the node 2k at h/2 is the node k at h.  The observed
@@ -875,6 +892,8 @@ def finite_difference_residual(
     a0 = tuple(complex(z) for z in a0)
     if len(a0) != spec.nvars:
         raise ValueError(f"a0 must hold {spec.nvars} coefficients, got {len(a0)}")
+    if not _finite(a0):
+        raise ValueError(f"a0 must be finite, got {a0}")
     reports = []
     orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
     # per derivative order: the stencil nodes, and its weights as integers

@@ -46,12 +46,8 @@ def symmetry_operator(xi, beta_xi=Fraction(0)) -> WeylElement:
         raise ValueError("symmetry matrix must be square")
     unit = [tuple(1 if k == i else 0 for k in range(p)) for i in range(p)]
     # the WeylElement constructor makes every value a Fraction and drops zeros
-    terms = {((0,) * p, (0,) * p): beta_xi}
-    for i, row in enumerate(xi):
-        for j, c in enumerate(row):
-            if c:
-                terms[unit[i], unit[j]] = c
-    return WeylElement(p, terms)
+    terms = [((unit[i], unit[j]), c) for i, row in enumerate(xi) for j, c in enumerate(row)]
+    return WeylElement(p, [(((0,) * p, (0,) * p), beta_xi), *terms])
 
 
 def _diagonal(row):

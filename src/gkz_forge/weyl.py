@@ -1,9 +1,12 @@
 """Exact arithmetic in the Weyl algebra of coordinates a1..ap.
 
 Elements are kept in normal order (all ``a`` factors to the left of all
-``d`` factors) with exact ``Fraction`` coefficients.  Multiplication applies
-the commutation rule ``d_i a_i = a_i d_i + 1`` exactly, so equality of
-elements is structural equality of their normal forms.
+``d`` factors) with exact ``Fraction`` coefficients.  The constructor is the
+one normal form: it reads a mapping or ``((u, w), c)`` pairs, sums equal
+keys exactly and drops zero sums; sums and products hand it their raw terms.
+Multiplication applies ``d_i a_i = a_i d_i + 1`` exactly, so equality of
+elements is structural equality of their normal forms.  A scalar operand of
+``+``, ``-`` or ``*`` raises TypeError; ``scaled`` and ``constant`` take one.
 
 The canonical text rendering (``a1^2 d1^2 + a1 d1``) is bit-exact: terms in
 descending lexicographic order of their exponent keys, coefficients as
@@ -31,23 +34,15 @@ class WeylElement:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms=()):
         self.nvars = nvars
         clean = {}
-        for (u, w), c in (terms or {}).items():
-            c = Fraction(c)
+        for (u, w), c in terms.items() if hasattr(terms, "items") else terms:
             if len(u) != nvars or len(w) != nvars:
                 raise VariableMismatch("term exponent length does not match nvars")
-            if c == 0:
-                continue
-            key = (tuple(u), tuple(w))
-            if key in clean:
-                c = clean[key] + c
-            if c == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = c
-        self.terms = clean
+            key, c = (tuple(u), tuple(w)), Fraction(c)
+            clean[key] = clean[key] + c if key in clean else c
+        self.terms = {key: c for key, c in clean.items() if c}
 
     # -- constructors ----------------------------------------------------
 
@@ -57,8 +52,7 @@ class WeylElement:
 
     @classmethod
     def one(cls, nvars):
-        z = (0,) * nvars
-        return cls(nvars, {(z, z): Fraction(1)})
+        return cls.constant(1, nvars)
 
     @classmethod
     def constant(cls, value, nvars):
@@ -91,41 +85,25 @@ class WeylElement:
 
     def __add__(self, other):
         if not isinstance(other, WeylElement):
-            other = WeylElement.constant(other, self.nvars)
+            return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key, 0) + c
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return WeylElement(self.nvars, terms)
-
-    __radd__ = __add__
+        return WeylElement(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return WeylElement(self.nvars, {k: -c for k, c in self.terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other):
         if not isinstance(other, WeylElement):
-            other = WeylElement.constant(other, self.nvars)
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scaled(self, factor):
         return WeylElement(self.nvars, {k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
-            return self.scaled(other)
+            return NotImplemented
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        # scalar * element (scalars commute with everything)
-        return self.scaled(other)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -187,27 +165,25 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
     """Normal-ordered product, applying d_i a_i = a_i d_i + 1 recursively."""
     x._check(y)
     n = x.nvars
-    terms = {}
-    for (u, w), cx in x.terms.items():
-        for (up, wp), cy in y.terms.items():
-            c = cx * cy
-            # d^w a^up = sum_k prod_i C(w_i,k_i) * falling(up_i,k_i) a^(up-k) d^(w-k)
-            kranges = [range(min(w[i], up[i]) + 1) for i in range(n)]
-            for k in product(*kranges):
-                scale = 1
-                for i in range(n):
-                    if k[i]:
-                        scale *= comb(w[i], k[i]) * _falling(up[i], k[i])
-                key = (
-                    tuple(u[i] + up[i] - k[i] for i in range(n)),
-                    tuple(w[i] - k[i] + wp[i] for i in range(n)),
-                )
-                acc = terms.get(key, 0) + c * scale
-                if acc == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-    return WeylElement(n, terms)
+
+    def products():
+        for (u, w), cx in x.terms.items():
+            for (up, wp), cy in y.terms.items():
+                c = cx * cy
+                # d^w a^up = sum_k prod_i C(w_i,k_i) * falling(up_i,k_i) a^(up-k) d^(w-k)
+                kranges = [range(min(w[i], up[i]) + 1) for i in range(n)]
+                for k in product(*kranges):
+                    scale = 1
+                    for i in range(n):
+                        if k[i]:
+                            scale *= comb(w[i], k[i]) * _falling(up[i], k[i])
+                    key = (
+                        tuple(u[i] + up[i] - k[i] for i in range(n)),
+                        tuple(w[i] - k[i] + wp[i] for i in range(n)),
+                    )
+                    yield key, c * scale
+
+    return WeylElement(n, products())
 
 
 def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -218,7 +194,8 @@ def fourier_box(ell, nvars=None) -> WeylElement:
     """Box operator of an integer relation vector.
 
     Splits ``ell`` into its positive and negative parts and returns
-    ``d^(ell+) - d^(ell-)``; the zero vector gives the zero operator.
+    ``d^(ell+) - d^(ell-)``; for the zero vector the two terms cancel, which
+    gives the zero operator.
     """
     ell = tuple(int(x) for x in ell)
     n = nvars if nvars is not None else len(ell)
@@ -226,7 +203,5 @@ def fourier_box(ell, nvars=None) -> WeylElement:
         raise VariableMismatch("relation vector length does not match nvars")
     plus = tuple(max(x, 0) for x in ell)
     minus = tuple(max(-x, 0) for x in ell)
-    if all(x == 0 for x in ell):
-        return WeylElement.zero(n)
     z = (0,) * n
-    return WeylElement(n, {(z, plus): Fraction(1), (z, minus): Fraction(-1)})
+    return WeylElement(n, [((z, plus), 1), ((z, minus), -1)])

@@ -348,6 +348,51 @@ class TestInputChecks:
             SectionData(A=A_SEG, coeffs=(0, 0.0, 0j))
 
     @pytest.mark.parametrize(
+        "coeffs, numerator",
+        [
+            ((math.nan, 3.0, 1.0), ()),
+            ((1.0, math.inf, 1.0), ()),
+            ((1.0, 3.0, complex(1.0, -math.inf)), ()),
+            ((1.0, 3.0, 10**400), ()),
+            ((1.0, 3.0, 1.0), (0.5, math.nan)),
+            ((1.0, 3.0, 1.0), (0.5, complex(math.nan, 1.0))),
+        ],
+    )
+    def test_section_coefficients_must_be_finite(self, coeffs, numerator):
+        # a NaN coefficient once ran the torus rule through its whole budget,
+        # reported a misleading PoleNearPath on a chain and leaked numpy's
+        # LinAlgError from the residues
+        exponents = ((0,), (1,)) if numerator else ()
+        with pytest.raises(DegeneracyError, match="coefficients must be finite"):
+            SectionData(A=A_SEG, coeffs=coeffs, numerator_exponents=exponents,
+                        numerator_coeffs=numerator)
+
+    def test_numerator_lengths_must_match(self):
+        with pytest.raises(DegeneracyError, match="differ in length"):
+            SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0), numerator_exponents=((0,), (1,)),
+                        numerator_coeffs=(0.5,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"start": (math.inf,), "end": (1.0,)},
+            {"start": (1.0,), "end": (math.nan,)},
+            {"start": (complex(1.0, math.inf),), "end": (1.0,), "start_flags": (-1,)},
+            {"start": (1.0,), "end": (-math.inf,), "end_flags": (1,)},
+        ],
+    )
+    def test_segment_points_must_be_finite(self, kwargs):
+        # an infinite point once leaked ValueError from cmath.log, a NaN one
+        # gave PoleNearPath
+        with pytest.raises(DegeneracyError, match="control points must be finite"):
+            Segment(**kwargs)
+
+    @pytest.mark.parametrize("center", [math.nan, complex(0.0, math.inf)])
+    def test_loop_center_must_be_finite(self, center):
+        with pytest.raises(DegeneracyError, match="control points must be finite"):
+            loop_chain(center, 1.0)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"start": (1.0,), "end": (1.0, 2.0)},
@@ -1040,6 +1085,31 @@ class TestFiniteDifference:
         with pytest.raises(ValueError, match=rf"a0 must hold 3 coefficients, got {len(a0)}"):
             finite_difference_residual(spec, F, a0, h=0.02)
         assert not calls
+
+    @pytest.mark.parametrize(
+        "a0", [(math.nan, 3.0, 1.0), (1.0, math.inf, 1.0), (1.0, 3.0, complex(1.0, math.nan))]
+    )
+    def test_a0_must_be_finite(self, a0):
+        # a NaN a0 once gave a report whose box operator held
+        spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
+        calls = []
+
+        def F(a):
+            calls.append(a)
+            return 1.0
+
+        with pytest.raises(ValueError, match="a0 must be finite"):
+            finite_difference_residual(spec, F, a0, h=0.01)
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, complex(1.0, math.inf), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_sample_is_out_of_domain(self, value):
+        # such a sample once leaked ValueError or OverflowError from as_integer_ratio
+        spec = tautsys.unipotent_p1_system()
+        with pytest.raises(StencilOutOfDomain, match="the sampled function is"):
+            finite_difference_residual(spec, lambda a: value, (1.0, 1.0, 1.0), h=0.01)
 
     def test_central_stencil_widths(self):
         # 2 ceil(m / 2) - 1 + accuracy nodes: the fewest symmetric ones

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -137,3 +139,93 @@ def test_render_fractions():
     x = WeylElement.monomial((1,), (0,), Fraction(3, 4))
     assert x.render() == "3/4 a1"
     assert WeylElement.zero(2).render() == "0"
+
+
+def _reference_multiply(x, y):
+    # the merge-loop product that summed each key as it went, kept as the
+    # oracle of the product that hands its raw terms to the constructor
+    n = x.nvars
+    terms = {}
+    for (u, w), cx in x.terms.items():
+        for (up, wp), cy in y.terms.items():
+            c = cx * cy
+            kranges = [range(min(w[i], up[i]) + 1) for i in range(n)]
+            for k in product(*kranges):
+                scale = 1
+                for i in range(n):
+                    if k[i]:
+                        scale *= comb(w[i], k[i]) * _falling(up[i], k[i])
+                key = (
+                    tuple(u[i] + up[i] - k[i] for i in range(n)),
+                    tuple(w[i] - k[i] + wp[i] for i in range(n)),
+                )
+                acc = terms.get(key, 0) + c * scale
+                if acc == 0:
+                    terms.pop(key, None)
+                else:
+                    terms[key] = acc
+    return terms
+
+
+def _reference_sum(x, y, sign=1):
+    terms = dict(x.terms)
+    for key, c in y.terms.items():
+        acc = terms.get(key, 0) + sign * c
+        if acc == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+    return terms
+
+
+def test_constructor_normal_form_matches_merge_loops():
+    rng = random.Random(7)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        x = random_element(rng, nvars, rng.randint(0, 4))
+        y = random_element(rng, nvars, rng.randint(0, 4))
+        xy, yx = _reference_multiply(x, y), _reference_multiply(y, x)
+        assert multiply(x, y).terms == xy
+        assert commutator(x, y).terms == _reference_sum(
+            WeylElement(nvars, xy), WeylElement(nvars, yx), -1
+        )
+        assert (x + y).terms == _reference_sum(x, y)
+        assert (x - y).terms == _reference_sum(x, y, -1)
+        assert (x - x).is_zero()
+        for element in (multiply(x, y), x + y, x - y):
+            assert all(type(c) is Fraction and c for c in element.terms.values())
+
+
+def test_constructor_reads_pairs_and_merges_exactly():
+    z, d = (0,), (1,)
+    pairs = [((z, d), 0.5), ((z, d), Fraction(1, 2)), ((z, z), 3), ((z, z), -3), ((d, z), 0)]
+    x = WeylElement(1, pairs)
+    assert x.terms == {(z, d): Fraction(1)}
+    assert type(x.terms[z, d]) is Fraction
+    assert x == WeylElement(1, iter(pairs)) == WeylElement.partial(0, 1)
+    # lists are keys too: the constructor makes them tuples
+    assert WeylElement(1, [(([0], [1]), 1)]) == WeylElement.partial(0, 1)
+    with pytest.raises(VariableMismatch, match="term exponent length"):
+        WeylElement(2, [(((0, 0), (1,)), 1)])
+
+
+@pytest.mark.parametrize("scalar", [0, 2, Fraction(1, 3), 1.5])
+def test_scalar_operands_raise_type_error(scalar):
+    x = WeylElement.partial(0, 2)
+    for op in (
+        lambda: x + scalar, lambda: scalar + x, lambda: x - scalar,
+        lambda: scalar - x, lambda: x * scalar, lambda: scalar * x,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    # scalars enter through scaled and constant
+    assert x.scaled(2) + WeylElement.constant(scalar, 2) == WeylElement(
+        2, [(((0, 0), (1, 0)), 2), (((0, 0), (0, 0)), scalar)]
+    )
+
+
+def test_sum_needs_a_start_element():
+    ops = [WeylElement.partial(i, 2) for i in range(2)]
+    with pytest.raises(TypeError):
+        sum(ops)
+    assert sum(ops, start=WeylElement.zero(2)).render() == "d1 + d2"
