@@ -396,7 +396,7 @@ def cmd_verify(job, args):
         raise CertificateFailed("symbolic residual NONZERO under " + "; ".join(failed))
     if fd_failed:
         raise CertificateFailed(
-            f"finite-difference residual does not converge at order {fd_failed[0].accuracy}"
+            f"finite-difference residual does not converge at order {periods.FD_ORDER}"
             f" to within tol {job.tol:g} of its stencil sums under "
             + "; ".join(rep.operator.render() for rep in fd_failed)
         )

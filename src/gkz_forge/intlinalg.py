@@ -7,9 +7,8 @@ Hermite normal form is the one integer elimination: with its unimodular
 transform it gives saturated kernels, and its callers read determinants
 (the product of its pivots) and integer coordinates (back substitution down
 its staircase) from it.  Gauss-Jordan elimination gives ranks and the one
-rational solver.  That solver also gives the Ehrhart polynomial
-coefficients of the volume oracle and the exact finite-difference stencil
-weights, both from small Vandermonde systems.
+rational solver.  That solver also gives the exact finite-difference
+stencil weights, from small Vandermonde systems.
 """
 
 from __future__ import annotations

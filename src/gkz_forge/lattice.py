@@ -14,6 +14,7 @@ single rounding error would silently change it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -111,13 +112,34 @@ class LatticeWalk:
         return None if any(rem) else tuple(out)
 
 
+def _integer_points(points, dim=None):
+    """The points as tuples of ints, every one of length ``dim`` (by default
+    the first point's).
+
+    Raises DegenerateConfiguration for a point of another length or a
+    coordinate that is not an int or a numpy integer (a bool or a float is
+    refused, however integral its value).
+    """
+    out = []
+    for p in map(tuple, points):
+        dim = len(p) if dim is None else dim
+        if len(p) != dim:
+            raise DegenerateConfiguration(f"point {p} does not have dimension {dim}")
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in p):
+            raise DegenerateConfiguration(f"point {p} has a coordinate that is not an integer")
+        out.append(tuple(map(int, p)))
+    return out
+
+
 def homogenize(points, dim):
     """Assemble the homogenized exponent matrix from Laurent exponents.
 
-    Raises DuplicatePoint for repeated points and DegenerateConfiguration
-    when the homogenized matrix does not have full row rank dim+1.
+    Raises DegenerateConfiguration for a point that is not ``dim`` integers
+    (``_integer_points``), DuplicatePoint for repeated points and
+    DegenerateConfiguration when the homogenized matrix does not have full
+    row rank dim+1.
     """
-    pts = tuple(tuple(int(x) for x in p) for p in points)
+    pts = tuple(_integer_points(points, dim))
     if not pts:
         raise DegenerateConfiguration("no points given")
     if not 1 <= dim <= MAX_DIM:
@@ -126,8 +148,6 @@ def homogenize(points, dim):
         raise LimitExceeded(f"{len(pts)} points exceed the supported cap of {MAX_POINTS}")
     seen = set()
     for p in pts:
-        if len(p) != dim:
-            raise DegenerateConfiguration(f"point {p} does not have dimension {dim}")
         if p in seen:
             raise DuplicatePoint(f"point {p} appears twice")
         seen.add(p)
@@ -155,25 +175,16 @@ def integer_kernel(em: ExponentMatrix) -> tuple:
 # -- convex hull and volumes -------------------------------------------------
 
 
-def _dedupe(points):
-    out = []
-    seen = set()
-    for p in points:
-        t = tuple(int(x) for x in p)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
 def _polytope_points(points):
     """The distinct points of a full-dimensional polytope within the
     desk-scale caps.
 
-    Raises LowerDimensionalPolytope for an empty or flat point set and
-    LimitExceeded outside dimensions 1..MAX_DIM or beyond MAX_POINTS points.
+    Raises DegenerateConfiguration for points that are not integer tuples
+    of one length (``_integer_points``), LowerDimensionalPolytope for an
+    empty or flat point set and LimitExceeded outside dimensions 1..MAX_DIM
+    or beyond MAX_POINTS points.
     """
-    pts = _dedupe(points)
+    pts = list(dict.fromkeys(_integer_points(points)))
     if not pts:
         raise LowerDimensionalPolytope("empty point set")
     n = len(pts[0])

@@ -23,11 +23,11 @@ returned error is never above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
-finite-difference stencils, which certifies "this integral solves the
-system" at a point without symbolic access to the function; each
-operator's report gives the verdict.  The stencil weights solve a small
-Vandermonde system with ``intlinalg``'s exact solver, once per derivative
-order and accuracy.  Each stencil sum is formed exactly in integers, and
+finite-difference stencils of order ``FD_ORDER``, which certifies "this
+integral solves the system" at a point without symbolic access to the
+function; each operator's report gives the verdict.  The stencil weights
+solve a small Vandermonde system with ``intlinalg``'s exact solver, once
+per derivative order.  Each stencil sum is formed exactly in integers, and
 each stencil point is sampled once per certificate: the steps h and h/2
 and all operators share the samples.
 """
@@ -39,6 +39,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,9 @@ from .series import LogSeries, _eps_coefficients, _ratio_jet_family
 # a section (or chart denominator) whose modulus falls below this fraction
 # of the sum of its terms' moduli counts as vanishing on a torus or a path
 _CLEARANCE = 1e-6
+# the order of accuracy of every finite-difference stencil: the error of a
+# residual is O(h^FD_ORDER)
+FD_ORDER = 4
 
 
 def _is_int(value):
@@ -69,7 +73,11 @@ def _is_int(value):
 
 
 def _is_size(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+    # a real above the largest float, such as a huge int, is not finite
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and 0 < value <= sys.float_info.max
+    )
 
 
 def _finite(values):
@@ -89,7 +97,8 @@ class SectionData:
     ``numerator_exponents`` / ``numerator_coeffs`` optionally give the
     numerator g that every integral reads (empty: g = 1).  DegeneracyError
     when they differ in length, an exponent's length is not ``A.dim``, or a
-    coefficient of the section or of g is not finite.
+    coefficient of the section or of g is not finite.  Both coefficient
+    tuples are kept as complex numbers.
     """
 
     A: ExponentMatrix
@@ -108,6 +117,8 @@ class SectionData:
             raise DegeneracyError(f"numerator exponents must have length {self.A.dim}")
         if not _finite([*self.coeffs, *self.numerator_coeffs]):
             raise DegeneracyError("section and numerator coefficients must be finite")
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
+        object.__setattr__(self, "numerator_coeffs", tuple(map(complex, self.numerator_coeffs)))
 
 
 @dataclass(frozen=True)
@@ -129,16 +140,16 @@ class Segment:
 
     def __post_init__(self):
         n = len(self.start)
-        object.__setattr__(self, "start", tuple(complex(z) for z in self.start))
-        object.__setattr__(self, "end", tuple(complex(z) for z in self.end))
+        if not _finite([*self.start, *self.end]):
+            raise DegeneracyError("segment control points must be finite")
+        object.__setattr__(self, "start", tuple(map(complex, self.start)))
+        object.__setattr__(self, "end", tuple(map(complex, self.end)))
         object.__setattr__(
             self, "start_flags", tuple(self.start_flags or (0,) * n)
         )
         object.__setattr__(self, "end_flags", tuple(self.end_flags or (0,) * n))
         if len(self.end) != n or len(self.start_flags) != n or len(self.end_flags) != n:
             raise DegeneracyError("segment data of inconsistent dimension")
-        if not _finite(self.start + self.end):
-            raise DegeneracyError("segment control points must be finite")
         if any(f not in (-1, 0, 1) for f in self.start_flags + self.end_flags):
             raise DegeneracyError(
                 f"boundary flags must be -1, 0 or 1, got {self.start_flags} and {self.end_flags}"
@@ -341,15 +352,16 @@ def _chart_pair(s: SectionData):
     den = {}
     for mu, c in zip(mus, s.coeffs):
         if c != 0:
-            den[mu + sigma] = den.get(mu + sigma, 0) + complex(c)
+            den[mu + sigma] = den.get(mu + sigma, 0) + c
     den = {e: c for e, c in den.items() if c != 0}
     if not den:
         raise DegeneracyError("section is identically zero")
-    g = zip(s.numerator_exponents, s.numerator_coeffs) if s.numerator_exponents else [((0,), 1)]
+    g = zip(s.numerator_exponents, s.numerator_coeffs)
+    g = g if s.numerator_exponents else [((0,), 1 + 0j)]
     num = {}
     for nu, b in g:
         e = nu[0] + sigma - 1
-        num[e] = num.get(e, 0) + complex(b)
+        num[e] = num.get(e, 0) + b
     num = {e: c for e, c in num.items() if c != 0}
     return num, den
 
@@ -727,27 +739,20 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     return 2j * math.pi * complex(_horner(top, r, low) / _horner(bottom, r, dlow))
 
 
-def loop_chain(center, radius, points=12) -> ChainSpec:
+def loop_chain(center, radius) -> ChainSpec:
     """Closed chain winding once counterclockwise around ``center``.
 
-    Built from ``points`` multiplicative arcs between points on a circle;
-    for ``center = 0`` the arcs are exact circle pieces.  Raises
-    DegeneracyError unless the radius is a positive finite number and
-    ``points`` an int of at least 3: fewer points, or a zero radius, give
-    no loop.
+    Built from 12 multiplicative arcs between points on a circle; for
+    ``center = 0`` the arcs are exact circle pieces.  Raises
+    DegeneracyError unless the center is finite and the radius a positive
+    finite number: a zero radius gives no loop.
     """
     if not _is_size(radius):
         raise DegeneracyError(f"loop radius must be a positive finite number, got {radius!r}")
-    if not _is_int(points) or points < 3:
-        raise DegeneracyError(f"a loop needs an int of at least 3 points, got {points!r}")
-    center = complex(center)
-    verts = [
-        center + radius * cmath.exp(2j * math.pi * k / points) for k in range(points)
-    ]
-    segs = [
-        Segment(start=(verts[k],), end=(verts[(k + 1) % points],))
-        for k in range(points)
-    ]
+    if not _finite([center]):
+        raise DegeneracyError(f"loop center {center!r}: control points must be finite")
+    verts = [complex(center) + radius * cmath.exp(2j * math.pi * k / 12) for k in range(12)]
+    segs = [Segment(start=(a,), end=(b,)) for a, b in zip(verts, verts[1:] + verts[:1])]
     return ChainSpec(segments=tuple(segs))
 
 
@@ -771,36 +776,27 @@ def fd_weights(derivative, nodes):
     return list(intlinalg.solve_rational(rows, rhs))
 
 
-def _check_accuracy(accuracy):
-    if not (isinstance(accuracy, numbers.Integral) and accuracy > 0 and accuracy % 2 == 0):
-        raise ValueError(f"accuracy must be a positive even integer, got {accuracy!r}")
-
-
-def central_stencil(derivative, accuracy=4):
-    """Symmetric nodes and exact weights for a central difference; ValueError
-    unless ``accuracy`` is a positive even integer."""
-    _check_accuracy(accuracy)
-    nodes, weights = _central_stencil(derivative, accuracy)
-    return list(nodes), list(weights)
-
-
 @functools.lru_cache(maxsize=None)
-def _central_stencil(derivative, accuracy):
-    k = (derivative + 1) // 2 + accuracy // 2 - 1
+def _central_stencil(derivative):
+    """Nodes of the central stencil of order ``FD_ORDER`` for the derivative,
+    its weights as integers, and their common denominator; the zeroth
+    derivative reads the centre alone."""
+    k = (derivative + 1) // 2 + FD_ORDER // 2 - 1 if derivative else 0
     nodes = tuple(range(-k, k + 1))
-    return nodes, tuple(fd_weights(derivative, nodes))
+    weights = fd_weights(derivative, nodes)
+    scale = math.lcm(*(x.denominator for x in weights))
+    return nodes, tuple(x.numerator * (scale // x.denominator) for x in weights), scale
 
 
 @dataclass(frozen=True)
 class OperatorFD:
-    """One operator's residuals at h and h/2, their floors and stencil accuracy."""
+    """One operator's residuals at h and h/2 and their floors."""
 
     operator: object
     residual: complex
     residual_refined: complex
     floor: float
     floor_refined: float
-    accuracy: int
 
     @property
     def observed_order(self):
@@ -810,16 +806,16 @@ class OperatorFD:
 
     @property
     def richardson(self):
-        # the leading error term is O(h^accuracy): halving h divides it by 2^accuracy
-        k = 2**self.accuracy
+        # the leading error term is O(h^FD_ORDER): halving h divides it by 2^FD_ORDER
+        k = 2**FD_ORDER
         return (k * self.residual_refined - self.residual) / (k - 1)
 
     def holds(self, tol):
-        """The order is within 0.5 of the accuracy for some residuals within their
+        """The order is within 0.5 of FD_ORDER for some residuals within their
         floors, and the Richardson value at most tol times floor_refined / eps."""
         r1, f1 = abs(self.residual), self.floor
         r2, f2 = abs(self.residual_refined), self.floor_refined
-        lo, hi = 2 ** (self.accuracy - 0.5), 2 ** (self.accuracy + 0.5)
+        lo, hi = 2 ** (FD_ORDER - 0.5), 2 ** (FD_ORDER + 0.5)
         converges = lo * (r2 - f2) <= r1 + f1 and r1 - f1 <= hi * (r2 + f2)
         return converges and abs(self.richardson) <= tol * f2 / math.ulp(1.0)
 
@@ -863,17 +859,15 @@ def _derivative_at(F, points, weights, denominator, order, step, samples, used):
     return complex(*parts) / step**order
 
 
-def finite_difference_residual(
-    spec, F, a0, h, accuracy=4
-) -> FDReport:
+def finite_difference_residual(spec, F, a0, h) -> FDReport:
     """Apply every operator of the system to a sampled function of the coefficients.
 
-    Derivatives are tensor products of exact central stencils of the given
-    accuracy (a positive even integer); each residual is recomputed at h/2
-    (h a positive finite number) for an observed convergence order and a
-    Richardson extrapolation.  ``F`` takes a coefficient tuple and returns a
-    finite complex value, else StencilOutOfDomain, as when it raises; ``a0``
-    holds one finite coefficient per variable of the system, else ValueError
+    Derivatives are tensor products of exact central stencils of order
+    ``FD_ORDER``; each residual is recomputed at h/2 (h a positive finite
+    number) for an observed convergence order and a Richardson
+    extrapolation.  ``F`` takes a coefficient tuple and returns a finite
+    complex value, else StencilOutOfDomain, as when it raises; ``a0`` holds
+    one finite coefficient per variable of the system, else ValueError
     before any sample is taken.
 
     Each stencil point is sampled once per certificate, whichever operators
@@ -883,26 +877,23 @@ def finite_difference_residual(
     the sum over the operator's terms of |coefficient * monomial| * (sum of
     |stencil weight products|) / step^|w|, the size of the last-bit errors of
     the samples after the stencils have amplified them.  Each report keeps
-    both floors (``floor``, ``floor_refined``) and the accuracy, and its
-    ``holds(tol)`` is the certificate's verdict for that operator.
+    both floors (``floor``, ``floor_refined``), and its ``holds(tol)`` is
+    the certificate's verdict for that operator.
     """
     if not _is_size(h):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
-    _check_accuracy(accuracy)
-    a0 = tuple(complex(z) for z in a0)
+    a0 = tuple(a0)
     if len(a0) != spec.nvars:
         raise ValueError(f"a0 must hold {spec.nvars} coefficients, got {len(a0)}")
     if not _finite(a0):
         raise ValueError(f"a0 must be finite, got {a0}")
+    a0 = tuple(map(complex, a0))
     reports = []
-    orders = {wi for op in spec.operators for (_, w) in op.terms for wi in w}
     # per derivative order: the stencil nodes, and its weights as integers
     # over one common denominator
-    stencils = {}
-    for k in orders:
-        nodes, weights = _central_stencil(k, accuracy) if k else ((0,), (Fraction(1),))
-        scale = math.lcm(*(x.denominator for x in weights))
-        stencils[k] = nodes, [x.numerator * (scale // x.denominator) for x in weights], scale
+    stencils = {
+        k: _central_stencil(k) for op in spec.operators for (_, w) in op.terms for k in w
+    }
     mass = {k: sum(map(abs, weights)) / scale for k, (_, weights, scale) in stencils.items()}
     tensors = {}
 
@@ -936,5 +927,5 @@ def finite_difference_residual(
 
     for op in spec.operators:
         (r1, floor1), (r2, floor2) = residual_at(op, h), residual_at(op, h / 2.0)
-        reports.append(OperatorFD(op, r1, r2, floor1, floor2, accuracy))
+        reports.append(OperatorFD(op, r1, r2, floor1, floor2))
     return FDReport(reports=tuple(reports), h=float(h))

@@ -19,6 +19,9 @@ from .errors import SaturationBudgetExceeded
 from .lattice import ExponentMatrix, homogenize, integer_kernel
 from .weyl import WeylElement, fourier_box
 
+# S-pairs and reduction steps one saturation may spend
+MAX_SATURATION_STEPS = 20_000
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -61,13 +64,12 @@ def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
     ``beta = (1, 0, ..., 0)``.  The box operators carry the toric ideal
     I_A: one per element of its reduced Groebner basis
     (``saturate_lattice_ideal`` of the kernel basis), which raises
-    SaturationBudgetExceeded when the default step cap runs out.
+    SaturationBudgetExceeded when its ``MAX_SATURATION_STEPS`` run out.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != A.dim + 1:
         raise ValueError(f"beta must have length {A.dim + 1}")
-    p = A.nsections
-    ops = [fourier_box(ell, p) for ell in saturate_lattice_ideal(integer_kernel(A))]
+    ops = [fourier_box(ell) for ell in saturate_lattice_ideal(integer_kernel(A))]
     for k, row in enumerate(A.A):
         ops.append(symmetry_operator(_diagonal(row), beta[k]))
     return SystemSpec(operators=tuple(ops), A=A, beta=beta, label="GKZ")
@@ -88,7 +90,7 @@ def unipotent_p1_system() -> SystemSpec:
     beta(e) = 1) and the translation generator (with beta = 0).
     """
     A = homogenize([(2,), (1,), (0,)], 1)
-    box = fourier_box((1, -2, 1), 3)
+    box = fourier_box((1, -2, 1))
     scaling = symmetry_operator(_diagonal((1, 1, 1)), Fraction(1))
     xi = ((0, 2, 0), (0, 0, 1), (0, 0, 0))
     translation = symmetry_operator(xi, Fraction(0))
@@ -172,7 +174,7 @@ def _reduced(basis, budget):
     return [(lead, _normal_form(trail, kept, budget)) for lead, trail in kept]
 
 
-def saturate_lattice_ideal(kernel, step_cap=20000):
+def saturate_lattice_ideal(kernel):
     """The reduced Groebner basis of the saturated lattice ideal, as vectors.
 
     The binomials of ``kernel`` (vectors that sum to zero, since A has a row
@@ -182,11 +184,11 @@ def saturate_lattice_ideal(kernel, step_cap=20000):
     basis has x_1 last; it is returned as the integer vectors ``trail -
     lead`` (first nonzero entry positive), sorted, so the output depends only
     on the ideal.  Each S-pair and each reduction step costs one of
-    ``step_cap`` steps; SaturationBudgetExceeded when they run out.
+    ``MAX_SATURATION_STEPS`` steps; SaturationBudgetExceeded when they run out.
     """
     if any(map(sum, kernel)):
         raise ValueError("kernel vectors must sum to zero")
-    budget = [step_cap]
+    budget = [MAX_SATURATION_STEPS]
     gens = [(tuple(max(x, 0) for x in ell), tuple(max(-x, 0) for x in ell)) for ell in kernel]
     for _ in range(len(kernel[0]) if kernel else 0):
         # rotate so that the next variable comes first, and orient the pairs

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, perm
 
 from .errors import VariableMismatch
-
-
-def _falling(x, k):
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
 
 
 class WeylElement:
@@ -170,13 +163,13 @@ def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
         for (u, w), cx in x.terms.items():
             for (up, wp), cy in y.terms.items():
                 c = cx * cy
-                # d^w a^up = sum_k prod_i C(w_i,k_i) * falling(up_i,k_i) a^(up-k) d^(w-k)
+                # d^w a^up = sum_k prod_i C(w_i,k_i) * perm(up_i,k_i) a^(up-k) d^(w-k)
                 kranges = [range(min(w[i], up[i]) + 1) for i in range(n)]
                 for k in product(*kranges):
                     scale = 1
                     for i in range(n):
                         if k[i]:
-                            scale *= comb(w[i], k[i]) * _falling(up[i], k[i])
+                            scale *= comb(w[i], k[i]) * perm(up[i], k[i])
                     key = (
                         tuple(u[i] + up[i] - k[i] for i in range(n)),
                         tuple(w[i] - k[i] + wp[i] for i in range(n)),
@@ -190,17 +183,15 @@ def commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     return multiply(x, y) - multiply(y, x)
 
 
-def fourier_box(ell, nvars=None) -> WeylElement:
-    """Box operator of an integer relation vector.
+def fourier_box(ell) -> WeylElement:
+    """Box operator of an integer relation vector, in ``len(ell)`` variables.
 
     Splits ``ell`` into its positive and negative parts and returns
     ``d^(ell+) - d^(ell-)``; for the zero vector the two terms cancel, which
     gives the zero operator.
     """
     ell = tuple(int(x) for x in ell)
-    n = nvars if nvars is not None else len(ell)
-    if len(ell) != n:
-        raise VariableMismatch("relation vector length does not match nvars")
+    n = len(ell)
     plus = tuple(max(x, 0) for x in ell)
     minus = tuple(max(-x, 0) for x in ell)
     z = (0,) * n

@@ -295,7 +295,7 @@ def test_verify_certifies_the_period_series_inside_its_disc(tmp_path, capsys, se
 
 
 def _fd_report(r1, r2, f1, f2):
-    return periods.OperatorFD(object(), r1, r2, f1, f2, accuracy=4)
+    return periods.OperatorFD(object(), r1, r2, f1, f2)
 
 
 def test_fd_verdict_rule():

@@ -4,6 +4,7 @@ import random
 import time
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -246,6 +247,33 @@ class TestVolumes:
             lattice.normalized_volume([])
         with pytest.raises(LimitExceeded, match="dimension 5"):
             lattice.ehrhart_volume_oracle([(0,) * 5, (1, 0, 0, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(0, 0), (1, 0), (0, 1), (1, 1, 9)], "does not have dimension 2"),
+            ([(0, 0), (1, 0), (0, 1), (5,)], "does not have dimension 2"),
+            ([(1.9,), (0,), (3,)], "not an integer"),
+            ([(0.5,), (1,), (2,)], "not an integer"),
+            ([(1.0,), (0,), (3,)], "not an integer"),
+            ([(True,), (0,), (3,)], "not an integer"),
+        ],
+        ids=["long-point", "short-point", "float-1.9", "float-0.5", "float-1.0", "bool"],
+    )
+    def test_points_must_be_integer_tuples_of_one_length(self, points, message):
+        # the 3-coordinate point was once read as (1, 1) and both volumes
+        # came back 2, (5,) leaked IndexError, and 1.9 was read as 1
+        with pytest.raises(DegenerateConfiguration, match=message):
+            lattice.normalized_volume(points)
+        with pytest.raises(DegenerateConfiguration, match=message):
+            lattice.ehrhart_volume_oracle(points)
+        with pytest.raises(DegenerateConfiguration, match=message):
+            lattice.homogenize(points, len(points[0]))
+
+    def test_numpy_integer_points(self):
+        points = np.array([(0, 0), (1, 0), (0, 1), (-1, -1)])
+        assert lattice.normalized_volume(points) == lattice.ehrhart_volume_oracle(points) == 3
+        assert lattice.homogenize(points, 2) == lattice.homogenize(HESSE, 2)
 
     def test_segment_dilate_counts(self):
         # 3 points at k=1, 5 at k=2 for the segment [-1, 1]

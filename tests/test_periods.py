@@ -26,7 +26,6 @@ from gkz_forge.periods import (
     QuadratureSettings,
     SectionData,
     Segment,
-    central_stencil,
     denominator_roots,
     fd_weights,
     finite_difference_residual,
@@ -220,13 +219,25 @@ class TestCycleIntegral:
             numeric_cycle_integral(s, (1.0,), TIGHT)
 
     @pytest.mark.parametrize(
-        "radii", [(1.0, 1.0), (0.0,), (-1.0,), (math.nan,), (math.inf,), (True,)]
+        "radii", [(1.0, 1.0), (0.0,), (-1.0,), (math.nan,), (math.inf,), (True,), (10**400,)]
     )
     def test_radii_rejected(self, radii):
-        # NaN and inf once ran the grid up to its cap, True the unit torus
+        # NaN and inf once ran the grid up to its cap, True the unit torus;
+        # an int beyond the float range leaked OverflowError
         s = SectionData(A=A_SEG, coeffs=(0.02, 1.0, 0.03))
         with pytest.raises(DegeneracyError, match="one positive radius"):
             numeric_cycle_integral(s, radii, TIGHT)
+
+    def test_fraction_section_equals_its_float_twin(self):
+        # Fraction coefficients once built object arrays on the torus: 13x
+        # slower, and a value off in the 15th digit
+        twin = SectionData(A=A_HESSE, coeffs=(1.0, 0.05, 0.05, 0.05))
+        exact = SectionData(A=A_HESSE, coeffs=(1, *[Fraction(1, 20)] * 3))
+        assert exact == twin
+        quad = QuadratureSettings(tol=1e-11)
+        assert numeric_cycle_integral(exact, (1, 1), quad) == numeric_cycle_integral(
+            twin, (1.0, 1.0), quad
+        )
 
     def test_scaling_covariance(self):
         s = SectionData(A=A_SEG, coeffs=(0.02, 1.0, 0.03))
@@ -379,15 +390,18 @@ class TestInputChecks:
             {"start": (1.0,), "end": (math.nan,)},
             {"start": (complex(1.0, math.inf),), "end": (1.0,), "start_flags": (-1,)},
             {"start": (1.0,), "end": (-math.inf,), "end_flags": (1,)},
+            {"start": (1.0,), "end": (10**400,)},
         ],
     )
     def test_segment_points_must_be_finite(self, kwargs):
         # an infinite point once leaked ValueError from cmath.log, a NaN one
-        # gave PoleNearPath
+        # gave PoleNearPath, an int beyond the float range OverflowError
         with pytest.raises(DegeneracyError, match="control points must be finite"):
             Segment(**kwargs)
 
-    @pytest.mark.parametrize("center", [math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "center", [math.nan, complex(0.0, math.inf), pytest.param(10**400, id="huge-int")]
+    )
     def test_loop_center_must_be_finite(self, center):
         with pytest.raises(DegeneracyError, match="control points must be finite"):
             loop_chain(center, 1.0)
@@ -518,7 +532,7 @@ def test_first_round_is_held_to_the_budget():
     sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
     with pytest.raises(NonConvergent, match="exceeded its budget of 50 evaluations"):
         numeric_chain_integral(
-            sec, loop_chain(0, 1.0, 12), QuadratureSettings(tol=1e-6, max_evals=50)
+            sec, loop_chain(0, 1.0), QuadratureSettings(tol=1e-6, max_evals=50)
         )
 
 
@@ -679,10 +693,12 @@ class TestAdaptiveGaussKronrod:
             {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-10},
             {"tol": True}, {"tol": "1e-10"},
             {"max_evals": 2.5}, {"max_evals": -5}, {"max_evals": 0}, {"max_evals": True},
+            {"tol": 10**400},
         ],
     )
     def test_bad_settings_rejected(self, kwargs):
-        # tol = nan once ran a whole torus grid before NonConvergent
+        # tol = nan once ran a whole torus grid before NonConvergent, and an
+        # int beyond the float range was taken as a tolerance
         with pytest.raises(ValueError):
             QuadratureSettings(**kwargs)
 
@@ -792,20 +808,14 @@ class TestResidues:
         assert abs(val) < 1e-12
 
     @pytest.mark.parametrize(
-        "radius, points",
-        [
-            (0, 12), (0.0, 12), (-0.15, 12), (math.nan, 12), (math.inf, 12),
-            (0.15, 2), (0.15, 1), (0.15, 0),
-            (0.15, 3.5), (0.15, 12.0), (0.15, "4"), (0.15, True), (True, 12),
-        ],
+        "radius", [0, 0.0, -0.15, math.nan, math.inf, True, pytest.param(10**400, id="huge-int")]
     )
-    def test_degenerate_loop_rejected(self, radius, points):
-        # a zero radius or fewer than 3 points once came back as the period 0,
-        # a point count that is no int raised a bare TypeError, and a radius
-        # True gave a unit loop
+    def test_degenerate_loop_rejected(self, radius):
+        # a zero radius once came back as the period 0, a radius True gave a
+        # unit loop, and an int beyond the float range leaked OverflowError
         sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
         with pytest.raises(DegeneracyError):
-            loop_chain(denominator_roots(sec)[1], radius, points)
+            loop_chain(denominator_roots(sec)[1], radius)
 
     def test_residues_without_a_linear_term(self):
         # 1 / (1 + x^2) at +-i: the derivative 2x has no constant term
@@ -932,9 +942,10 @@ class TestGeneralType:
         assert abs(vs - v / lam) < 1e-10
 
 
-def fraction_fd_residuals(spec, F, a0, h, accuracy):
+def fraction_fd_residuals(spec, F, a0, h):
     """Reference: the residuals of ``finite_difference_residual`` at h and h/2,
-    each stencil sum accumulated as a ``Fraction`` sample by sample."""
+    each stencil sum accumulated as a ``Fraction`` sample by sample, with the
+    weights ``fd_weights`` gives on the nodes of the package's stencils."""
     a0 = tuple(complex(z) for z in a0)
     out = []
     for op in spec.operators:
@@ -945,10 +956,10 @@ def fraction_fd_residuals(spec, F, a0, h, accuracy):
                 for j, uj in enumerate(u):
                     if uj:
                         mono *= a0[j] ** uj
-                axes = [
-                    list(zip(*central_stencil(k, accuracy))) if k else [(0, Fraction(1))]
-                    for k in w
-                ]
+                axes = []
+                for k in w:
+                    nodes = periods._central_stencil(k)[0]
+                    axes.append(list(zip(nodes, fd_weights(k, nodes))))
                 re = im = Fraction(0)
                 for combo in itertools.product(*axes):
                     weight = math.prod((wt for _, wt in combo), start=Fraction(1))
@@ -970,15 +981,9 @@ class TestFiniteDifference:
         assert fd_weights(2, [-1, 0, 1]) == [Fraction(1), Fraction(-2), Fraction(1)]
         with pytest.raises(ValueError):
             fd_weights(1, [0, 1, 1])
-        nodes, w = central_stencil(1, 4)
-        assert nodes == [-2, -1, 0, 1, 2]
-        assert w == [
-            Fraction(1, 12),
-            Fraction(-2, 3),
-            Fraction(0),
-            Fraction(2, 3),
-            Fraction(-1, 12),
-        ]
+        # (1, -8, 0, 8, -1) / 12
+        assert periods._central_stencil(1) == ((-2, -1, 0, 1, 2), (1, -8, 0, 8, -1), 12)
+        assert periods._central_stencil(0) == ((0,), (1,), 1)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
@@ -995,23 +1000,12 @@ class TestFiniteDifference:
         assert fd_weights(derivative, nodes) == [Fraction(str(w)) for w in expected]
 
     def test_stencils_exact_on_polynomials(self):
-        # a stencil of accuracy q differentiates degree < q + m exactly
-        for m in (1, 2, 3):
-            for acc in (2, 4):
-                nodes, w = central_stencil(m, acc)
-                for deg in range(m + acc):
-                    val = sum(
-                        wt * Fraction(nd) ** deg for wt, nd in zip(w, nodes)
-                    )
-                    expected = (
-                        Fraction(math.factorial(deg), math.factorial(deg - m))
-                        if deg == m
-                        else Fraction(0)
-                    )
-                    if deg == m:
-                        assert val == math.factorial(m)
-                    else:
-                        assert val == expected
+        # a stencil of order q differentiates degree < q + m exactly
+        for m in (0, 1, 2, 3):
+            nodes, w, scale = periods._central_stencil(m)
+            for deg in range(m + periods.FD_ORDER):
+                val = Fraction(sum(wt * nd**deg for wt, nd in zip(w, nodes)), scale)
+                assert val == (math.factorial(m) if deg == m else 0)
 
     def test_unipotent_inverse_a1(self):
         spec = tautsys.unipotent_p1_system()
@@ -1040,7 +1034,7 @@ class TestFiniteDifference:
         for step in (h, h / 2.0):
             for op in spec.operators:
                 for _, w in op.terms:
-                    axes = [central_stencil(k)[0] if k else [0] for k in w]
+                    axes = [periods._central_stencil(k)[0] for k in w]
                     points.update(
                         tuple(complex(a) + step * o for a, o in zip(a0, offset))
                         for offset in itertools.product(*axes)
@@ -1049,8 +1043,8 @@ class TestFiniteDifference:
         assert len(calls) == 233  # 2 x 131 stencil offsets, 29 of them shared
 
     @settings(max_examples=20, deadline=None, database=None, derandomize=True)
-    @given(st.integers(0, 2**32), st.sampled_from([2, 4, 6]))
-    def test_stencil_sums_equal_fraction_reference(self, seed, accuracy):
+    @given(st.integers(0, 2**32))
+    def test_stencil_sums_equal_fraction_reference(self, seed):
         # samples of every sign and of magnitudes 2^-60 .. 2^60, so the
         # integer sums need wide common denominators
         def F(a):
@@ -1061,13 +1055,16 @@ class TestFiniteDifference:
             (tautsys.gkz_system(A_SEG, tautsys.cy_beta(1)), (1.0, 3.0, 1.0), 0.02),
             (tautsys.unipotent_p1_system(), (0.8 + 0.1j, 0.7, 1.3), 0.1),
         ]:
-            rep = finite_difference_residual(spec, F, a0, h=h, accuracy=accuracy)
+            rep = finite_difference_residual(spec, F, a0, h=h)
             got = [x for r in rep.reports for x in (r.residual, r.residual_refined)]
-            assert got == fraction_fd_residuals(spec, F, a0, h, accuracy)
+            assert got == fraction_fd_residuals(spec, F, a0, h)
 
-    @pytest.mark.parametrize("h", [0, 0.0, -0.01, math.nan, math.inf, 1j, True])
+    @pytest.mark.parametrize(
+        "h", [0, 0.0, -0.01, math.nan, math.inf, 1j, True, pytest.param(10**400, id="huge-int")]
+    )
     def test_step_must_be_positive_finite(self, h):
-        # True once ran as the step 1.0
+        # True once ran as the step 1.0, and an int beyond the float range
+        # leaked OverflowError
         spec = tautsys.unipotent_p1_system()
         with pytest.raises(ValueError, match="step h"):
             finite_difference_residual(spec, lambda a: 1.0 / a[0], (1.0, 0.7, 1.3), h=h)
@@ -1087,10 +1084,15 @@ class TestFiniteDifference:
         assert not calls
 
     @pytest.mark.parametrize(
-        "a0", [(math.nan, 3.0, 1.0), (1.0, math.inf, 1.0), (1.0, 3.0, complex(1.0, math.nan))]
+        "a0",
+        [
+            (math.nan, 3.0, 1.0), (1.0, math.inf, 1.0), (1.0, 3.0, complex(1.0, math.nan)),
+            (1.0, 10**400, 1.0),
+        ],
     )
     def test_a0_must_be_finite(self, a0):
-        # a NaN a0 once gave a report whose box operator held
+        # a NaN a0 once gave a report whose box operator held, and an int
+        # beyond the float range leaked OverflowError
         spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
         calls = []
 
@@ -1112,38 +1114,21 @@ class TestFiniteDifference:
             finite_difference_residual(spec, lambda a: value, (1.0, 1.0, 1.0), h=0.01)
 
     def test_central_stencil_widths(self):
-        # 2 ceil(m / 2) - 1 + accuracy nodes: the fewest symmetric ones
-        for m in range(1, 7):
-            for acc in (2, 4, 6, 8):
-                nodes, _ = central_stencil(m, acc)
-                k = (2 * ((m + 1) // 2) - 1 + acc) // 2
-                assert nodes == list(range(-k, k + 1))
+        # 2 ceil(m / 2) - 1 + FD_ORDER nodes, the fewest symmetric ones; the
+        # centre alone for m = 0
+        for m in range(7):
+            nodes, _, _ = periods._central_stencil(m)
+            k = (2 * ((m + 1) // 2) - 1 + periods.FD_ORDER) // 2 if m else 0
+            assert nodes == tuple(range(-k, k + 1))
 
-    @pytest.mark.parametrize("accuracy", [0, 1, 3, -2, 4.0, True])
-    def test_accuracy_must_be_positive_even(self, accuracy):
-        # an odd accuracy rounds up to the next even stencil, so the
-        # Richardson factor 2^accuracy would be wrong; central_stencil once
-        # returned the accuracy-4 stencil for 3 and failed on 0 for want of nodes
-        spec = tautsys.unipotent_p1_system()
-        want = f"accuracy must be a positive even integer, got {accuracy!r}"
-        with pytest.raises(ValueError, match=want):
-            finite_difference_residual(
-                spec, lambda a: cmath.exp(a[0]), (0.8, 0.7, 1.3), h=0.1, accuracy=accuracy
-            )
-        with pytest.raises(ValueError, match=want):
-            central_stencil(2, accuracy)
-
-    @pytest.mark.parametrize("accuracy", [4, 6])
-    def test_richardson_factor_is_two_to_the_accuracy(self, accuracy):
+    def test_richardson_factor_is_two_to_the_order(self):
         # exp(a1) is no solution: the Euler residual is (a1 + 1) exp(a1)
         spec = tautsys.unipotent_p1_system()
         a0 = (0.8, 0.7, 1.3)
-        rep = finite_difference_residual(
-            spec, lambda a: cmath.exp(a[0]), a0, h=0.1, accuracy=accuracy
-        )
+        rep = finite_difference_residual(spec, lambda a: cmath.exp(a[0]), a0, h=0.1)
         euler = rep.reports[1]
         r1, r2 = euler.residual, euler.residual_refined
-        factor = 2**accuracy
+        factor = 2**periods.FD_ORDER
         assert abs(r1 - r2) > 1e-11
         expected = (factor * r2 - r1) / (factor - 1)
         assert abs(euler.richardson - expected) <= 1e-6 * abs(r1 - r2)

@@ -245,10 +245,11 @@ class TestSaturation:
         again = tautsys.saturate_lattice_ideal(once)
         assert once == again
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, monkeypatch):
         k = lattice.integer_kernel(lattice.homogenize([(0,), (1,), (2,), (3,)], 1))
+        monkeypatch.setattr(tautsys, "MAX_SATURATION_STEPS", 3)
         with pytest.raises(SaturationBudgetExceeded):
-            tautsys.saturate_lattice_ideal(k, step_cap=3)
+            tautsys.saturate_lattice_ideal(k)
 
     # (points, dim, reduced Groebner basis, smallest step cap that passes);
     # one step per S-pair and per reduction step, so the cap pins the
@@ -291,11 +292,13 @@ class TestSaturation:
     ]
 
     @pytest.mark.parametrize("points, dim, gens, cap", PINNED)
-    def test_pinned_generators_and_step_cap(self, points, dim, gens, cap):
+    def test_pinned_generators_and_step_cap(self, points, dim, gens, cap, monkeypatch):
         k = lattice.integer_kernel(lattice.homogenize(points, dim))
-        assert tautsys.saturate_lattice_ideal(k, step_cap=cap) == gens
+        monkeypatch.setattr(tautsys, "MAX_SATURATION_STEPS", cap)
+        assert tautsys.saturate_lattice_ideal(k) == gens
+        monkeypatch.setattr(tautsys, "MAX_SATURATION_STEPS", cap - 1)
         with pytest.raises(SaturationBudgetExceeded):
-            tautsys.saturate_lattice_ideal(k, step_cap=cap - 1)
+            tautsys.saturate_lattice_ideal(k)
 
     def test_unbalanced_vectors_rejected(self):
         with pytest.raises(ValueError):
