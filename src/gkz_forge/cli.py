@@ -14,6 +14,7 @@ volume.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -450,6 +451,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: its set-up costs more than a small job
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="gkz-forge",

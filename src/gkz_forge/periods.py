@@ -11,10 +11,13 @@ by inverting the coordinate), by one global adaptive Gauss-Kronrod (10, 21)
 integrator (QUADPACK's dqk21 pair, the default rule of its QAGS driver).
 The segments of a chain form one stacked integrand: each segment is a row
 of path parameters and dense chart coefficients, and each round evaluates
-the nodes of every new interval at once by Horner's rule.  The first round
-takes every segment as its two halves and evaluates their nodes together
-with a 129-point pole-clearance scan of every path, in one call, so a chain
-that meets its tolerance at once costs one call of the integrand.
+the nodes of every new interval at once by Horner's rule.  A cached plan
+per chain and shape of the chart holds the rows' paths and charts and the
+first round's x and dx/dt, so a call only fills in the coefficients.  The
+first round takes every segment as its two halves and evaluates their
+nodes together with a 129-point pole-clearance scan of every path, in one
+call, so a chain that meets its tolerance at once costs one call of the
+integrand; each later round splits the intervals of largest error into 8.
 It stops when the summed error estimate is at most tol and raises
 NonConvergent when tol is below the roundoff floor (eps times the integral
 of |f| (50 + cond), cond the condition number of the Horner sums), when its
@@ -42,6 +45,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -277,16 +281,19 @@ def numeric_cycle_integral(
     the evaluations summed over all grids, as it does for a chain: a grid
     that would take the total past it is not sampled, and NonConvergent is
     raised instead.  DegeneracyError unless ``radii`` holds one positive
-    finite real (no bool) per coordinate.
+    finite real (no bool) per coordinate whose powers in the section's terms
+    stay in the float range.
     """
     n = s.A.dim
     if len(radii) != n or not all(map(_is_size, radii)):
         raise DegeneracyError("one positive radius per torus coordinate is required")
     radii = tuple(map(float, radii))
-    scale = sum(
-        abs(s.coeffs[i]) * math.prod(radii[j] ** mu[j] for j in range(n))
-        for i, mu in enumerate(s.A.points)
-    )
+    try:  # the moduli of the section's terms on the torus, summed
+        scale = sum(abs(c) * math.prod(map(pow, radii, mu)) for c, mu in zip(s.coeffs, s.A.points))
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise DegeneracyError("the radii take the section's terms out of the float range")
     m = 8
     prev = None
     total = 0
@@ -347,136 +354,116 @@ def _chart_pair(s: SectionData):
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
-    mus = [mu[0] for mu in s.A.points]
-    sigma = max(0, -min(mus))
-    den = {}
-    for mu, c in zip(mus, s.coeffs):
-        if c != 0:
-            den[mu + sigma] = den.get(mu + sigma, 0) + c
-    den = {e: c for e, c in den.items() if c != 0}
-    if not den:
-        raise DegeneracyError("section is identically zero")
+    sigma = max(0, -min(mu for (mu,) in s.A.points))
     g = zip(s.numerator_exponents, s.numerator_coeffs)
     g = g if s.numerator_exponents else [((0,), 1 + 0j)]
-    num = {}
-    for nu, b in g:
-        e = nu[0] + sigma - 1
-        num[e] = num.get(e, 0) + b
-    num = {e: c for e, c in num.items() if c != 0}
+    num, den = {}, {}
+    for pair, terms, shift in ((den, zip(s.A.points, s.coeffs), sigma), (num, g, sigma - 1)):
+        for (e,), c in terms:
+            pair[e + shift] = pair.get(e + shift, 0) + c
+    num, den = ({e: c for e, c in pair.items() if c != 0} for pair in (num, den))
+    if not den:
+        raise DegeneracyError("section is identically zero")
     return num, den
 
 
-def _invert_pair(num, den):
-    """Coordinate inversion x -> 1/w including the Jacobian dx = -dw/w^2."""
-    num_inv = {-e - 2: -c for e, c in num.items()}
-    den_inv = {-e: c for e, c in den.items()}
-    return num_inv, den_inv
+@functools.lru_cache(maxsize=2)
+def _chain_plan(low, width, depth, segments):
+    """Paths and charts of the segments of a chain, one row each.
 
-
-def _normalize_pair(num, den):
-    """Shift numerator and denominator so the denominator is a polynomial
-    with nonzero constant term; the quotient is unchanged."""
-    k = -min(den)
-    return {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
-
-
-def _segment_piece(num, den, seg: Segment):
-    """Chart data and path of one segment, for the stacked chain integrand.
-
-    Returns the normalized chart numerator and denominator and the path
-    parameters ``(p, c0, c1, dx)`` with an arc flag.  A segment reaching the
-    boundary is linear in its chart, ``x = p (c0 + c1 t)`` with constant
-    ``dx/dt = dx``: ``(c0, c1) = (0, 1)`` from a flagged start, ``(1, -1)``
-    towards a flagged end.  An unflagged segment is the multiplicative arc
-    ``x = p exp(c1 t)`` with ``dx/dt = c1 x``.
+    A plan depends only on the non-null segments, each paired with its
+    bits, and on the shape of the chart pair: ``low`` the numerator's lowest
+    exponent over the denominator's, and the numbers of coefficients of
+    both, ``width`` and ``depth``.  So a finite-difference certificate
+    builds it once for all its samples.  Each segment takes the chart where
+    its flagged endpoint is regular: x -> 1/w, dx = -dw/w^2, for an endpoint
+    at infinity, shifted so the denominator is a polynomial with nonzero
+    constant term.  A segment reaching the boundary is linear in its chart,
+    ``x = p (c0 + c1 t)`` with constant ``dx/dt = dx``: ``(c0, c1) = (0,
+    1)`` from a flagged start, ``(1, -1)`` towards a flagged end.  An
+    unflagged segment is the multiplicative arc ``x = p exp(c1 t)`` with
+    ``dx/dt = c1 x``.  The plan keeps each row's ``(p, c0, c1, dx)``, chart
+    and numerator's lowest exponent, and x at the first round's parameters
+    with dx/dt at its nodes.
     """
-    if seg.start_flags[0] and seg.end_flags[0]:
-        raise DegeneracyError(
-            "a segment with both endpoints on the boundary must be split"
+    rows = []
+    for seg, _ in segments:
+        start, end, p, q = seg.start_flags[0], seg.end_flags[0], seg.start[0], seg.end[0]
+        if start and end:
+            raise DegeneracyError("a segment with both endpoints on the boundary must be split")
+        inv = 1 in (start, end)
+        lowest = depth - width - 2 - low if inv else low
+        if (start or end) and lowest < 0:
+            raise DivergentAtBoundary("the integrand has a pole at a flagged boundary endpoint")
+        a = 0j if start else 1.0 / p if inv else p
+        b = 0j if end else 1.0 / q if inv else q
+        # dx is stored rather than formed as p c1, which can flip the sign
+        # of a zero part of b or -a
+        path = (b, 0j, 1 + 0j, b) if start else (a, 1 + 0j, -1 + 0j, -a) if end else (
+            a, 0j, cmath.log(b / a), 0j
         )
-    invert = seg.start_flags[0] == 1 or seg.end_flags[0] == 1
-    if invert:
-        num, den = _invert_pair(num, den)
-        a = 0j if seg.start_flags[0] else 1.0 / seg.start[0]
-        b = 0j if seg.end_flags[0] else 1.0 / seg.end[0]
-        aflag = seg.start_flags[0] == 1
-        bflag = seg.end_flags[0] == 1
-    else:
-        a = 0j if seg.start_flags[0] == -1 else seg.start[0]
-        b = 0j if seg.end_flags[0] == -1 else seg.end[0]
-        aflag = seg.start_flags[0] == -1
-        bflag = seg.end_flags[0] == -1
-    num, den = _normalize_pair(num, den)
-    if (aflag or bflag) and num and min(num) < 0:
-        raise DivergentAtBoundary(
-            "the integrand has a pole at a flagged boundary endpoint"
-        )
-    # dx is stored rather than formed as p c1, which can flip the sign of
-    # a zero part of b or -a
-    if aflag:
-        return num, den, (b, 0j, 1 + 0j, b), False
-    if bflag:
-        return num, den, (a, 1 + 0j, -1 + 0j, -a), False
-    return num, den, (a, 0j, cmath.log(b / a), 0j), True
+        rows.append((path, not (start or end), inv, lowest))
+    paths, arcs, invert, lows = map(np.array, zip(*rows))
+    n, m = len(rows), len(_GK_NODES)
+    plan = SimpleNamespace(
+        paths=paths, arcs=arcs, width=width, lows=lows, rows=np.arange(n), invert=invert[:, None],
+        # the direct and the inverted chart of a chain have numerators of one
+        # width, but their lowest exponents can differ: each row keeps its own
+        shifts=sorted(set(lows.tolist()) - {0}),
+        first_t=np.repeat(_FIRST_ROUND[: 2 * m].reshape(2, m), n, axis=0),
+        first_piece=np.tile(np.arange(n), 2),
+        first_bounds=np.repeat(((0.0, 0.5), (0.5, 1.0)), n, axis=1),
+    )
+    # dx/dt only at the nodes: the scan reads the denominator alone
+    x, dx = _path(plan, plan.rows, _FIRST_ROUND)
+    plan.first = x, dx[:, : 2 * m].copy()
+    return plan
 
 
-def _chain_integrand(pieces):
-    """The chart integrands of all segments of a chain as one function.
+def _path(plan, piece, t):
+    """x and dx/dt on the interval rows ``piece`` (the segment of each row)
+    at the parameters ``t`` in [0, 1] (a row per interval row, or one row
+    for all)."""
+    c, arc = plan.paths[piece].T[..., None], plan.arcs[piece, None]
+    u = t * c[2]
+    x = c[1] + u
+    np.exp(u, out=x, where=arc)
+    x = c[0] * x
+    return x, np.where(arc, c[2] * x, c[3])
 
-    ``pieces`` come from ``_segment_piece``.  The returned function maps
-    interval rows ``piece`` (the segment of each row) and parameters ``t``
-    in [0, 1] (a row of parameters per interval row, or one row for all) to
-    ``num(x) / den(x) * dx/dt``, an estimate of its rounding error, and the
-    condition number ``sum |d_e| |x|^e / |den(x)|`` of the denominator,
-    evaluating every row at once by Horner's rule on the rows' chart
-    coefficients.  The condition number above ``1 / _CLEARANCE`` marks a
-    parameter where the denominator nearly vanishes; the quadrature reads it
-    on its pole-clearance scan.
+
+def _chain_integrand(plan, coef, piece, path):
+    """The chart integrands of the interval rows ``piece`` of a chain.
+
+    ``coef`` holds a section's chart coefficients on the plan's rows and
+    their moduli, ``path`` x and dx/dt on the interval rows (``_path``).
+    Returns ``num(x) / den(x) * dx/dt`` and an estimate of its rounding
+    error where dx/dt is given, and the condition number ``sum |d_e| |x|^e
+    / |den(x)|`` of the denominator at every x, evaluating every row at once
+    by Horner's rule on the rows' chart coefficients.  The condition number
+    above ``1 / _CLEARANCE`` marks a parameter where the denominator nearly
+    vanishes; the quadrature reads it on its pole-clearance scan.
     """
-    nums, dens, paths, arcs = zip(*pieces)
-    # the direct and the inverted chart of a chain have numerators of one
-    # width, but their lowest exponents can differ: each row keeps its own
-    num, lows = zip(*map(_coefficients, nums))
-    # every normalized denominator starts at x^0, with one degree
-    den = [_coefficients(d)[0] for d in dens]
-    # one row per segment: path parameters p, c0, c1, dx, then the chart
-    # numerator's coefficients from column 4 and the denominator's from k
-    rows = np.concatenate([np.array(paths), np.array(num), np.array(den)], axis=1)
-    # the moduli by libm's hypot, as Python's abs takes them; numpy's complex
-    # modulus can differ from it in the last bit
-    rows_abs = np.hypot(rows.real, rows.imag)
-    arcs = np.array(arcs)
-    k = 4 + len(num[0])
-    shifts = sorted(set(lows) - {0})
-    lows = np.array(lows)
-
-    def integrand(piece, t):
-        c, c_abs = rows[piece].T[..., None], rows_abs[piece].T[..., None]
-        arc = arcs[piece, None]
-        # x = p (c0 + c1 t) on a linear segment, p exp(c1 t) on an arc
-        u = t * c[2]
-        x = c[1] + u
-        np.exp(u, out=x, where=arc)
-        x = c[0] * x
-        dx = np.where(arc, c[2] * x, c[3])
-        top, bottom = _horner(c[4:k], x), _horner(c[k:], x)
-        size = np.abs(x)
-        num_size = _horner(c_abs[4:k], size)
-        for low in shifts:  # times x**low on the rows of that lowest exponent
-            at = (lows[piece] == low)[:, None]
-            top = np.where(at, top * x**low, top)
-            num_size = np.where(at, num_size * size**low, num_size)
-        # an estimate of the rounding error of f: 50 eps |f| for the sums,
-        # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
-        # of numerator and denominator, which blow up beside a pole (Higham,
-        # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
-        cond = _horner(c_abs[k:], size) / np.abs(bottom)
-        noise = _EPS * np.abs(dx / bottom) * (
-            (_ROUNDOFF + cond) * np.abs(top) + num_size
-        )
-        return top / bottom * dx, noise, cond
-
-    return integrand
+    (c, c_abs), (x, dx), k = (r[piece].T[..., None] for r in coef), path, plan.width
+    size = np.abs(x)
+    bottom = _horner(c[k:], x)
+    cond = _horner(c_abs[k:], size) / np.abs(bottom)
+    # the integrand at the leading parameters, where dx/dt is given
+    n = dx.shape[1]
+    x, size, bottom = x[:, :n], size[:, :n], bottom[:, :n]
+    top, num_size = _horner(c[:k], x), _horner(c_abs[:k], size)
+    for low in plan.shifts:  # times x**low on the rows of that lowest exponent
+        at = (plan.lows[piece] == low)[:, None]
+        top = np.where(at, top * x**low, top)
+        num_size = np.where(at, num_size * size**low, num_size)
+    # an estimate of the rounding error of f: 50 eps |f| for the sums,
+    # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
+    # of numerator and denominator, which blow up beside a pole (Higham,
+    # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
+    noise = _EPS * np.abs(dx / bottom) * (
+        (_ROUNDOFF + cond[:, :n]) * np.abs(top) + num_size
+    )
+    return top / bottom * dx, noise, cond
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK dqk21, Piessens et al.
@@ -503,11 +490,15 @@ _KRONROD_HALF = (
 _GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
 ).T
+# the weights as complex numbers: a product with f casts them on every call
+_COMPLEX_WEIGHTS = np.array([_GK_WEIGHTS, _GAUSS_WEIGHTS], dtype=complex)
 _EPS = np.finfo(float).eps
 # the rounding error of a quadrature sum, in units of eps |f|
 _ROUNDOFF = 50
 # an interval narrower than this in t is not split again
 _MIN_WIDTH = 1000 * _EPS
+# the number of equal parts a round splits an interval into
+_SPLIT = 8
 
 
 # the first round's parameters on every segment: the Kronrod nodes of
@@ -531,8 +522,8 @@ def _gauss_kronrod_sums(t, f, noise, half):
     if not finite.all():
         bad = t[~finite][0]
         raise PoleNearPath(f"the integrand is not finite at t = {bad:.6g} of a segment")
-    kronrod = f @ _GK_WEIGHTS
-    gauss = f @ _GAUSS_WEIGHTS
+    kronrod = f @ _COMPLEX_WEIGHTS[0]
+    gauss = f @ _COMPLEX_WEIGHTS[1]
     floor = noise @ _GK_WEIGHTS * half
     spread = np.abs(f - kronrod[:, None] / 2.0) @ _GK_WEIGHTS * half
     diff = np.abs(kronrod - gauss) * half
@@ -541,63 +532,51 @@ def _gauss_kronrod_sums(t, f, noise, half):
     return kronrod * half, np.maximum(err, floor), floor
 
 
-def _first_round(integrand, n):
-    """Both halves of each of the ``n`` segments, by one integrand call.
+def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> IntegrationResult:
+    """Sum over the segments of a chain of their integrals over [0, 1],
+    within ``quad.tol``; ``coef`` as for ``_chain_integrand``.
 
-    The call also evaluates every segment at the 129 parameters ``k / 128``
-    of the pole-clearance scan, and raises PoleNearPath when the
-    denominator nearly vanishes at one of them, before any node value is
-    used.  Returns the interval rows in the order a bisection of every whole
-    segment gives: the left halves of segments ``0 .. n-1``, then their
-    right halves, with their bounds, values, error estimates and floors.
+    One global pool of intervals holds every segment (they share the
+    tolerance).  The first round takes every segment as its two halves,
+    [0, 1/2] and [1/2, 1], by one call of the stacked integrand, which also
+    reads the denominator at the 129 parameters ``k / 128`` of every
+    segment: PoleNearPath when it nearly vanishes at one, before any node
+    value is used.  So a chain that meets tol at once costs one call.  Each
+    further round splits the intervals of largest error into ``_SPLIT``
+    equal parts, all at once, and evaluates the new ones by one call, until
+    the summed error is at most tol.  Raises NonConvergent when the roundoff
+    floor (the integral of the integrand's rounding-error estimates) is
+    above tol, when the evaluation budget runs out (checked before every
+    call, the first included), or when an interval can no longer be split.
     """
     m = len(_GK_NODES)
-    segments = np.arange(n)
-    f, noise, cond = integrand(segments, _FIRST_ROUND)
+    evals = 2 * m * len(plan.rows)
+    if evals > quad.max_evals:
+        raise NonConvergent(
+            f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
+        )
+    f, noise, cond = _chain_integrand(plan, coef, plan.rows, plan.first)
     near = cond[:, 2 * m :] > 1.0 / _CLEARANCE
     if near.any():
         first = near[near.any(axis=1)][0]
         t = _FIRST_ROUND[2 * m + np.argmax(first)]
         raise PoleNearPath(f"denominator nearly vanishes at t = {t:.4f}")
-    lo = np.repeat((0.0, 0.5), n)
-    value, err, floor = _gauss_kronrod_sums(
-        np.repeat(_FIRST_ROUND[: 2 * m].reshape(2, m), n, axis=0),
-        np.concatenate((f[:, :m], f[:, m : 2 * m])),
-        np.concatenate((noise[:, :m], noise[:, m : 2 * m])),
+    # the left halves of segments 0 .. n-1, then their right halves
+    value, err, noise = _gauss_kronrod_sums(
+        plan.first_t,
+        np.concatenate((f[:, :m], f[:, m:])),
+        np.concatenate((noise[:, :m], noise[:, m:])),
         0.25,
     )
-    return np.concatenate((segments, segments)), value, np.array([lo, lo + 0.5, err, floor])
-
-
-def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> IntegrationResult:
-    """Sum over the ``n`` segments of a chain of their integrals over [0, 1],
-    within ``quad.tol``.
-
-    One global pool of intervals holds every segment (they share the
-    tolerance).  It starts with every segment as its two halves, [0, 1/2]
-    and [1/2, 1], evaluated together with the pole-clearance scan by one
-    call of the stacked integrand (``_first_round``), so a chain that meets
-    tol at once costs one call.  Each further round bisects the intervals of
-    largest error, all at once, and evaluates the new ones by one call,
-    until the summed error is at most tol.  Raises NonConvergent when the
-    roundoff floor (the integral of the integrand's rounding-error
-    estimates) is above tol, when the evaluation budget runs out (checked
-    before every call, the first included), or when an interval can no
-    longer be split.
-    """
-    evals = 2 * len(_GK_NODES) * n
-    if evals > quad.max_evals:
-        raise _over_budget(quad)
-    piece, value, pool = _first_round(integrand, n)
+    piece, (lo, hi) = plan.first_piece, plan.first_bounds
     while True:
-        err, noise = pool[2:]
         total = err.sum()
         if total <= quad.tol:
             return IntegrationResult(
                 value=complex(value.sum()), error=float(total), evaluations=evals
             )
         floor = noise.sum()
-        # the part of each interval's error that bisection can still reduce
+        # the part of each interval's error that splitting can still reduce
         excess = err - noise
         if floor <= quad.tol:
             goal = quad.tol - floor
@@ -610,39 +589,40 @@ def _adaptive_gauss_kronrod(integrand, n, quad: QuadratureSettings) -> Integrati
             # an early floor can be inflated by a node beside a pole, so
             # refine until the floor is known as well as it is large
             goal = floor
-        # bisect the intervals of largest reducible error until the rest
+        # split the intervals of largest reducible error until the rest
         # hold at most half of the goal
         order = np.argsort(-excess, kind="stable")
         rest = excess.sum() - np.cumsum(excess[order])
         split = order[: np.count_nonzero(rest > goal / 2.0) + 1]
-        evals += 2 * len(_GK_NODES) * len(split)
+        evals += _SPLIT * m * len(split)
         if evals > quad.max_evals:
-            raise _over_budget(quad)
-        left, right = pool[:2, split]
+            raise NonConvergent(
+                f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
+            )
+        left, right = lo[split], hi[split]
         if (right - left).min() < _MIN_WIDTH:
             raise NonConvergent(
                 "adaptive quadrature needs an interval narrower than"
                 f" {_MIN_WIDTH:.1e} in the segment parameter"
             )
-        mid = (left + right) / 2.0
-        parents = piece[split]
-        halves = np.concatenate((parents, parents))
-        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        # the parts, the first parts of all split intervals first
+        edges = left + np.outer(np.arange(_SPLIT + 1) / _SPLIT, right - left)
+        edges[-1] = right
+        parts = np.tile(piece[split], _SPLIT)
+        left, right = edges[:-1].ravel(), edges[1:].ravel()
         half = (right - left) / 2.0
         t = ((right + left) / 2.0)[:, None] + half[:, None] * _GK_NODES
-        f, new_noise, _ = integrand(halves, t)
+        f, new_noise, _ = _chain_integrand(plan, coef, parts, _path(plan, parts, t))
         new_value, new_err, new_noise = _gauss_kronrod_sums(t, f, new_noise, half)
         keep = np.ones(len(piece), dtype=bool)
         keep[split] = False
-        piece = np.concatenate((piece[keep], halves))
-        value = np.concatenate((value[keep], new_value))
-        pool = np.concatenate((pool[:, keep], [left, right, new_err, new_noise]), axis=1)
-
-
-def _over_budget(quad):
-    return NonConvergent(
-        f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
-    )
+        piece, value, err, noise, lo, hi = (
+            np.concatenate((old[keep], new))
+            for old, new in (
+                (piece, parts), (value, new_value), (err, new_err), (noise, new_noise),
+                (lo, left), (hi, right),
+            )
+        )
 
 
 def numeric_chain_integral(
@@ -655,21 +635,26 @@ def numeric_chain_integral(
     infinity), and all segments are integrated together, as one stacked
     integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator: the
     21-point Kronrod rule, exact to degree 31, with its embedded 10-point
-    Gauss rule for the error estimate.  The integrator starts from both
-    halves of every segment, evaluated with the pole-clearance scan of every
-    path by one call of the integrand, and bisects from there; a chain that
-    meets tol at once takes 42 evaluations per segment, all in that one
-    call.  It stops once the summed error estimate is at most
-    ``quad.tol``, so the returned error is never above tol; it raises
-    NonConvergent when tol is below the roundoff floor (eps times the
-    integral of |f| (50 + cond), cond the condition number of the Horner
-    sums, which grows like 1/distance beside a pole), when the evaluation
-    budget ``quad.max_evals`` would run out (checked before every call, the
-    first included) or when an interval can no longer be split.  Raises
-    DivergentAtBoundary when the integrand does not extend across a flagged
-    endpoint and PoleNearPath when the section nearly vanishes at one of 129
-    equally spaced parameters of a segment or the integrand is not finite
-    at a node.
+    Gauss rule for the error estimate.  The paths, the charts and the first
+    round's x and dx/dt come from a plan cached per chain and shape of the
+    chart (``_chain_plan``), which the samples of a finite-difference
+    certificate share.  The integrator starts from both halves of every
+    segment, evaluated with the pole-clearance scan of every path by one
+    call of the integrand, so a chain that meets tol at once takes 42
+    evaluations per segment, all in that one call, and costs little more
+    than filling in its coefficients and one Horner evaluation.  Each later
+    round splits the intervals of largest error into ``_SPLIT`` = 8 equal
+    parts, so a pole 1e-4 beside the path takes 5 or 6 rounds.  It stops
+    once the summed error estimate is at most ``quad.tol``, so the returned
+    error is never above tol; it raises NonConvergent when tol is below the
+    roundoff floor (eps times the integral of |f| (50 + cond), cond the
+    condition number of the Horner sums, which grows like 1/distance beside
+    a pole), when the evaluation budget ``quad.max_evals`` would run out
+    (checked before every call, the first included) or when an interval
+    can no longer be split.  Raises DivergentAtBoundary when the integrand
+    does not extend across a flagged endpoint and PoleNearPath when the
+    section nearly vanishes at one of 129 equally spaced parameters of a
+    segment or the integrand is not finite at a node.
     """
     return _chain_integral(s, chain, quad)
 
@@ -689,23 +674,33 @@ def _chain_integral(s: SectionData, chain: ChainSpec, quad):
     segments = [seg for seg in chain.segments if not seg.is_null()]
     if not (num and segments):
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    pieces = [_segment_piece(num, den, seg) for seg in segments]
+    # segments that compare equal can differ in bits (0.0 and -0.0), which
+    # the paths keep: the plan's key holds the bits as well
+    keys = tuple((seg, np.array(seg.start + seg.end).tobytes()) for seg in segments)
+    (top, low), (bottom, base) = _coefficients(num), _coefficients(den)
     with np.errstate(all="ignore"):  # a node on a pole is reported as such
-        return _adaptive_gauss_kronrod(_chain_integrand(pieces), len(pieces), quad)
+        plan = _chain_plan(low - base, len(top), len(bottom), keys)
+        # the rows' chart coefficients, highest degree first: inverting the
+        # chart reverses both and negates the numerator's
+        flip = _coefficients({-e: -c for e, c in num.items()})[0] + bottom[::-1]
+        coef = np.where(plan.invert, flip, top + bottom)
+        # their moduli by libm's hypot, as Python's abs takes them; numpy's
+        # complex modulus can differ from it in the last bit
+        return _adaptive_gauss_kronrod(plan, (coef, np.hypot(coef.real, coef.imag)), quad)
 
 
 # -- residues ---------------------------------------------------------------------
 
 
 def _sorted_roots(den):
-    # a normalized denominator starts at x^0
+    # the dense coefficients end at the lowest exponent: the roots other than 0
     roots = np.roots(_coefficients(den)[0])
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
 
 def denominator_roots(s: SectionData):
     """Roots of the chart denominator polynomial, sorted deterministically."""
-    return _sorted_roots(_normalize_pair(*_chart_pair(s))[1])
+    return _sorted_roots(_chart_pair(s)[1])
 
 
 def residue_period(s: SectionData, root_index: int) -> complex:
@@ -716,7 +711,7 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     numerator).  ValueError unless ``root_index`` is an int in
     ``range(len(denominator_roots(s)))``.
     """
-    num, den = _normalize_pair(*_chart_pair(s))
+    num, den = _chart_pair(s)
     roots = _sorted_roots(den)
     if not roots:
         raise DegeneracyError("the chart denominator has no roots")
@@ -732,11 +727,11 @@ def residue_period(s: SectionData, root_index: int) -> complex:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
     if not num:
         return 0j
-    r = roots[root_index]
-    dden = {e - 1: e * c for e, c in den.items() if e}
+    # the quotient times x^k over x^k, the denominator's lowest term now x^0
+    r, k = roots[root_index], -min(den)
     top, low = _coefficients(num)
-    bottom, dlow = _coefficients(dden)
-    return 2j * math.pi * complex(_horner(top, r, low) / _horner(bottom, r, dlow))
+    bottom, dlow = _coefficients({e + k - 1: (e + k) * c for e, c in den.items() if e + k})
+    return 2j * math.pi * complex(_horner(top, r, low + k) / _horner(bottom, r, dlow))
 
 
 def loop_chain(center, radius) -> ChainSpec:

@@ -494,6 +494,28 @@ def test_exit_code_3_on_degenerate(tmp_path, capsys):
     assert code == 3
 
 
+def test_period_on_a_radius_out_of_the_float_range_exits_3(tmp_path, capsys):
+    # 1e-320 ** -1 once ended in an OverflowError traceback and exit 1
+    job = {"schema_version": 1, "dim": 1, "points": [[-1], [0], [1]]}
+    job["section"] = {"a": [0.1, 1, 0.1], "radii": [1e-320]}
+    code, out, err = run(capsys, ["period", "--input", write_job(tmp_path, job)])
+    assert code == 3 and out == "" and "float range" in err
+
+
+def test_main_called_twice_in_one_process(tmp_path, capsys):
+    # the parser is built once per process; every call parses afresh
+    assert cli.make_parser() is cli.make_parser()
+    argv = ["chain", "--input", write_job(tmp_path, CHAIN_JOB), "--report", "machine"]
+    first, second = run(capsys, argv), run(capsys, argv)
+    assert first == second and first[0] == 0 and first[1]
+    assert run(capsys, ["rank", "--input", write_job(tmp_path, P1_JOB, "p1.json")])[0] == 0
+    for bad in (["orbit", "--input", argv[2]], ["rank"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(bad)
+        assert info.value.code == 2 and "usage: gkz-forge" in capsys.readouterr().err
+    assert run(capsys, argv) == first
+
+
 def test_exit_code_4_on_nonconvergence(tmp_path, capsys):
     # harshly tight tolerance on a tiny grid cap is unreachable
     job = dict(P1_JOB)

@@ -228,6 +228,17 @@ class TestCycleIntegral:
         with pytest.raises(DegeneracyError, match="one positive radius"):
             numeric_cycle_integral(s, radii, TIGHT)
 
+    @pytest.mark.parametrize("radius", [1e-320, Fraction(1, 10**400), 1e155])
+    def test_radius_whose_powers_leave_the_float_range_rejected(self, radius):
+        # 1e-320 ** -1 overflowed and Fraction(1, 10**400) became 0.0, whose
+        # power -1 divided by zero; 1e155 ** 2 overflows as well
+        s = SectionData(A=lattice.homogenize([(-1,), (0,), (2,)], 1), coeffs=(0.1, 1.0, 0.1))
+        with pytest.raises(DegeneracyError, match="float range"):
+            numeric_cycle_integral(s, (radius,), TIGHT)
+        # a tiny radius is fine while the powers stay in range: dx / x f is
+        # regular at 0, so its loop around 0 vanishes
+        assert abs(numeric_cycle_integral(s, (1e-150,), TIGHT).value) < 1e-13
+
     def test_fraction_section_equals_its_float_twin(self):
         # Fraction coefficients once built object arrays on the torus: 13x
         # slower, and a value off in the 15th digit
@@ -504,23 +515,23 @@ ONE_CALL_CHAINS = {
 }
 
 
+def counted_integrand_calls(monkeypatch):
+    """The row count of every call of the stacked chain integrand."""
+    calls, stacked = [], periods._chain_integrand
+
+    def counted(plan, coef, piece, path):
+        calls.append(len(piece))
+        return stacked(plan, coef, piece, path)
+
+    monkeypatch.setattr(periods, "_chain_integrand", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(ONE_CALL_CHAINS))
 def test_chain_that_converges_at_once_takes_one_integrand_call(name, monkeypatch):
     # both halves of every segment and the pole-clearance scan share one call
     coeffs, quad, value = ONE_CALL_CHAINS[name]
-    calls = []
-    stacked = periods._chain_integrand
-
-    def counted(pieces):
-        integrand = stacked(pieces)
-
-        def call(piece, t):
-            calls.append(len(piece))
-            return integrand(piece, t)
-
-        return call
-
-    monkeypatch.setattr(periods, "_chain_integrand", counted)
+    calls = counted_integrand_calls(monkeypatch)
     res = numeric_chain_integral(SectionData(A=A_SEG, coeffs=coeffs), halfline_chain(), quad)
     assert calls == [2]  # one call, one row per segment
     assert res.evaluations == 84 and res.error <= quad.tol
@@ -536,18 +547,90 @@ def test_first_round_is_held_to_the_budget():
         )
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_near_pole_chain_takes_at_most_six_rounds(tol, monkeypatch):
+    # a round splits each chosen interval into _SPLIT parts; bisection took
+    # 14 or 15 integrand calls on this pole 1e-4 beside the inverted half
+    sec, _ = near_pole_section(2.0)
+    calls = counted_integrand_calls(monkeypatch)
+    res = numeric_chain_integral(sec, halfline_chain(), QuadratureSettings(tol=tol))
+    assert len(calls) <= 6
+    assert res.error <= tol and abs(res.value - quadratic_halfline(sec.coeffs)) <= tol
+
+
+def test_fd_certificate_builds_one_chain_plan():
+    # the plan depends on the segments and the shape of the chart, not on
+    # the coefficients: all 47 samples of the certificate share one
+    spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
+    samples = []
+
+    def F(a):
+        samples.append(a)
+        return numeric_chain_integral(SectionData(A=A_SEG, coeffs=a), halfline_chain(), TIGHT).value
+
+    periods._chain_plan.cache_clear()
+    finite_difference_residual(spec, F, (0.9, 3.1, 1.1), h=0.02)
+    info = periods._chain_plan.cache_info()
+    assert len(samples) == 47 and (info.misses, info.hits) == (1, 46)
+
+
+def bits(res):
+    return (np.array(res.value).tobytes(), np.array(res.error).tobytes(), res.evaluations)
+
+
+# an arc from 1 to 2 + i and a linear segment on to 0: a section without
+# its quadratic term is regular along it, as one without its constant term
+# is along ARC_TO_INFINITY
+ARC_TO_ZERO = ChainSpec(
+    segments=(
+        Segment(start=(1.0,), end=(2.0 + 1j,)),
+        Segment(start=(2.0 + 1j,), end=(2.0 + 1j,), start_flags=(0,), end_flags=(-1,)),
+    )
+)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 3.0, 1.0), (-0.0, 2.0, 1.5j), (1.0, 3.0, 0.0)])
+def test_plan_cache_keys_on_the_shape_of_the_chart(coeffs):
+    # a zero lowest or highest coefficient changes the chart's lowest
+    # exponent or width, so the plan cached for (1, 3, 1) must not serve it
+    chain = ARC_TO_ZERO if coeffs[0] else ARC_TO_INFINITY[1]
+    periods._chain_plan.cache_clear()
+    fresh = numeric_chain_integral(SectionData(A=A_SEG, coeffs=coeffs), chain, TIGHT)
+    numeric_chain_integral(SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0)), chain, TIGHT)
+    cached = numeric_chain_integral(SectionData(A=A_SEG, coeffs=coeffs), chain, TIGHT)
+    assert bits(cached) == bits(fresh)
+
+
+def test_plan_cache_tells_signed_zeros_apart():
+    # the arcs from 1 to -1 and from 1 - 0i to -1 - 0i compare equal, but
+    # the logarithm of their ratio puts them in the upper and the lower half
+    # plane, 2 pi i times the residue at the root -0.38 apart
+    sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+    upper, lower = (
+        ChainSpec(segments=(Segment(start=(complex(1.0, im),), end=(complex(-1.0, im),)),))
+        for im in (0.0, -0.0)
+    )
+    assert upper == lower
+    periods._chain_plan.cache_clear()
+    fresh = numeric_chain_integral(sec, lower, TIGHT)
+    above = numeric_chain_integral(sec, upper, TIGHT)
+    assert bits(numeric_chain_integral(sec, lower, TIGHT)) == bits(fresh)
+    assert abs(above.value - fresh.value - residue_period(sec, 1)) < 1e-10
+
+
 def reference_integrand(num, den, seg, t):
     """One segment's chart integrand and its rounding-error estimate at the
     parameters ``t``, from the segment's own Laurent data, term by term."""
     start, end = seg.start_flags[0], seg.end_flags[0]
-    if start == 1 or end == 1:
-        num, den = periods._invert_pair(num, den)
+    if start == 1 or end == 1:  # x -> 1/w, dx = -dw/w^2
+        num, den = {-e - 2: -c for e, c in num.items()}, {-e: c for e, c in den.items()}
         a = 0j if start else 1.0 / seg.start[0]
         b = 0j if end else 1.0 / seg.end[0]
     else:
         a = 0j if start else seg.start[0]
         b = 0j if end else seg.end[0]
-    num, den = periods._normalize_pair(num, den)
+    k = -min(den)  # the denominator's lowest term x^0
+    num, den = {e + k: c for e, c in num.items()}, {e + k: c for e, c in den.items()}
     if start:
         x, dx = b * t, b
     elif end:
@@ -577,17 +660,16 @@ def reference_integrand(num, den, seg, t):
 def stacked_integrand_case(name):
     sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
     if name == "detour":
-        return periods._chart_pair(sec), TestChainIntegral.detour
+        return sec, TestChainIntegral.detour
     if name == "complex coefficients":
         sec = SectionData(A=A_SEG, coeffs=(-1.2628599417211044 - 1e-4j, -0.2628599417211044 - 1e-4j, 1.0))
-        return periods._chart_pair(sec), halfline_chain()
+        return sec, halfline_chain()
     if name == "lowest exponents 1 and 2":
         # x dx / (1 + x^2 + x^5) on the half-line
         A = lattice.homogenize([(-2,), (0,), (3,)], 1)
-        return periods._chart_pair(SectionData(A=A, coeffs=(1.0, 1.0, 1.0))), halfline_chain()
+        return SectionData(A=A, coeffs=(1.0, 1.0, 1.0)), halfline_chain()
     if name == "lowest exponents -1 and 0":
-        sec, chain = ARC_TO_INFINITY
-        return periods._chart_pair(sec), chain
+        return ARC_TO_INFINITY
     # (x + (0.5 - 0.25i) x^2) dx / x^2 f on the half-line, f of degree 3 in 1/x
     A = lattice.homogenize([(-1,), (0,), (1,), (2,), (3,)], 1)
     sec = SectionData(
@@ -596,7 +678,7 @@ def stacked_integrand_case(name):
         numerator_exponents=((1,), (2,)),
         numerator_coeffs=(1.0, 0.5 - 0.25j),
     )
-    return periods._chart_pair(sec), halfline_chain()
+    return sec, halfline_chain()
 
 
 @pytest.mark.parametrize(
@@ -609,15 +691,24 @@ def stacked_integrand_case(name):
         "general type",
     ],
 )
-def test_stacked_integrand_matches_each_segment(name):
+def test_stacked_integrand_matches_each_segment(name, monkeypatch):
     # every row of a chain's stacked integrand carries the bits of its own
-    # segment's integrand: no common exponent window, no numpy moduli
-    (num, den), chain = stacked_integrand_case(name)
-    pieces = [periods._segment_piece(num, den, seg) for seg in chain.segments]
+    # segment's integrand: no common exponent window, no numpy moduli; the
+    # plan and the coefficient rows are the ones the chain integral builds
+    sec, chain = stacked_integrand_case(name)
+    stacked, seen = periods._chain_integrand, []
+
+    def spy(plan, coef, piece, path):
+        seen.append((plan, coef))
+        return stacked(plan, coef, piece, path)
+
+    monkeypatch.setattr(periods, "_chain_integrand", spy)
+    numeric_chain_integral(sec, chain, QuadratureSettings(tol=1e-6))
+    (plan, coef), rows = seen[0], np.arange(len(chain.segments))
     t = np.arange(1, 16) / 16.0
-    f, noise, _ = periods._chain_integrand(pieces)(
-        np.arange(len(pieces)), np.tile(t, (len(pieces), 1))
-    )
+    path = periods._path(plan, rows, np.tile(t, (len(rows), 1)))
+    f, noise, _ = stacked(plan, coef, rows, path)
+    num, den = periods._chart_pair(sec)
     for i, seg in enumerate(chain.segments):
         ref_f, ref_noise = reference_integrand(num, den, seg, t)
         assert f[i].tobytes() == np.broadcast_to(ref_f, t.shape).tobytes()
