@@ -67,6 +67,13 @@ def _complex(value, what):
     _fail(f"{what} must be a number or a [re, im] pair, got {value!r}")
 
 
+def _known(block, keys, what):
+    """Refuse a key of the object ``block`` that is not among ``keys``."""
+    for key in block:
+        if key not in keys:
+            _fail(f"unknown {what} key {key!r}")
+
+
 def _flags(value, dim, what):
     if (
         not isinstance(value, list)
@@ -85,13 +92,10 @@ class Job:
             _fail("job file must contain a JSON object")
         if raw.get("schema_version") != SCHEMA_VERSION:
             _fail(f"schema_version must be {SCHEMA_VERSION}")
-        known = {
+        _known(raw, (
             "schema_version", "dim", "points", "beta", "system",
             "symmetry", "section", "numerator", "chains", "candidate", "options",
-        }
-        for key in raw:
-            if key not in known:
-                _fail(f"unknown job file key {key!r}")
+        ), "job file")
         self.system_kind = raw.get("system", "gkz")
         if self.system_kind not in ("gkz", "p1-unipotent"):
             _fail("system must be 'gkz' or 'p1-unipotent'")
@@ -119,6 +123,7 @@ class Job:
         for k, entry in enumerate(_list(raw.get("symmetry", []), "symmetry")):
             if not isinstance(entry, dict) or "xi" not in entry:
                 _fail("each symmetry entry needs a matrix under 'xi'")
+            _known(entry, ("xi", "beta"), f"symmetry[{k}]")
             xi = entry["xi"]
             p = len(self.points)
             if not isinstance(xi, list) or len(xi) != p or any(
@@ -138,6 +143,7 @@ class Job:
             sec = raw["section"]
             if not isinstance(sec, dict) or "a" not in sec:
                 _fail("section needs coefficient list 'a'")
+            _known(sec, ("a", "i0", "radii"), "section")
             coeffs = [_complex(z, "section coefficient") for z in _list(sec["a"], "section a")]
             if len(coeffs) != len(self.points):
                 _fail("section coefficient count must match the points")
@@ -162,6 +168,7 @@ class Job:
             numr = raw["numerator"]
             if not isinstance(numr, dict) or "exponents" not in numr or "b" not in numr:
                 _fail("numerator needs 'exponents' and 'b'")
+            _known(numr, ("exponents", "b"), "numerator")
             exps = self._int_vectors(numr["exponents"], self.dim, "numerator exponents")
             bs = tuple(_complex(z, "numerator coefficient") for z in _list(numr["b"], "numerator b"))
             if len(exps) != len(bs):
@@ -173,10 +180,12 @@ class Job:
             segments = ch.get("segments") if isinstance(ch, dict) else None
             if not isinstance(segments, list) or not segments:
                 _fail(f"chain {k} needs a nonempty 'segments' list")
+            _known(ch, ("segments",), f"chain {k}")
             segs = []
             for seg in segments:
                 if not isinstance(seg, dict):
                     _fail(f"chain {k} segments must be objects, got {seg!r}")
+                _known(seg, ("start", "end", "start_flags", "end_flags"), f"chain {k} segment")
                 ends = [seg.get("start"), seg.get("end")]
                 if not all(isinstance(z, list) and len(z) == self.dim for z in ends):
                     _fail(f"chain {k} segment points must have dimension {self.dim}")
@@ -198,15 +207,14 @@ class Job:
         if self.candidate is not None:
             if not isinstance(self.candidate, dict) or "type" not in self.candidate:
                 _fail("candidate needs a 'type'")
+            _known(self.candidate, ("type", "value", "exponents", "coeff"), "candidate")
             if self.candidate["type"] not in ("monomial", "constant", "period-series"):
                 _fail("candidate type must be monomial, constant or period-series")
 
         opts = raw.get("options", {})
         if not isinstance(opts, dict):
             _fail("options must be an object")
-        for key in opts:
-            if key not in ("order", "tol"):
-                _fail(f"unknown options key {key!r}")
+        _known(opts, ("order", "tol"), "options")
         self.order = opts.get("order", 10)
         if not _is_int(self.order) or self.order < 0:
             _fail(f"options.order must be a nonnegative integer, got {self.order!r}")

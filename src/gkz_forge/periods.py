@@ -759,9 +759,12 @@ def fd_weights(derivative, nodes):
 
     The weights solve the Vandermonde system ``sum_j w_j x_j^k = k! [k ==
     derivative]`` for ``k < len(nodes)``: the stencil differentiates every
-    polynomial of degree below the node count exactly.
+    polynomial of degree below the node count exactly.  Raises ValueError
+    unless ``derivative`` is a nonnegative int (no bool) below the node count.
     """
     n = len(nodes)
+    if isinstance(derivative, bool) or not isinstance(derivative, int) or derivative < 0:
+        raise ValueError(f"derivative must be a nonnegative int, got {derivative!r}")
     if derivative >= n:
         raise ValueError("not enough nodes for the requested derivative")
     if len(set(nodes)) != n:

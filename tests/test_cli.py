@@ -706,6 +706,33 @@ MALFORMED = {
     ),
     "no candidate": ("verify", {}, "verify needs a 'candidate' block"),
     "no chains": ("chain", {}, "chain command needs at least one chain"),
+    # a misspelled key of a nested block ran with that key's default
+    "section radius": (
+        "period", {"section": {"a": P1_JOB["section"]["a"], "i0": 1, "radius": [0.001]}},
+        "unknown section key 'radius'",
+    ),
+    "segment end_flag": (
+        "chain",
+        {"chains": [{"segments": [{"start": [1.0], "end": [1.0], "end_flag": [1]}]}]},
+        "unknown chain 0 segment key 'end_flag'",
+    ),
+    "chain segment": (
+        "chain", {"chains": [{"segments": [_SEGMENT], "segment": []}]}, "unknown chain 0 key 'segment'",
+    ),
+    "numerator coeffs": (
+        "chain",
+        {"numerator": {"exponents": [[0]], "b": [1.0], "coeffs": [1.0]}},
+        "unknown numerator key 'coeffs'",
+    ),
+    "candidate exponent": (
+        "verify", {"candidate": {"type": "monomial", "exponents": ["-1"], "exponent": ["-1"]}},
+        "unknown candidate key 'exponent'",
+    ),
+    "symmetry bet": (
+        "build",
+        {"symmetry": [{"xi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "bet": 1}]},
+        "unknown symmetry[0] key 'bet'",
+    ),
 }
 
 

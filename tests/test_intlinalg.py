@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
@@ -96,16 +97,8 @@ class TestIntLinAlg:
     def test_hermite_form_canonical(self):
         h = intlinalg.hermite_form([(-3, 1, 1, 1)])
         assert h == ((3, -1, -1, -1),)
-        h, u = intlinalg.hermite_form([[2, 4], [1, 3]], transform=True)
+        h = intlinalg.hermite_form([[2, 4], [1, 3]])
         assert h == ((1, 1), (0, 2))  # above-pivot entry reduced mod 2
-        # u is unimodular (its Hermite form is the identity) and u @ a = h
-        assert intlinalg.hermite_form(u) == ((1, 0), (0, 1))
-        a = [[2, 4], [1, 3]]
-        prod = tuple(
-            tuple(sum(u[i][k] * a[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        assert prod == h
 
     def test_kernel_basis_of_no_rows_or_full_rank_is_empty(self):
         assert intlinalg.kernel_basis([]) == ()
@@ -124,6 +117,8 @@ class TestIntLinAlg:
                 )
             if kb:
                 assert all(d == 1 for d in smith_invariants(kb))
+            # the basis is in Hermite form and spans a lattice of full rank
+            assert intlinalg.hermite_form(kb) == kb
             assert len(kb) == p - intlinalg.rank(rows)
 
     def test_smith_invariants(self):
@@ -135,6 +130,11 @@ class TestIntLinAlg:
         x = intlinalg.solve_rational([[1, 1, 1], [-1, 0, 1]], [-1, 0])
         assert x == (Fraction(0), Fraction(-1), Fraction(0))
         assert intlinalg.solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+
+    def test_solve_rational_needs_one_right_hand_side_per_row(self):
+        for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5]), ([], [0])):
+            with pytest.raises(ValueError, match="right-hand sides"):
+                intlinalg.solve_rational(rows, rhs)
 
 
 

@@ -1076,6 +1076,12 @@ class TestFiniteDifference:
         assert periods._central_stencil(1) == ((-2, -1, 0, 1, 2), (1, -8, 0, 8, -1), 12)
         assert periods._central_stencil(0) == ((0,), (1,), 1)
 
+    def test_weights_of_an_impossible_derivative_rejected(self):
+        # these gave all-zero weights: a stencil that differentiates nothing
+        for derivative, nodes in ((-1, (0, 1)), (1.5, (0, 1, 2)), (True, (0, 1)), ("1", (0, 1))):
+            with pytest.raises(ValueError, match="derivative must be a nonnegative int"):
+                fd_weights(derivative, nodes)
+
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
         st.integers(0, 4),
