@@ -74,6 +74,10 @@ def _known(block, keys, what):
             _fail(f"unknown {what} key {key!r}")
 
 
+# the keys of a candidate beside its type, per type
+_CANDIDATE_KEYS = {"monomial": ("exponents", "coeff"), "constant": ("value",), "period-series": ()}
+
+
 def _flags(value, dim, what):
     if (
         not isinstance(value, list)
@@ -115,9 +119,12 @@ class Job:
                     _fail(f"beta must be a list of {self.dim + 1} rationals")
                 self.beta = tuple(_fraction(b, "beta entry") for b in beta)
         else:
-            self.dim = 1
-            self.points = ((2,), (1,), (0,))
-            self.beta = (Fraction(1), Fraction(0))
+            for key in ("dim", "points", "beta"):
+                if key in raw:
+                    _fail(f"p1-unipotent jobs take no {key!r}: the family fixes it")
+            # the family's system, built once: it gives the points as well
+            self.unipotent = tautsys.unipotent_p1_system()
+            self.dim, self.points = self.unipotent.A.dim, self.unipotent.A.points
 
         self.symmetry = []
         for k, entry in enumerate(_list(raw.get("symmetry", []), "symmetry")):
@@ -207,9 +214,10 @@ class Job:
         if self.candidate is not None:
             if not isinstance(self.candidate, dict) or "type" not in self.candidate:
                 _fail("candidate needs a 'type'")
-            _known(self.candidate, ("type", "value", "exponents", "coeff"), "candidate")
-            if self.candidate["type"] not in ("monomial", "constant", "period-series"):
+            kind = self.candidate["type"]
+            if not isinstance(kind, str) or kind not in _CANDIDATE_KEYS:
                 _fail("candidate type must be monomial, constant or period-series")
+            _known(self.candidate, ("type", *_CANDIDATE_KEYS[kind]), "candidate")
 
         opts = raw.get("options", {})
         if not isinstance(opts, dict):
@@ -239,9 +247,9 @@ class Job:
 
     def system(self) -> tautsys.SystemSpec:
         if self.system_kind == "p1-unipotent":
-            return tautsys.unipotent_p1_system()
-        A = lattice.homogenize(self.points, self.dim)
-        spec = tautsys.gkz_system(A, self.beta)
+            spec = self.unipotent
+        else:
+            spec = tautsys.gkz_system(lattice.homogenize(self.points, self.dim), self.beta)
         if self.symmetry:
             ops = list(spec.operators)
             for mat, bx in self.symmetry:

@@ -21,8 +21,8 @@ integrand; each later round splits the intervals of largest error into 8.
 It stops when the summed error estimate is at most tol and raises
 NonConvergent when tol is below the roundoff floor (eps times the integral
 of |f| (50 + cond), cond the condition number of the Horner sums), when its
-evaluation budget runs out, or when an interval can no longer be split; a
-returned error is never above tol.
+evaluation budget ``MAX_EVALS`` runs out, or when an interval can no longer
+be split; a returned error is never above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
@@ -31,8 +31,8 @@ integral solves the system" at a point without symbolic access to the
 function; each operator's report gives the verdict.  The stencil weights
 solve a small Vandermonde system with ``intlinalg``'s exact solver, once
 per derivative order.  Each stencil sum is formed exactly in integers, and
-each stencil point is sampled once per certificate: the steps h and h/2
-and all operators share the samples.
+a certificate keeps one table, its samples by stencil point: each point is
+sampled once, and the steps h and h/2 and all operators share the samples.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ _CLEARANCE = 1e-6
 # the order of accuracy of every finite-difference stencil: the error of a
 # residual is O(h^FD_ORDER)
 FD_ORDER = 4
+# the evaluations of the integrand one quadrature may spend: a torus-cycle
+# integral summed over its grids, a chain integral over its rounds
+MAX_EVALS = 2**20
 
 
 def _is_int(value):
@@ -187,17 +190,14 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Target error and evaluation budget of a quadrature.  ValueError
-    unless ``tol`` is a positive finite real and ``max_evals`` a positive int."""
+    """Target error of a quadrature.  ValueError unless ``tol`` is a positive
+    finite real."""
 
     tol: float = 1e-10
-    max_evals: int = 2**20
 
     def __post_init__(self):
         if not _is_size(self.tol):
             raise ValueError(f"tol must be a positive finite real, got {self.tol!r}")
-        if not _is_int(self.max_evals) or self.max_evals < 1:
-            raise ValueError(f"max_evals must be a positive int, got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,8 @@ def numeric_cycle_integral(
 
     Tensor-product trapezoidal rule with grid doubling; exponentially
     convergent for sections without zeros on the torus.  The reported error
-    is the difference of the two finest grids.  ``quad.max_evals`` bounds
-    the evaluations summed over all grids, as it does for a chain: a grid
+    is the difference of the two finest grids.  ``MAX_EVALS`` bounds the
+    evaluations summed over all grids, as it does for a chain: a grid
     that would take the total past it is not sampled, and NonConvergent is
     raised instead.  DegeneracyError unless ``radii`` holds one positive
     finite real (no bool) per coordinate whose powers in the section's terms
@@ -297,7 +297,7 @@ def numeric_cycle_integral(
     m = 8
     prev = None
     total = 0
-    while total + m**n <= quad.max_evals:
+    while total + m**n <= MAX_EVALS:
         f, g = _section_on_torus(s, radii, (m,) * n)
         total += f.size
         if np.min(np.abs(f)) < _CLEARANCE * scale:
@@ -313,7 +313,7 @@ def numeric_cycle_integral(
         m *= 2
     raise NonConvergent(
         "torus quadrature did not reach the tolerance within its budget"
-        f" of {quad.max_evals} evaluations"
+        f" of {MAX_EVALS} evaluations"
     )
 
 
@@ -532,6 +532,13 @@ def _gauss_kronrod_sums(t, f, noise, half):
     return kronrod * half, np.maximum(err, floor), floor
 
 
+def _within_budget(evals):
+    # the evaluations a chain integral has spent, if they fit in MAX_EVALS
+    if evals > MAX_EVALS:
+        raise NonConvergent(f"adaptive quadrature exceeded its budget of {MAX_EVALS} evaluations")
+    return evals
+
+
 def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> IntegrationResult:
     """Sum over the segments of a chain of their integrals over [0, 1],
     within ``quad.tol``; ``coef`` as for ``_chain_integrand``.
@@ -550,11 +557,7 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
     call, the first included), or when an interval can no longer be split.
     """
     m = len(_GK_NODES)
-    evals = 2 * m * len(plan.rows)
-    if evals > quad.max_evals:
-        raise NonConvergent(
-            f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
-        )
+    evals = _within_budget(2 * m * len(plan.rows))
     f, noise, cond = _chain_integrand(plan, coef, plan.rows, plan.first)
     near = cond[:, 2 * m :] > 1.0 / _CLEARANCE
     if near.any():
@@ -594,11 +597,7 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
         order = np.argsort(-excess, kind="stable")
         rest = excess.sum() - np.cumsum(excess[order])
         split = order[: np.count_nonzero(rest > goal / 2.0) + 1]
-        evals += _SPLIT * m * len(split)
-        if evals > quad.max_evals:
-            raise NonConvergent(
-                f"adaptive quadrature exceeded its budget of {quad.max_evals} evaluations"
-            )
+        evals = _within_budget(evals + _SPLIT * m * len(split))
         left, right = lo[split], hi[split]
         if (right - left).min() < _MIN_WIDTH:
             raise NonConvergent(
@@ -649,7 +648,7 @@ def numeric_chain_integral(
     error is never above tol; it raises NonConvergent when tol is below the
     roundoff floor (eps times the integral of |f| (50 + cond), cond the
     condition number of the Horner sums, which grows like 1/distance beside
-    a pole), when the evaluation budget ``quad.max_evals`` would run out
+    a pole), when the evaluation budget ``MAX_EVALS`` would run out
     (checked before every call, the first included) or when an interval
     can no longer be split.  Raises DivergentAtBoundary when the integrand
     does not extend across a flagged endpoint and PoleNearPath when the
@@ -828,33 +827,19 @@ class FDReport:
         return max((abs(r.residual) for r in self.reports), default=0.0)
 
 
-def _derivative_at(F, points, weights, denominator, order, step, samples, used):
+def _exact_sum(values, weights, denominator):
     # The weighted sum is formed exactly in integers: the sampled values are
     # binary floats, hence integers over powers of two, and the stencil
     # weights are integers over one common denominator.  So stencil
     # identities like "sum of weights is zero" hold exactly and directions
     # the function does not depend on contribute no rounding noise; one
-    # correctly rounded division per part ends the sum.  ``samples`` holds
-    # every value of F taken for the certificate, ``used`` the ones this
-    # call's operator has read at this step.
-    ratios = []
-    for point in points:
-        if point not in samples:
-            try:
-                value = complex(F(point))
-            except Exception as exc:  # the sampled function left its domain
-                raise StencilOutOfDomain(str(exc)) from exc
-            if not cmath.isfinite(value):
-                raise StencilOutOfDomain(f"the sampled function is {value} at {point}")
-            samples[point] = value
-        v = used[point] = samples[point]
-        ratios.append((v.real.as_integer_ratio(), v.imag.as_integer_ratio()))
+    # correctly rounded division per part ends the sum.
     parts = []
-    for part in zip(*ratios):
-        scale = max(d for _, d in part)
-        total = sum(wt * n * (scale // d) for wt, (n, d) in zip(weights, part))
+    for ratios in zip(*((v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for v in values)):
+        scale = max(d for _, d in ratios)
+        total = sum(wt * n * (scale // d) for wt, (n, d) in zip(weights, ratios))
         parts.append(total / (scale * denominator))
-    return complex(*parts) / step**order
+    return complex(*parts)
 
 
 def finite_difference_residual(spec, F, a0, h) -> FDReport:
@@ -886,43 +871,38 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
     if not _finite(a0):
         raise ValueError(f"a0 must be finite, got {a0}")
     a0 = tuple(map(complex, a0))
-    reports = []
-    # per derivative order: the stencil nodes, and its weights as integers
-    # over one common denominator
-    stencils = {
-        k: _central_stencil(k) for op in spec.operators for (_, w) in op.terms for k in w
-    }
-    mass = {k: sum(map(abs, weights)) / scale for k, (_, weights, scale) in stencils.items()}
-    tensors = {}
-
-    def tensor(w, step):
-        # the points of the tensor-product stencil of w at this step, with
-        # the products of the integer weights and of their denominators
-        if (w, step) not in tensors:
-            axes = [stencils[k] for k in w]
-            offsets = itertools.product(*(nodes for nodes, _, _ in axes))
-            tensors[w, step] = (
-                [tuple(a0[j] + step * o for j, o in enumerate(offset)) for offset in offsets],
-                [math.prod(ws) for ws in itertools.product(*(ws for _, ws, _ in axes))],
-                math.prod(scale for _, _, scale in axes),
-            )
-        return tensors[w, step]
-
-    # each stencil point is sampled once, whichever operators and steps read it
+    # the one table of the certificate: every value of F taken, by point
     samples = {}
 
-    def residual_at(op, step):
-        total, gain, used = 0j, 0.0, {}
-        for (u, w), oc in sorted(op.constant_coefficients().items()):
-            mono = 1.0 + 0j
-            for j, uj in enumerate(u):
-                if uj:
-                    mono *= a0[j] ** uj
-            dw = _derivative_at(F, *tensor(w, step), sum(w), step, samples, used)
-            total += float(oc) * mono * dw
-            gain += abs(float(oc) * mono) * math.prod(mass[k] for k in w) / step ** sum(w)
-        return total, _EPS * gain * max(map(abs, used.values()), default=0.0)
+    def sample(point):
+        if point not in samples:
+            try:
+                value = complex(F(point))
+            except Exception as exc:  # the sampled function left its domain
+                raise StencilOutOfDomain(str(exc)) from exc
+            if not cmath.isfinite(value):
+                raise StencilOutOfDomain(f"the sampled function is {value} at {point}")
+            samples[point] = value
+        return samples[point]
 
+    def residual_at(op, step):
+        total, gain, size = 0j, 0.0, 0.0
+        for (u, w), oc in sorted(op.constant_coefficients().items()):
+            mono = math.prod((a0[j] ** uj for j, uj in enumerate(u) if uj), start=1.0 + 0j)
+            # the tensor-product stencil of w: its points at this step, and
+            # the products of its integer weights and of their denominators
+            nodes, axes, scales = zip(*map(_central_stencil, w))
+            coords = ([a + step * o for o in ns] for a, ns in zip(a0, nodes))
+            values = [sample(point) for point in itertools.product(*coords)]
+            weights = [math.prod(ws) for ws in itertools.product(*axes)]
+            dw = _exact_sum(values, weights, math.prod(scales)) / step ** sum(w)
+            total += float(oc) * mono * dw
+            mass = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
+            gain += abs(float(oc) * mono) * mass / step ** sum(w)
+            size = max(size, *map(abs, values))
+        return total, _EPS * gain * size
+
+    reports = []
     for op in spec.operators:
         (r1, floor1), (r2, floor2) = residual_at(op, h), residual_at(op, h / 2.0)
         reports.append(OperatorFD(op, r1, r2, floor1, floor2))

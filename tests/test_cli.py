@@ -119,6 +119,15 @@ def test_build_unipotent(tmp_path, capsys):
     assert "2 a1 d2 + a2 d3" in out
 
 
+def test_build_unipotent_with_symmetry(tmp_path, capsys):
+    # the symmetry block of a p1-unipotent job was dropped
+    job = dict(UNIPOTENT_JOB, symmetry=[{"xi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "beta": 1}])
+    code, out, _ = run(capsys, ["build", "--input", write_job(tmp_path, job), "--report", "machine"])
+    assert code == 0
+    ops = json.loads(out)["operators"]
+    assert len(ops) == 4 and ops[3] == "a1 d1 + a2 d2 + a3 d3 + 1"
+
+
 def test_rank_families(tmp_path, capsys):
     job = dict(P1_JOB)
     code, out, _ = run(capsys, ["rank", "--input", write_job(tmp_path, job)])
@@ -695,6 +704,10 @@ MALFORMED = {
         "verify", {"candidate": {"type": "cycle"}},
         "candidate type must be monomial, constant or period-series",
     ),
+    "candidate type list": (
+        "verify", {"candidate": {"type": ["monomial"]}},
+        "candidate type must be monomial, constant or period-series",
+    ),
     "options is a list": ("period", {"options": []}, "options must be an object"),
     "points empty": (
         "build", {"points": []}, "points must be a nonempty list of integer vectors",
@@ -727,6 +740,18 @@ MALFORMED = {
     "candidate exponent": (
         "verify", {"candidate": {"type": "monomial", "exponents": ["-1"], "exponent": ["-1"]}},
         "unknown candidate key 'exponent'",
+    ),
+    # a key of another candidate type ran as if it were absent
+    "constant candidate coeff": (
+        "verify", {"candidate": {"type": "constant", "coeff": 5}}, "unknown candidate key 'coeff'",
+    ),
+    "period-series candidate exponents": (
+        "verify", {"candidate": {"type": "period-series", "exponents": [0, -1, 0]}},
+        "unknown candidate key 'exponents'",
+    ),
+    # the family fixes its points and beta; a job's own were ignored
+    "p1-unipotent with points": (
+        "build", {"system": "p1-unipotent"}, "p1-unipotent jobs take no 'dim': the family fixes it",
     ),
     "symmetry bet": (
         "build",
