@@ -897,8 +897,8 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
             weights = [math.prod(ws) for ws in itertools.product(*axes)]
             dw = _exact_sum(values, weights, math.prod(scales)) / step ** sum(w)
             total += float(oc) * mono * dw
-            mass = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
-            gain += abs(float(oc) * mono) * mass / step ** sum(w)
+            norm = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
+            gain += abs(float(oc) * mono) * norm / step ** sum(w)
             size = max(size, *map(abs, values))
         return total, _EPS * gain * size
 

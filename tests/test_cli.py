@@ -750,7 +750,7 @@ MALFORMED = {
         "unknown candidate key 'exponents'",
     ),
     # the family fixes its points and beta; a job's own were ignored
-    "p1-unipotent with points": (
+    "p1-unipotent with dim and points": (
         "build", {"system": "p1-unipotent"}, "p1-unipotent jobs take no 'dim': the family fixes it",
     ),
     "symmetry bet": (
