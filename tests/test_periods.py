@@ -779,12 +779,15 @@ class TestAdaptiveGaussKronrod:
             numeric_chain_integral(sec, halfline_chain(), QuadratureSettings(tol=1e-300))
         assert "budget" not in str(info.value)
 
+    # kwargs7 to kwargs9 named cases of the deleted max_evals field; the
+    # later case keeps its id kwargs10
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-10},
-            {"tol": True}, {"tol": "1e-10"}, {"tol": 10**400},
+            {"tol": True}, {"tol": "1e-10"}, {"tol": None}, {"tol": 10**400},
         ],
+        ids=[f"kwargs{i}" for i in (0, 1, 2, 3, 4, 5, 6, 10)],
     )
     def test_bad_settings_rejected(self, kwargs):
         # tol = nan once ran a whole torus grid before NonConvergent, and an
