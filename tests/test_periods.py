@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -617,6 +618,181 @@ def test_plan_cache_tells_signed_zeros_apart():
     above = numeric_chain_integral(sec, upper, TIGHT)
     assert bits(numeric_chain_integral(sec, lower, TIGHT)) == bits(fresh)
     assert abs(above.value - fresh.value - residue_period(sec, 1)) < 1e-10
+
+
+def quadrature_sweep():
+    """A seeded sweep of chain integrals and finite-difference certificates.
+
+    Returns the sha256 of the bits of every chain that meets its tol in its
+    first round (value, error and evaluation count) and of every
+    certificate (residuals and floors), the number of those chains, and the
+    evaluation counts and values of the chains that take more rounds (the
+    name of the error for one that raises).
+    """
+    rng = random.Random(2031)
+    u = rng.uniform
+    digest, multi, one_round = hashlib.sha256(), [], [0]
+    cubic = lattice.homogenize([(-1,), (0,), (1,), (2,)], 1)
+    skew = lattice.homogenize([(-2,), (0,), (3,)], 1)
+
+    def near_131():
+        a = (u(0.8, 1.2), u(2.7, 3.3), u(0.8, 1.2))
+        if rng.randrange(3):
+            return a
+        # a complex section, some of its imaginary parts signed zeros
+        return tuple(complex(x, u(-0.1, 0.1) * rng.choice((0.0, -0.0, 1.0))) for x in a)
+
+    def chain(sec, ch, tol, integral=numeric_chain_integral):
+        try:
+            res = integral(sec, ch, QuadratureSettings(tol=tol))
+        except (NonConvergent, PoleNearPath) as exc:
+            multi.append(type(exc).__name__)
+            return
+        if res.evaluations == 42 * len(ch.segments):
+            one_round[0] += 1
+            bits = np.array([res.value, res.error, res.evaluations], dtype=complex)
+            digest.update(bits.tobytes())
+        else:
+            multi.append((res.evaluations, res.value))
+
+    def certificate(spec, F, a0, h):
+        for r in finite_difference_residual(spec, F, a0, h).reports:
+            digest.update(
+                np.array([r.residual, r.residual_refined, r.floor, r.floor_refined]).tobytes()
+            )
+
+    tols = [10.0**-k for k in range(8, 14)]
+    for _ in range(340):  # half-lines near (1, 3, 1) through points of the positive axis
+        sec = SectionData(A=A_SEG, coeffs=near_131())
+        chain(sec, halfline_chain(u(0.5, 2.0)), rng.choice(tols))
+    for _ in range(30):  # general type: a linear numerator over a cubic
+        sec = SectionData(
+            A=cubic,
+            coeffs=tuple(c * u(0.9, 1.1) for c in (1.0, 3.0, 2.0, 0.5)),
+            numerator_exponents=((0,), (1,)),
+            numerator_coeffs=(complex(u(-1, 1), u(-1, 1)), complex(u(-1, 1), u(-1, 1))),
+        )
+        chain(sec, halfline_chain(), rng.choice(tols), general_type_integral)
+    for _ in range(20):  # a pole 1e-4 beside the half-line, the benchmark's tols
+        sec, _ = near_pole_section(u(1.1, 3.0))
+        for tol in (1e-6, 1e-8, 1e-10):
+            chain(sec, halfline_chain(), tol)
+    for _ in range(10):  # loops around both roots
+        sec = SectionData(A=A_SEG, coeffs=near_131())
+        r1, r2 = denominator_roots(sec)
+        for root in (r1, r2):
+            chain(sec, loop_chain(root, 0.25 * abs(r1 - r2)), 1e-13)
+    for _ in range(10):  # charts whose rows have lowest exponents other than 0
+        b = (u(0.5, 2.0), u(0.5, 2.0), u(0.5, 2.0))
+        chain(SectionData(A=skew, coeffs=b), halfline_chain(), rng.choice(tols))
+        chain(SectionData(A=A_SEG, coeffs=(*b[:2], 0.0)), ARC_TO_ZERO, rng.choice(tols))
+        arc = SectionData(A=ARC_TO_INFINITY[0].A, coeffs=b[:2])
+        chain(arc, ARC_TO_INFINITY[1], rng.choice(tols))
+    spec = tautsys.gkz_system(A_SEG, tautsys.cy_beta(1))
+    for _ in range(30):  # certificates of half-line chains at tol 1e-13
+        ch = halfline_chain()
+
+        def F(a):
+            return numeric_chain_integral(SectionData(A=A_SEG, coeffs=a), ch, TIGHT).value
+
+        certificate(spec, F, near_131(), 0.02)
+    series16 = torus_period_series(A_SEG, order=16)
+    for _ in range(10):  # certificates of the order-16 period series
+        certificate(spec, series16.evaluate, (u(0.005, 0.03), 1.0, u(0.005, 0.03)), 0.002)
+    return digest.hexdigest(), one_round[0], multi
+
+
+SWEEP_SHA256 = "322134501f1acd739ee4dd6b072ea9c5ef9eb4bb2658c992ea8489c9158a86f7"
+SWEEP_ONE_ROUND = 391
+SWEEP_MULTI_ROUND = [
+    (252, (0.8822341574942294+0.028790019121594772j)),
+    (252, (0.9463274099278234-0.036140577410052645j)), (252, (0.9100227579983432+0j)),
+    (252, (0.8577209704915955-0.010963340519488503j)), (252, (0.92147872979456+0j)),
+    (252, (0.8711582659874387+0.030054871320934186j)), (252, (0.8652084435330234+0j)),
+    (252, (0.7855612479392307+0j)), (252, (0.7684164705700005+0j)),
+    (252, (0.9555348266329264+0j)), (252, (0.8641587892795104+0j)),
+    (252, (0.9512710631793972-0.0028418424461307103j)), (252, (0.9382253650040365+0j)),
+    (252, (0.9587818142584968+0j)), (252, (0.766751226728129+0j)),
+    (252, (0.8604128546035708+0j)), (252, (0.9900759809810722+0j)),
+    (252, (0.8725430344632323+0j)), (252, (0.8643556035833831+0j)),
+    (252, (0.7865467719353563+0j)), (252, (0.859074548865342+0j)),
+    (252, (0.8653882755392013+0j)), (252, (0.9344161344018083-0.0031426898351176688j)),
+    (252, (0.9334628473890944+0j)), (252, (0.914905534625926+0j)),
+    (252, (0.9095861154198531+0j)), (252, (0.9244934120814028-0.01057008069418357j)),
+    (252, (0.8034732275672987+0j)), (1092, (-0.22103702330019445+1.0842001915709791j)),
+    (1260, (-0.2210370233002996+1.0842001915707575j)),
+    (1260, (-0.2210370233002996+1.0842001915707575j)),
+    (924, (-0.14726942192856585+1.2925058532091735j)),
+    (1260, (-0.147269421928667+1.292505853209194j)),
+    (1260, (-0.147269421928667+1.292505853209194j)),
+    (756, (-0.13996315707462958+1.309381072054554j)),
+    (1092, (-0.1399631570745551+1.3093810720550072j)),
+    (1092, (-0.1399631570745551+1.3093810720550072j)),
+    (924, (-0.2733265065432547+0.801612746076485j)),
+    (1260, (-0.27332650654292673+0.8016127460764387j)),
+    (1260, (-0.27332650654292673+0.8016127460764387j)),
+    (924, (-0.1456788241323338+1.2962198734260642j)),
+    (1092, (-0.14567882413261424+1.2962198734262493j)),
+    (1428, (-0.14567882413260835+1.2962198734262518j)),
+    (1260, (-0.26756829374983415+0.8560544504134511j)),
+    (1260, (-0.26756829374983415+0.8560544504134511j)),
+    (1428, (-0.26756829374983404+0.8560544504134511j)),
+    (1428, (-0.21634865845474466+1.1004899064364402j)),
+    (1596, (-0.21634865845475032+1.1004899064362628j)),
+    (1596, (-0.21634865845475032+1.1004899064362628j)),
+    (756, (-0.12945225792897874+1.332874346984632j)),
+    (924, (-0.12945225792897092+1.3328743469846316j)),
+    (1260, (-0.12945225792901402+1.3328743469844944j)),
+    (1092, (-0.1259724129494982+1.3404626438531528j)),
+    (1092, (-0.1259724129494982+1.3404626438531528j)),
+    (1596, (-0.1259724129495926+1.3404626438530982j)),
+    (924, (-0.196713671882707+1.162861417385065j)),
+    (1428, (-0.196713671882788+1.162861417385061j)),
+    (1428, (-0.196713671882788+1.162861417385061j)),
+    (924, (-0.26184498528766115+0.8971176992766732j)),
+    (1260, (-0.26184498528780537+0.8971176992766479j)),
+    (1428, (-0.26184498528780437+0.897117699276648j)),
+    (924, (-0.1679355193302955+1.2419865110836306j)),
+    (924, (-0.1679355193302955+1.2419865110836306j)),
+    (1428, (-0.16793551933026105+1.2419865110835544j)),
+    (1092, (-0.21172572808899875+1.1159668594759444j)),
+    (1428, (-0.21172572808875545+1.1159668594757979j)),
+    (1596, (-0.21172572808875517+1.1159668594757834j)),
+    (1092, (-0.2708163339331261+0.8278252142049414j)),
+    (1260, (-0.2708163339331182+0.8278252142049406j)),
+    (1596, (-0.2708163339331179+0.8278252142049406j)),
+    (1092, (-0.2738656832936681+0.7952027780554685j)),
+    (1092, (-0.2738656832936681+0.7952027780554685j)),
+    (1260, (-0.273865683293668+0.7952027780554684j)),
+    (924, (-0.25983860453560126+0.9098077260827158j)),
+    (1260, (-0.25983860453561164+0.90980772608271j)),
+    (1260, (-0.25983860453561164+0.90980772608271j)),
+    (924, (-0.25850521828064055+0.9178739352978181j)),
+    (1260, (-0.2585052182804668+0.9178739352977978j)),
+    (1260, (-0.2585052182804668+0.9178739352977978j)),
+    (924, (-0.2739340204051517+0.7943644538319335j)),
+    (924, (-0.2739340204051517+0.7943644538319335j)),
+    (1092, (-0.2739340204051517+0.7943644538319337j)),
+    (924, (-0.16718200770514968+1.243908948991181j)),
+    (1092, (-0.16718200770495661+1.243908948991027j)),
+    (1596, (-0.1671820077050144+1.24390894899085j)),
+    (1428, (-0.24208242424485+1.0013017408478688j)),
+    (1428, (-0.24208242424485+1.0013017408478688j)),
+    (1428, (-0.24208242424485+1.0013017408478688j)),
+    (252, (-0.678808752757873-2.7755575615628914e-17j)),
+]
+
+
+def test_quadrature_sweep_is_pinned():
+    # a faster integrator or certificate must return the same bits for every
+    # chain that converges in one round and every certificate, and the same
+    # partitions and values to 1e-14 for chains that take more rounds
+    sha, one_round, multi = quadrature_sweep()
+    assert one_round == SWEEP_ONE_ROUND
+    assert len(multi) == len(SWEEP_MULTI_ROUND)
+    for got, want in zip(multi, SWEEP_MULTI_ROUND):
+        assert got[0] == want[0] and abs(got[1] - want[1]) <= 1e-14 * abs(want[1])
+    assert sha == SWEEP_SHA256
 
 
 def reference_integrand(num, den, seg, t):
