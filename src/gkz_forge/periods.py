@@ -42,6 +42,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,18 +115,19 @@ class SectionData:
     numerator_coeffs: tuple = ()
 
     def __post_init__(self):
-        if len(self.coeffs) != self.A.nsections:
+        coeffs, exponents, numerator = self.coeffs, self.numerator_exponents, self.numerator_coeffs
+        if len(coeffs) != len(self.A.points):
             raise DegeneracyError("coefficient count does not match the sections")
-        if all(c == 0 for c in self.coeffs):
+        if all(c == 0 for c in coeffs):
             raise DegeneracyError("section is identically zero")
-        if len(self.numerator_exponents) != len(self.numerator_coeffs):
+        if len(exponents) != len(numerator):
             raise DegeneracyError("numerator exponents and coefficients differ in length")
-        if any(len(nu) != self.A.dim for nu in self.numerator_exponents):
+        if any(len(nu) != self.A.dim for nu in exponents):
             raise DegeneracyError(f"numerator exponents must have length {self.A.dim}")
-        if not _finite([*self.coeffs, *self.numerator_coeffs]):
+        if not _finite((*coeffs, *numerator)):
             raise DegeneracyError("section and numerator coefficients must be finite")
-        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
-        object.__setattr__(self, "numerator_coeffs", tuple(map(complex, self.numerator_coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(complex, coeffs)))
+        object.__setattr__(self, "numerator_coeffs", tuple(map(complex, numerator)))
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ class Segment:
 
     def __post_init__(self):
         n = len(self.start)
+        if not n:
+            raise DegeneracyError("a segment needs at least one coordinate")
         if not _finite([*self.start, *self.end]):
             raise DegeneracyError("segment control points must be finite")
         object.__setattr__(self, "start", tuple(map(complex, self.start)))
@@ -181,11 +185,20 @@ class ChainSpec:
     def __post_init__(self):
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
+        dims = frozenset(len(seg.start) for seg in segs)
+        if len(dims) > 1:
+            raise DegeneracyError(f"the segments of a chain differ in dimension: {sorted(dims)}")
         for a, b in zip(segs, segs[1:]):
             if any(a.end_flags) or any(b.start_flags):
                 raise DegeneracyError("interior junctions must not carry boundary flags")
             if max(abs(x - y) for x, y in zip(a.end, b.start)) > 1e-9:
                 raise DegeneracyError("consecutive segments do not match at the junction")
+        # once per chain: the dimension of its segments, and the bits of the
+        # non-null ones, control points and flags, which key the cached plan
+        # (segments that compare equal can differ in bits, 0.0 and -0.0,
+        # which the paths keep)
+        live = [seg.start + seg.end + seg.start_flags + seg.end_flags for seg in segs if not seg.is_null()]
+        object.__setattr__(self, "_key", (dims, np.array(live, dtype=complex).tobytes()))
 
 
 @dataclass(frozen=True)
@@ -328,67 +341,93 @@ def _horner(columns, x, low=0):
     row of coefficients per interval of a chain).
     """
     value = columns[0]
-    for c in columns[1:]:
-        value = value * x + c
+    for i, c in enumerate(columns[1:]):
+        # the first product is a new array: the later steps work in place
+        if i:
+            value *= x
+        else:
+            value = value * x
+        value += c
     return value * x**low if low else value
 
 
-def _coefficients(poly):
-    """Coefficients of a Laurent polynomial ``{exponent: coefficient}``.
-
-    Returns them from the highest degree down to the lowest exponent, zero
-    where the polynomial has no term, together with that lowest exponent.
-    """
-    low = min(poly)
-    return [poly.get(e, 0j) for e in range(max(poly), low - 1, -1)], low
-
-
-def _chart_pair(s: SectionData):
-    """Numerator and denominator Laurent data of the chart integrand.
+def _chart(s: SectionData):
+    """Numerator and denominator of the chart integrand, as dense coefficients.
 
     On the 1-torus chart the holomorphic form is dx/x and the section has a
     pole order ``sigma = -min(mu)``; clearing it gives the polynomial
     denominator ``x^sigma f`` and the numerator ``x^(sigma-1) g``, ``g`` the
     section's numerator, or 1 (the Calabi-Yau integrand) when it has none.
-    The numerator is empty when every coefficient of ``g`` cancels.
+    Returns ``(top, low, bottom, base)``: the coefficients of numerator and
+    denominator from the highest nonzero degree down to the lowest, each a
+    sum of the section's coefficients at its exponent (zero where there is
+    none), and those lowest exponents.  ``top`` is empty when every
+    coefficient of ``g`` cancels.
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
-    sigma = max(0, -min(mu for (mu,) in s.A.points))
-    g = zip(s.numerator_exponents, s.numerator_coeffs)
-    g = g if s.numerator_exponents else [((0,), 1 + 0j)]
-    num, den = {}, {}
-    for pair, terms, shift in ((den, zip(s.A.points, s.coeffs), sigma), (num, g, sigma - 1)):
-        for (e,), c in terms:
-            pair[e + shift] = pair.get(e + shift, 0) + c
-    num, den = ({e: c for e, c in pair.items() if c != 0} for pair in (num, den))
-    if not den:
+    num, den = _chart_slots(s.A.points, s.numerator_exponents)
+    bottom, base = _dense(den, s.coeffs)
+    if not bottom:
         raise DegeneracyError("section is identically zero")
-    return num, den
+    return (*_dense(num, s.numerator_coeffs or (1 + 0j,)), bottom, base)
+
+
+@functools.lru_cache(maxsize=16)
+def _chart_slots(points, exponents):
+    # where the coefficients of the numerator (of exponents ``exponents``, or
+    # the constant 1) and of the denominator land in their dense lists:
+    # below the highest degree, which the list's length and lowest exponent give
+    sigma = max(0, -min(e for (e,) in points))
+    slots = []
+    for terms, shift in ((exponents or ((0,),), sigma - 1), (points, sigma)):
+        high, low = max(terms)[0] + shift, min(terms)[0] + shift
+        slots.append(([high - e - shift for (e,) in terms], high - low + 1, low))
+    return slots
+
+
+def _dense(slots, coeffs):
+    # the coefficients summed into their slots, without zero ends
+    where, size, low = slots
+    poly = [0j] * size
+    for i, c in zip(where, coeffs):
+        poly[i] += c
+    return _trim(poly, low)
+
+
+def _trim(poly, low):
+    # a dense polynomial (highest degree first, lowest exponent ``low``)
+    # without zero ends
+    while poly and not poly[-1]:
+        poly.pop()
+        low += 1
+    while poly and not poly[0]:
+        del poly[0]
+    return poly, low
 
 
 @functools.lru_cache(maxsize=2)
-def _chain_plan(low, width, depth, segments):
+def _chain_plan(low, width, depth, key):
     """Paths and charts of the segments of a chain, one row each.
 
-    A plan depends only on the non-null segments, each paired with its
-    bits, and on the shape of the chart pair: ``low`` the numerator's lowest
-    exponent over the denominator's, and the numbers of coefficients of
-    both, ``width`` and ``depth``.  So a finite-difference certificate
-    builds it once for all its samples.  Each segment takes the chart where
-    its flagged endpoint is regular: x -> 1/w, dx = -dw/w^2, for an endpoint
-    at infinity, shifted so the denominator is a polynomial with nonzero
-    constant term.  A segment reaching the boundary is linear in its chart,
-    ``x = p (c0 + c1 t)`` with constant ``dx/dt = dx``: ``(c0, c1) = (0,
-    1)`` from a flagged start, ``(1, -1)`` towards a flagged end.  An
-    unflagged segment is the multiplicative arc ``x = p exp(c1 t)`` with
+    A plan depends only on the chain's key, the bits of its non-null
+    segments (``ChainSpec``), and on the shape of the chart: ``low`` the
+    numerator's lowest exponent over the denominator's, and the numbers of
+    coefficients of both, ``width`` and ``depth``.  So a finite-difference
+    certificate builds it once for all its samples.  Each segment takes the
+    chart where its flagged endpoint is regular: x -> 1/w, dx = -dw/w^2,
+    for an endpoint at infinity, shifted so the denominator is a polynomial
+    with nonzero constant term.  A segment reaching the boundary is linear
+    in its chart, ``x = p (c0 + c1 t)`` with constant ``dx/dt = dx``: ``(c0,
+    c1) = (0, 1)`` from a flagged start, ``(1, -1)`` towards a flagged end.
+    An unflagged segment is the multiplicative arc ``x = p exp(c1 t)`` with
     ``dx/dt = c1 x``.  The plan keeps each row's ``(p, c0, c1, dx)``, chart
-    and numerator's lowest exponent, and x at the first round's parameters
-    with dx/dt at its nodes.
+    and numerator's lowest exponent, and the first round's path
+    (``_path``), with dx/dt at its nodes alone.
     """
     rows = []
-    for seg, _ in segments:
-        start, end, p, q = seg.start_flags[0], seg.end_flags[0], seg.start[0], seg.end[0]
+    for p, q, start, end in np.frombuffer(key, dtype=complex).reshape(-1, 4).tolist():
+        start, end = int(start.real), int(end.real)
         if start and end:
             raise DegeneracyError("a segment with both endpoints on the boundary must be split")
         inv = 1 in (start, end)
@@ -406,64 +445,86 @@ def _chain_plan(low, width, depth, segments):
     paths, arcs, invert, lows = map(np.array, zip(*rows))
     n, m = len(rows), len(_GK_NODES)
     plan = SimpleNamespace(
-        paths=paths, arcs=arcs, width=width, lows=lows, rows=np.arange(n), invert=invert[:, None],
+        paths=paths, arcs=arcs, width=width, lows=lows, invert=invert.tolist(),
+        # the first round's interval rows: every segment, a view of every row
+        rows=slice(None),
         # the direct and the inverted chart of a chain have numerators of one
         # width, but their lowest exponents can differ: each row keeps its own
         shifts=sorted(set(lows.tolist()) - {0}),
-        first_t=np.repeat(_FIRST_ROUND[: 2 * m].reshape(2, m), n, axis=0),
+        first_t=np.repeat(_FIRST_ROUND[:, None, :m], n, axis=1).reshape(-1, m),
         first_piece=np.tile(np.arange(n), 2),
-        first_bounds=np.repeat(((0.0, 0.5), (0.5, 1.0)), n, axis=1),
+        first_lo=np.repeat((0.0, 0.5), n),
+        first_hi=np.repeat((0.5, 1.0), n),
     )
     # dx/dt only at the nodes: the scan reads the denominator alone
-    x, dx = _path(plan, plan.rows, _FIRST_ROUND)
-    plan.first = x, dx[:, : 2 * m].copy()
+    x, dx, shifts = _path(plan, plan.rows, _FIRST_ROUND[:, None])
+    plan.first = x, dx[..., :m].copy(), shifts
     return plan
 
 
 def _path(plan, piece, t):
-    """x and dx/dt on the interval rows ``piece`` (the segment of each row)
-    at the parameters ``t`` in [0, 1] (a row per interval row, or one row
-    for all)."""
+    """The path on the interval rows ``piece`` (the segment of each row) at
+    the parameters ``t`` in [0, 1]: a row per interval row, or rows that
+    broadcast against all of them.
+
+    Returns x stacked over |x| on a first axis, dx/dt, and for
+    each nonzero lowest exponent of the plan's numerators the rows that
+    have it with x**low stacked over |x|**low.  One complex Horner
+    evaluation on such a stack gives a polynomial's value and the sum of
+    the moduli of its terms: the moduli's imaginary parts stay zero, so
+    their real parts are the real sums, bit for bit.
+    """
     c, arc = plan.paths[piece].T[..., None], plan.arcs[piece, None]
     u = t * c[2]
     x = c[1] + u
     np.exp(u, out=x, where=arc)
     x = c[0] * x
-    return x, np.where(arc, c[2] * x, c[3])
+    size, lows = np.abs(x), plan.lows[piece, None]
+    shifts = [(lows == low, _stack(x**low, size**low)) for low in plan.shifts]
+    return _stack(x, size), np.where(arc, c[2] * x, c[3]), shifts
+
+
+def _stack(value, modulus):
+    # value over modulus, as complex numbers
+    return np.concatenate((value[None], modulus[None]))
 
 
 def _chain_integrand(plan, coef, piece, path):
     """The chart integrands of the interval rows ``piece`` of a chain.
 
-    ``coef`` holds a section's chart coefficients on the plan's rows and
-    their moduli, ``path`` x and dx/dt on the interval rows (``_path``).
+    ``coef`` holds a section's chart coefficients on the plan's rows over
+    their moduli, ``path`` the path on the interval rows (``_path``).
     Returns ``num(x) / den(x) * dx/dt`` and an estimate of its rounding
-    error where dx/dt is given, and the condition number ``sum |d_e| |x|^e
+    error in units of eps where dx/dt is given, and the condition number ``sum |d_e| |x|^e
     / |den(x)|`` of the denominator at every x, evaluating every row at once
     by Horner's rule on the rows' chart coefficients.  The condition number
     above ``1 / _CLEARANCE`` marks a parameter where the denominator nearly
     vanishes; the quadrature reads it on its pole-clearance scan.
     """
-    (c, c_abs), (x, dx), k = (r[piece].T[..., None] for r in coef), path, plan.width
-    size = np.abs(x)
-    bottom = _horner(c[k:], x)
-    cond = _horner(c_abs[k:], size) / np.abs(bottom)
+    (x, dx, shifts), k = path, plan.width
+    # the coefficient columns, broadcasting over the path's axes before the rows
+    c = coef[:, piece].transpose(2, 0, 1)
+    c = c.reshape(*c.shape[:2], *(1,) * (x.ndim - 3), c.shape[2], 1)
+    den = _horner(c[k:], x)
+    cond = den[1].real / np.abs(den[0])
     # the integrand at the leading parameters, where dx/dt is given
-    n = dx.shape[1]
-    x, size, bottom = x[:, :n], size[:, :n], bottom[:, :n]
-    top, num_size = _horner(c[:k], x), _horner(c_abs[:k], size)
-    for low in plan.shifts:  # times x**low on the rows of that lowest exponent
-        at = (plan.lows[piece] == low)[:, None]
-        top = np.where(at, top * x**low, top)
-        num_size = np.where(at, num_size * size**low, num_size)
+    n = dx.shape[-1]
+    bottom, num = den[0, ..., :n], _horner(c[:k], x[..., :n])
+    for at, x_low in shifts:  # times x**low on the rows of that lowest exponent
+        num = np.where(at, num * x_low[..., :n], num)
+    top = num[0]
     # an estimate of the rounding error of f: 50 eps |f| for the sums,
     # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
     # of numerator and denominator, which blow up beside a pole (Higham,
     # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
-    noise = _EPS * np.abs(dx / bottom) * (
-        (_ROUNDOFF + cond[:, :n]) * np.abs(top) + num_size
-    )
-    return top / bottom * dx, noise, cond
+    noise = np.abs(dx / bottom)
+    gain = cond[..., :n] + _ROUNDOFF
+    gain *= np.abs(top)
+    gain += num[1].real
+    noise *= gain
+    f = top / bottom
+    f *= dx
+    return f, noise, cond
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK dqk21, Piessens et al.
@@ -490,46 +551,58 @@ _KRONROD_HALF = (
 _GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
 ).T
-# the weights as complex numbers: a product with f casts them on every call
-_COMPLEX_WEIGHTS = np.array([_GK_WEIGHTS, _GAUSS_WEIGHTS], dtype=complex)
+# half the weights as complex numbers (a product with f casts them on every
+# call): the rules' means on [-1, 1], halved exactly
+_COMPLEX_WEIGHTS = np.array([_GK_WEIGHTS, _GAUSS_WEIGHTS], dtype=complex) / 2.0
 _EPS = np.finfo(float).eps
 # the rounding error of a quadrature sum, in units of eps |f|
 _ROUNDOFF = 50
 # an interval narrower than this in t is not split again
 _MIN_WIDTH = 1000 * _EPS
-# the number of equal parts a round splits an interval into
+# the number of equal parts a round splits an interval into, and their
+# edges as fractions of it
 _SPLIT = 8
+_PARTS = np.arange(_SPLIT + 1) / _SPLIT
 
 
-# the first round's parameters on every segment: the Kronrod nodes of
-# [0, 1/2] and of [1/2, 1], then the pole-clearance scan t = k / 128
-_FIRST_ROUND = np.concatenate(
-    (0.25 + 0.25 * _GK_NODES, 0.75 + 0.25 * _GK_NODES, np.arange(129) / 128.0)
-)
+# the first round's parameters on every segment, one row per half of [0, 1]:
+# the Kronrod nodes of [0, 1/2] or of [1/2, 1], then that half of the
+# pole-clearance scan t = k / 128 (both halves read t = 1/2)
+_FIRST_ROUND = np.array([
+    np.concatenate((0.25 + 0.25 * _GK_NODES, np.arange(65) / 128.0)),
+    np.concatenate((0.75 + 0.25 * _GK_NODES, np.arange(64, 129) / 128.0)),
+])
 
 
-def _gauss_kronrod_sums(t, f, noise, half):
+def _gauss_kronrod_sums(f, noise, half):
     """Value, error estimate and roundoff floor on each interval.
 
     Row ``i`` of ``f`` and ``noise`` holds the chain integrand's values and
-    rounding-error estimates at the Kronrod nodes ``t[i]`` of an interval of
+    rounding-error estimates at the Kronrod nodes of an interval of
     half-width ``half[i]`` (or ``half``, one width for all).  The floor is
     the integral of the rounding-error estimates.  The error estimate is
     QUADPACK's: the Kronrod-Gauss difference rescaled by the integrand's
-    variation, and never below the floor.
+    variation, and never below the floor.  It is not finite on an interval
+    with a node where f or its noise is not.
     """
-    finite = np.isfinite(f) & np.isfinite(noise)
-    if not finite.all():
-        bad = t[~finite][0]
-        raise PoleNearPath(f"the integrand is not finite at t = {bad:.6g} of a segment")
+    # the rules' means: half the sums, exactly, as is every scaling below
+    # by a power of two (half is one: every split is dyadic), so the error
+    # and the floor round as the sums scaled term by term would
     kronrod = f @ _COMPLEX_WEIGHTS[0]
     gauss = f @ _COMPLEX_WEIGHTS[1]
-    floor = noise @ _GK_WEIGHTS * half
-    spread = np.abs(f - kronrod[:, None] / 2.0) @ _GK_WEIGHTS * half
-    diff = np.abs(kronrod - gauss) * half
-    ratio = np.divide(200.0 * diff, spread, out=np.zeros(len(diff)), where=spread > 0)
-    err = spread * np.minimum(1.0, ratio**1.5)
-    return kronrod * half, np.maximum(err, floor), floor
+    spread = np.abs(f - kronrod[:, None]) @ _GK_WEIGHTS
+    ratio = np.abs(kronrod - gauss)
+    ratio *= 400.0
+    ratio /= spread
+    ratio **= 1.5
+    # fmin drops the nan of 0 / 0: an interval without variation has error 0
+    err = np.fmin(1.0, ratio, out=ratio)
+    err *= spread
+    err *= half
+    floor = noise @ _GK_WEIGHTS
+    floor *= _EPS * half
+    np.maximum(err, floor, out=err)
+    return kronrod * (2.0 * half), err, floor
 
 
 def _within_budget(evals):
@@ -545,57 +618,64 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
 
     One global pool of intervals holds every segment (they share the
     tolerance).  The first round takes every segment as its two halves,
-    [0, 1/2] and [1/2, 1], by one call of the stacked integrand, which also
-    reads the denominator at the 129 parameters ``k / 128`` of every
-    segment: PoleNearPath when it nearly vanishes at one, before any node
-    value is used.  So a chain that meets tol at once costs one call.  Each
-    further round splits the intervals of largest error into ``_SPLIT``
-    equal parts, all at once, and evaluates the new ones by one call, until
-    the summed error is at most tol.  Raises NonConvergent when the roundoff
-    floor (the integral of the integrand's rounding-error estimates) is
-    above tol, when the evaluation budget runs out (checked before every
-    call, the first included), or when an interval can no longer be split.
+    [0, 1/2] and [1/2, 1], by one call of the stacked integrand on the
+    plan's cached path, which also reads the denominator at the 129
+    parameters ``k / 128`` of every segment: PoleNearPath when it nearly
+    vanishes at one, before any node value is used.  So a chain that meets
+    tol at once costs one call of the integrand, one of the interval sums
+    and two sums over the intervals.  Each further round splits the
+    intervals of largest error into ``_SPLIT`` equal parts, all at once,
+    and evaluates the new ones by one call, until the summed error is at
+    most tol.  Raises PoleNearPath when the integrand is not finite at a
+    node of the last round (read once per round, on the summed error), and
+    NonConvergent when the roundoff floor (the integral of the integrand's
+    rounding-error estimates) is above tol, when the evaluation budget runs
+    out (checked before every call, the first included), or when an
+    interval can no longer be split.
     """
     m = len(_GK_NODES)
-    evals = _within_budget(2 * m * len(plan.rows))
+    evals = _within_budget(2 * m * len(plan.invert))
     f, noise, cond = _chain_integrand(plan, coef, plan.rows, plan.first)
-    near = cond[:, 2 * m :] > 1.0 / _CLEARANCE
-    if near.any():
-        first = near[near.any(axis=1)][0]
-        t = _FIRST_ROUND[2 * m + np.argmax(first)]
-        raise PoleNearPath(f"denominator nearly vanishes at t = {t:.4f}")
+    # fmax passes over a nan, as the comparison would
+    if np.fmax.reduce(cond[..., m:], axis=None) > 1.0 / _CLEARANCE:
+        near = cond[..., m:] > 1.0 / _CLEARANCE
+        row = near.any(axis=(0, 2)).argmax()
+        raise PoleNearPath(
+            f"denominator nearly vanishes at t = {_FIRST_ROUND[:, m:][near[:, row]][0]:.4f}"
+        )
     # the left halves of segments 0 .. n-1, then their right halves
-    value, err, noise = _gauss_kronrod_sums(
-        plan.first_t,
-        np.concatenate((f[:, :m], f[:, m:])),
-        np.concatenate((noise[:, :m], noise[:, m:])),
-        0.25,
-    )
-    piece, (lo, hi) = plan.first_piece, plan.first_bounds
+    t, f, noise = plan.first_t, f.reshape(-1, m), noise.reshape(-1, m)
+    value, err, floor = _gauss_kronrod_sums(f, noise, 0.25)
+    piece, lo, hi = plan.first_piece, plan.first_lo, plan.first_hi
     while True:
         total = err.sum()
+        if not math.isfinite(total):
+            bad = ~(np.isfinite(f) & np.isfinite(noise))
+            if bad.any():
+                raise PoleNearPath(f"the integrand is not finite at t = {t[bad][0]:.6g} of a segment")
         if total <= quad.tol:
             return IntegrationResult(
                 value=complex(value.sum()), error=float(total), evaluations=evals
             )
-        floor = noise.sum()
+        floor_sum = floor.sum()
         # the part of each interval's error that splitting can still reduce
-        excess = err - noise
-        if floor <= quad.tol:
-            goal = quad.tol - floor
-        elif excess.sum() <= floor:
+        excess = err - floor
+        excess_sum = excess.sum()
+        if floor_sum <= quad.tol:
+            goal = quad.tol - floor_sum
+        elif excess_sum <= floor_sum:
             raise NonConvergent(
-                f"tol {quad.tol:.3e} is below the roundoff floor {floor:.3e}"
+                f"tol {quad.tol:.3e} is below the roundoff floor {floor_sum:.3e}"
                 " (the integrated rounding error of the integrand)"
             )
         else:
             # an early floor can be inflated by a node beside a pole, so
             # refine until the floor is known as well as it is large
-            goal = floor
+            goal = floor_sum
         # split the intervals of largest reducible error until the rest
         # hold at most half of the goal
-        order = np.argsort(-excess, kind="stable")
-        rest = excess.sum() - np.cumsum(excess[order])
+        order = (-excess).argsort(kind="stable")
+        rest = excess_sum - excess[order].cumsum()
         split = order[: np.count_nonzero(rest > goal / 2.0) + 1]
         evals = _within_budget(evals + _SPLIT * m * len(split))
         left, right = lo[split], hi[split]
@@ -605,20 +685,20 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
                 f" {_MIN_WIDTH:.1e} in the segment parameter"
             )
         # the parts, the first parts of all split intervals first
-        edges = left + np.outer(np.arange(_SPLIT + 1) / _SPLIT, right - left)
+        edges = left + _PARTS[:, None] * (right - left)
         edges[-1] = right
-        parts = np.tile(piece[split], _SPLIT)
+        parts = np.concatenate([piece[split]] * _SPLIT)
         left, right = edges[:-1].ravel(), edges[1:].ravel()
         half = (right - left) / 2.0
         t = ((right + left) / 2.0)[:, None] + half[:, None] * _GK_NODES
-        f, new_noise, _ = _chain_integrand(plan, coef, parts, _path(plan, parts, t))
-        new_value, new_err, new_noise = _gauss_kronrod_sums(t, f, new_noise, half)
+        f, noise, _ = _chain_integrand(plan, coef, parts, _path(plan, parts, t))
+        new_value, new_err, new_floor = _gauss_kronrod_sums(f, noise, half)
         keep = np.ones(len(piece), dtype=bool)
         keep[split] = False
-        piece, value, err, noise, lo, hi = (
+        piece, value, err, floor, lo, hi = (
             np.concatenate((old[keep], new))
             for old, new in (
-                (piece, parts), (value, new_value), (err, new_err), (noise, new_noise),
+                (piece, parts), (value, new_value), (err, new_err), (floor, new_floor),
                 (lo, left), (hi, right),
             )
         )
@@ -634,26 +714,32 @@ def numeric_chain_integral(
     infinity), and all segments are integrated together, as one stacked
     integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator: the
     21-point Kronrod rule, exact to degree 31, with its embedded 10-point
-    Gauss rule for the error estimate.  The paths, the charts and the first
-    round's x and dx/dt come from a plan cached per chain and shape of the
-    chart (``_chain_plan``), which the samples of a finite-difference
-    certificate share.  The integrator starts from both halves of every
-    segment, evaluated with the pole-clearance scan of every path by one
-    call of the integrand, so a chain that meets tol at once takes 42
-    evaluations per segment, all in that one call, and costs little more
-    than filling in its coefficients and one Horner evaluation.  Each later
-    round splits the intervals of largest error into ``_SPLIT`` = 8 equal
-    parts, so a pole 1e-4 beside the path takes 5 or 6 rounds.  It stops
-    once the summed error estimate is at most ``quad.tol``, so the returned
-    error is never above tol; it raises NonConvergent when tol is below the
-    roundoff floor (eps times the integral of |f| (50 + cond), cond the
-    condition number of the Horner sums, which grows like 1/distance beside
-    a pole), when the evaluation budget ``MAX_EVALS`` would run out
-    (checked before every call, the first included) or when an interval
-    can no longer be split.  Raises DivergentAtBoundary when the integrand
-    does not extend across a flagged endpoint and PoleNearPath when the
-    section nearly vanishes at one of 129 equally spaced parameters of a
-    segment or the integrand is not finite at a node.
+    Gauss rule for the error estimate.  What depends on the chain alone is
+    built once: the chain keeps its dimension and the bits of its segments
+    (``ChainSpec``), and a plan cached per chain and shape of the chart
+    (``_chain_plan``), which the samples of a finite-difference certificate
+    share, keeps the paths, the charts and the first round's x, |x|, x**low
+    factors and dx/dt.  A call reads the section's chart coefficients into
+    one row per segment with their moduli (``_chart``), and the integrator
+    starts from both halves of every segment, evaluated with the
+    pole-clearance scan of every path by one call of the integrand.  So a
+    chain that meets tol at once takes 42 evaluations per segment, and
+    costs the coefficient rows, one Horner evaluation of numerator,
+    denominator and their moduli, one pass of the interval sums and two
+    sums over the intervals.  Each later round splits the intervals of
+    largest error into ``_SPLIT`` = 8 equal parts, so a pole 1e-4 beside
+    the path takes 5 or 6 rounds.  It stops once the summed error estimate
+    is at most ``quad.tol``, so the returned error is never above tol; it
+    raises NonConvergent when tol is below the roundoff floor (eps times
+    the integral of |f| (50 + cond), cond the condition number of the
+    Horner sums, which grows like 1/distance beside a pole), when the
+    evaluation budget ``MAX_EVALS`` would run out (checked before every
+    call, the first included) or when an interval can no longer be split.
+    Raises DegeneracyError when a segment's dimension is not the section's,
+    DivergentAtBoundary when the integrand does not extend across a flagged
+    endpoint and PoleNearPath when the section nearly vanishes at one of
+    129 equally spaced parameters of a segment or the integrand is not
+    finite at a node.
     """
     return _chain_integral(s, chain, quad)
 
@@ -669,37 +755,38 @@ def general_type_integral(
 
 def _chain_integral(s: SectionData, chain: ChainSpec, quad):
     # one body for both public integrals, so perfbench's tracer counts each call once
-    num, den = _chart_pair(s)
-    segments = [seg for seg in chain.segments if not seg.is_null()]
-    if not (num and segments):
+    top, low, bottom, base = _chart(s)
+    dims, key = chain._key
+    if dims - {s.A.dim}:
+        raise DegeneracyError(
+            f"the chain's segments have dimension {min(dims)}, the section {s.A.dim}"
+        )
+    if not (top and key):
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
-    # segments that compare equal can differ in bits (0.0 and -0.0), which
-    # the paths keep: the plan's key holds the bits as well
-    keys = tuple((seg, np.array(seg.start + seg.end).tobytes()) for seg in segments)
-    (top, low), (bottom, base) = _coefficients(num), _coefficients(den)
     with np.errstate(all="ignore"):  # a node on a pole is reported as such
-        plan = _chain_plan(low - base, len(top), len(bottom), keys)
+        plan = _chain_plan(low - base, len(top), len(bottom), key)
         # the rows' chart coefficients, highest degree first: inverting the
         # chart reverses both and negates the numerator's
-        flip = _coefficients({-e: -c for e, c in num.items()})[0] + bottom[::-1]
-        coef = np.where(plan.invert, flip, top + bottom)
-        # their moduli by libm's hypot, as Python's abs takes them; numpy's
-        # complex modulus can differ from it in the last bit
-        return _adaptive_gauss_kronrod(plan, (coef, np.hypot(coef.real, coef.imag)), quad)
+        charts = top + bottom, [-c if c else c for c in reversed(top)] + bottom[::-1]
+        rows = [c for inv in plan.invert for c in charts[inv]]
+        # over their moduli by libm's hypot, as Python's abs takes them;
+        # numpy's complex modulus can differ from it in the last bit
+        coef = np.array(rows + [abs(c) for c in rows], dtype=complex).reshape(2, len(plan.invert), -1)
+        return _adaptive_gauss_kronrod(plan, coef, quad)
 
 
 # -- residues ---------------------------------------------------------------------
 
 
-def _sorted_roots(den):
+def _sorted_roots(bottom):
     # the dense coefficients end at the lowest exponent: the roots other than 0
-    roots = np.roots(_coefficients(den)[0])
+    roots = np.roots(bottom)
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
 
 def denominator_roots(s: SectionData):
     """Roots of the chart denominator polynomial, sorted deterministically."""
-    return _sorted_roots(_chart_pair(s)[1])
+    return _sorted_roots(_chart(s)[2])
 
 
 def residue_period(s: SectionData, root_index: int) -> complex:
@@ -710,8 +797,8 @@ def residue_period(s: SectionData, root_index: int) -> complex:
     numerator).  ValueError unless ``root_index`` is an int in
     ``range(len(denominator_roots(s)))``.
     """
-    num, den = _chart_pair(s)
-    roots = _sorted_roots(den)
+    top, low, bottom, base = _chart(s)
+    roots = _sorted_roots(bottom)
     if not roots:
         raise DegeneracyError("the chart denominator has no roots")
     if not (_is_int(root_index) and 0 <= root_index < len(roots)):
@@ -724,13 +811,12 @@ def residue_period(s: SectionData, root_index: int) -> complex:
         for rr in roots[i + 1 :]:
             if abs(r - rr) < 1e-5 * scale:
                 raise MultipleRoot(f"roots {r} and {rr} coincide within tolerance")
-    if not num:
+    if not top:
         return 0j
     # the quotient times x^k over x^k, the denominator's lowest term now x^0
-    r, k = roots[root_index], -min(den)
-    top, low = _coefficients(num)
-    bottom, dlow = _coefficients({e + k - 1: (e + k) * c for e, c in den.items() if e + k})
-    return 2j * math.pi * complex(_horner(top, r, low + k) / _horner(bottom, r, dlow))
+    r, k = roots[root_index], -base
+    slope, dlow = _trim([e * c for e, c in zip(range(len(bottom) - 1, 0, -1), bottom)], 0)
+    return 2j * math.pi * complex(_horner(top, r, low + k) / _horner(slope, r, dlow))
 
 
 def loop_chain(center, radius) -> ChainSpec:
@@ -785,6 +871,18 @@ def _central_stencil(derivative):
     return nodes, tuple(x.numerator * (scale // x.denominator) for x in weights), scale
 
 
+@functools.lru_cache(maxsize=None)
+def _tensor_stencil(orders):
+    """The tensor product of the central stencils of the derivative
+    ``orders``: the nodes of each axis, the products of their integer
+    weights, the product of their common denominators, and the sum of the
+    |weight products| over it."""
+    nodes, axes, scales = zip(*map(_central_stencil, orders))
+    weights = [math.prod(ws) for ws in itertools.product(*axes)]
+    norm = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
+    return nodes, weights, math.prod(scales), norm
+
+
 @dataclass(frozen=True)
 class OperatorFD:
     """One operator's residuals at h and h/2 and their floors."""
@@ -833,13 +931,16 @@ def _exact_sum(values, weights, denominator):
     # weights are integers over one common denominator.  So stencil
     # identities like "sum of weights is zero" hold exactly and directions
     # the function does not depend on contribute no rounding noise; one
-    # correctly rounded division per part ends the sum.
-    parts = []
-    for ratios in zip(*((v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for v in values)):
-        scale = max(d for _, d in ratios)
-        total = sum(wt * n * (scale // d) for wt, (n, d) in zip(weights, ratios))
-        parts.append(total / (scale * denominator))
-    return complex(*parts)
+    # correctly rounded division per part ends the sum.  Both parts share
+    # one power of two as the common denominator of their samples.
+    ratios = [x.as_integer_ratio() for v in values for x in (v.real, v.imag)]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    scale *= denominator
+    return complex(
+        sum(map(operator.mul, weights, ints[0::2])) / scale,
+        sum(map(operator.mul, weights, ints[1::2])) / scale,
+    )
 
 
 def finite_difference_residual(spec, F, a0, h) -> FDReport:
@@ -875,7 +976,8 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
     samples = {}
 
     def sample(point):
-        if point not in samples:
+        value = samples.get(point)
+        if value is None:
             try:
                 value = complex(F(point))
             except Exception as exc:  # the sampled function left its domain
@@ -883,27 +985,33 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
             if not cmath.isfinite(value):
                 raise StencilOutOfDomain(f"the sampled function is {value} at {point}")
             samples[point] = value
-        return samples[point]
+        return value
 
-    def residual_at(op, step):
+    def residual_at(terms, step):
         total, gain, size = 0j, 0.0, 0.0
-        for (u, w), oc in sorted(op.constant_coefficients().items()):
-            mono = math.prod((a0[j] ** uj for j, uj in enumerate(u) if uj), start=1.0 + 0j)
-            # the tensor-product stencil of w: its points at this step, and
-            # the products of its integer weights and of their denominators
-            nodes, axes, scales = zip(*map(_central_stencil, w))
+        for coeff, (nodes, weights, denominator, norm), order in terms:
+            # the stencil's points at this step
             coords = ([a + step * o for o in ns] for a, ns in zip(a0, nodes))
             values = [sample(point) for point in itertools.product(*coords)]
-            weights = [math.prod(ws) for ws in itertools.product(*axes)]
-            dw = _exact_sum(values, weights, math.prod(scales)) / step ** sum(w)
-            total += float(oc) * mono * dw
-            norm = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
-            gain += abs(float(oc) * mono) * norm / step ** sum(w)
+            scale = step**order
+            total += coeff * (_exact_sum(values, weights, denominator) / scale)
+            gain += abs(coeff) * norm / scale
             size = max(size, *map(abs, values))
         return total, _EPS * gain * size
 
     reports = []
     for op in spec.operators:
-        (r1, floor1), (r2, floor2) = residual_at(op, h), residual_at(op, h / 2.0)
+        # once per certificate: the operator's terms in sorted order, each
+        # with its coefficient times its monomial at a0, its tensor-product
+        # stencil and its derivative order |w|
+        terms = [
+            (
+                float(oc) * math.prod((a0[j] ** uj for j, uj in enumerate(u) if uj), start=1.0 + 0j),
+                _tensor_stencil(w),
+                sum(w),
+            )
+            for (u, w), oc in sorted(op.constant_coefficients().items())
+        ]
+        (r1, floor1), (r2, floor2) = residual_at(terms, h), residual_at(terms, h / 2.0)
         reports.append(OperatorFD(op, r1, r2, floor1, floor2))
     return FDReport(reports=tuple(reports), h=float(h))

@@ -523,7 +523,7 @@ def counted_integrand_calls(monkeypatch):
     calls, stacked = [], periods._chain_integrand
 
     def counted(plan, coef, piece, path):
-        calls.append(len(piece))
+        calls.append(path[0].shape[-2])
         return stacked(plan, coef, piece, path)
 
     monkeypatch.setattr(periods, "_chain_integrand", counted)
@@ -885,11 +885,16 @@ def test_stacked_integrand_matches_each_segment(name, monkeypatch):
     t = np.arange(1, 16) / 16.0
     path = periods._path(plan, rows, np.tile(t, (len(rows), 1)))
     f, noise, _ = stacked(plan, coef, rows, path)
-    num, den = periods._chart_pair(sec)
+    top, low, bottom, base = periods._chart(sec)
+    num, den = (
+        {lowest + i: c for i, c in enumerate(reversed(dense)) if c}
+        for dense, lowest in ((top, low), (bottom, base))
+    )
     for i, seg in enumerate(chain.segments):
         ref_f, ref_noise = reference_integrand(num, den, seg, t)
         assert f[i].tobytes() == np.broadcast_to(ref_f, t.shape).tobytes()
-        assert noise[i].tobytes() == np.broadcast_to(ref_noise, t.shape).tobytes()
+        # the stacked integrand's noise is in units of eps
+        assert (periods._EPS * noise[i]).tobytes() == np.broadcast_to(ref_noise, t.shape).tobytes()
 
 
 def quadratic_halfline(coeffs):
