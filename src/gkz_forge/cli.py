@@ -122,9 +122,7 @@ class Job:
             for key in ("dim", "points", "beta"):
                 if key in raw:
                     _fail(f"p1-unipotent jobs take no {key!r}: the family fixes it")
-            # the family's system, built once: it gives the points as well
-            self.unipotent = tautsys.unipotent_p1_system()
-            self.dim, self.points = self.unipotent.A.dim, self.unipotent.A.points
+            self.dim, self.points = 1, tautsys.UNIPOTENT_P1_POINTS
 
         self.symmetry = []
         for k, entry in enumerate(_list(raw.get("symmetry", []), "symmetry")):
@@ -247,7 +245,7 @@ class Job:
 
     def system(self) -> tautsys.SystemSpec:
         if self.system_kind == "p1-unipotent":
-            spec = self.unipotent
+            spec = tautsys.unipotent_p1_system()
         else:
             spec = tautsys.gkz_system(lattice.homogenize(self.points, self.dim), self.beta)
         if self.symmetry:

@@ -80,6 +80,10 @@ def cy_beta(dim):
     return (Fraction(1),) + (Fraction(0),) * dim
 
 
+# the chart exponents of the P1-unipotent family's basis (x^2, xy, y^2)
+UNIPOTENT_P1_POINTS = ((2,), (1,), (0,))
+
+
 def unipotent_p1_system() -> SystemSpec:
     """Degree-2 family on the projective line with only translations as symmetry.
 
@@ -89,7 +93,7 @@ def unipotent_p1_system() -> SystemSpec:
     included; the symmetry algebra is spanned by the global scaling (with
     beta(e) = 1) and the translation generator (with beta = 0).
     """
-    A = homogenize([(2,), (1,), (0,)], 1)
+    A = homogenize(UNIPOTENT_P1_POINTS, 1)
     box = fourier_box((1, -2, 1))
     scaling = symmetry_operator(_diagonal((1, 1, 1)), Fraction(1))
     xi = ((0, 2, 0), (0, 0, 1), (0, 0, 0))

@@ -119,6 +119,17 @@ def test_build_unipotent(tmp_path, capsys):
     assert "2 a1 d2 + a2 d3" in out
 
 
+@pytest.mark.parametrize("command", ["rank", "period", "chain"])
+def test_unipotent_job_reads_its_points_without_building_its_system(command, capsys, monkeypatch):
+    # the job once built the family's box, scaling and translation operators
+    # only to read its points
+    built = []
+    monkeypatch.setattr(tautsys, "unipotent_p1_system", lambda: built.append(1))
+    path = str(pathlib.Path(__file__).parent.parent / "jobs" / "p1_unipotent_verify.json")
+    code, _, _ = run(capsys, [command, "--input", path])
+    assert built == [] and code == (2 if command == "chain" else 0)
+
+
 def test_build_unipotent_with_symmetry(tmp_path, capsys):
     # the symmetry block of a p1-unipotent job was dropped
     job = dict(UNIPOTENT_JOB, symmetry=[{"xi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "beta": 1}])

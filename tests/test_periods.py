@@ -432,6 +432,31 @@ class TestInputChecks:
         with pytest.raises(DegeneracyError, match="inconsistent dimension"):
             Segment(**kwargs)
 
+    def test_segment_without_coordinates_rejected(self):
+        # a chain of Segment(start=(), end=()) integrated to 0, and one of two
+        # such segments raised a bare ValueError from max()
+        with pytest.raises(DegeneracyError, match="at least one coordinate"):
+            Segment(start=(), end=())
+
+    def test_chain_segments_of_two_dimensions_rejected(self):
+        with pytest.raises(DegeneracyError, match="differ in dimension"):
+            ChainSpec(segments=(Segment(start=(1.0,), end=(2.0,)), Segment(start=(2.0, 1.0), end=(3.0, 1.0))))
+
+    def test_chain_of_another_dimension_than_the_section_rejected(self):
+        # the half-line with 2-D control points and flags once returned the
+        # 1-D half-line's value, reading coordinate 0 alone
+        sec = SectionData(A=A_SEG, coeffs=(1.0, 3.0, 1.0))
+        general = SectionData(A=A_SEG, coeffs=sec.coeffs, numerator_exponents=((0,),), numerator_coeffs=(2.0,))
+        chain = ChainSpec(
+            segments=(
+                Segment(start=(1.0, 2.0), end=(1.0, 2.0), start_flags=(-1, 0), end_flags=(0, 0)),
+                Segment(start=(1.0, 2.0), end=(1.0, 2.0), start_flags=(0, 0), end_flags=(1, 0)),
+            )
+        )
+        for integral, section in ((numeric_chain_integral, sec), (general_type_integral, general)):
+            with pytest.raises(DegeneracyError, match="dimension 2, the section 1"):
+                integral(section, chain, TIGHT)
+
     @pytest.mark.parametrize(
         "kwargs", [{"start": (0.0,), "end": (1.0,)}, {"start": (1.0,), "end": (0j,)}]
     )
