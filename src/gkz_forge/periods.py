@@ -7,32 +7,19 @@ only), and by trapezoidal quadrature on a product torus (spectrally
 accurate for analytic integrands).  Chain integrals over paths reaching the
 toric boundary are integrated in a chart in which the integrand extends
 holomorphically across the flagged endpoints (reaching infinity is handled
-by inverting the coordinate), by one global adaptive Gauss-Kronrod (10, 21)
-integrator (QUADPACK's dqk21 pair, the default rule of its QAGS driver).
-The segments of a chain form one stacked integrand: each segment is a row
-of path parameters and dense chart coefficients, and each round evaluates
-the nodes of every new interval at once by Horner's rule.  A cached plan
-per chain and shape of the chart holds the rows' paths and charts and the
-first round's x and dx/dt, so a call only fills in the coefficients.  The
-first round takes every segment as its two halves and evaluates their
-nodes together with a 129-point pole-clearance scan of every path, in one
-call, so a chain that meets its tolerance at once costs one call of the
-integrand; each later round splits the intervals of largest error into 8.
-It stops when the summed error estimate is at most tol and raises
-NonConvergent when tol is below the roundoff floor (eps times the integral
-of |f| (50 + cond), cond the condition number of the Horner sums), when its
-evaluation budget ``MAX_EVALS`` runs out, or when an interval can no longer
-be split; a returned error is never above tol.
+by inverting the coordinate), all segments of a chain as one stacked
+integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator
+(QUADPACK's dqk21 pair, the default rule of its QAGS driver);
+``numeric_chain_integral`` gives its cost, and a returned error is never
+above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
 finite-difference stencils of order ``FD_ORDER``, which certifies "this
 integral solves the system" at a point without symbolic access to the
-function; each operator's report gives the verdict.  The stencil weights
-solve a small Vandermonde system with ``intlinalg``'s exact solver, once
-per derivative order.  Each stencil sum is formed exactly in integers, and
-a certificate keeps one table, its samples by stencil point: each point is
-sampled once, and the steps h and h/2 and all operators share the samples.
+function; each operator's report gives the verdict.  Each stencil sum is
+formed exactly in integers, and a certificate samples each stencil point
+once, whichever steps and operators read it.
 """
 
 from __future__ import annotations
@@ -115,19 +102,18 @@ class SectionData:
     numerator_coeffs: tuple = ()
 
     def __post_init__(self):
-        coeffs, exponents, numerator = self.coeffs, self.numerator_exponents, self.numerator_coeffs
-        if len(coeffs) != len(self.A.points):
+        if len(self.coeffs) != self.A.nsections:
             raise DegeneracyError("coefficient count does not match the sections")
-        if all(c == 0 for c in coeffs):
+        if all(c == 0 for c in self.coeffs):
             raise DegeneracyError("section is identically zero")
-        if len(exponents) != len(numerator):
+        if len(self.numerator_exponents) != len(self.numerator_coeffs):
             raise DegeneracyError("numerator exponents and coefficients differ in length")
-        if any(len(nu) != self.A.dim for nu in exponents):
+        if any(len(nu) != self.A.dim for nu in self.numerator_exponents):
             raise DegeneracyError(f"numerator exponents must have length {self.A.dim}")
-        if not _finite((*coeffs, *numerator)):
+        if not _finite([*self.coeffs, *self.numerator_coeffs]):
             raise DegeneracyError("section and numerator coefficients must be finite")
-        object.__setattr__(self, "coeffs", tuple(map(complex, coeffs)))
-        object.__setattr__(self, "numerator_coeffs", tuple(map(complex, numerator)))
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
+        object.__setattr__(self, "numerator_coeffs", tuple(map(complex, self.numerator_coeffs)))
 
 
 @dataclass(frozen=True)
@@ -170,10 +156,7 @@ class Segment:
                 raise DegeneracyError("unflagged control point on the boundary")
 
     def is_null(self):
-        return (
-            self.start == self.end
-            and self.start_flags == self.end_flags
-        )
+        return self.start == self.end and self.start_flags == self.end_flags
 
 
 @dataclass(frozen=True)
@@ -185,20 +168,16 @@ class ChainSpec:
     def __post_init__(self):
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
-        dims = frozenset(len(seg.start) for seg in segs)
-        if len(dims) > 1:
-            raise DegeneracyError(f"the segments of a chain differ in dimension: {sorted(dims)}")
         for a, b in zip(segs, segs[1:]):
             if any(a.end_flags) or any(b.start_flags):
                 raise DegeneracyError("interior junctions must not carry boundary flags")
             if max(abs(x - y) for x, y in zip(a.end, b.start)) > 1e-9:
                 raise DegeneracyError("consecutive segments do not match at the junction")
-        # once per chain: the dimension of its segments, and the bits of the
-        # non-null ones, control points and flags, which key the cached plan
-        # (segments that compare equal can differ in bits, 0.0 and -0.0,
-        # which the paths keep)
-        live = [seg.start + seg.end + seg.start_flags + seg.end_flags for seg in segs if not seg.is_null()]
-        object.__setattr__(self, "_key", (dims, np.array(live, dtype=complex).tobytes()))
+        # once per chain: its dimensions, and the plan's key: bits, as 0.0 == -0.0
+        live = [seg for seg in segs if not seg.is_null()]
+        bits = [z for seg in live for z in seg.start + seg.end + seg.start_flags + seg.end_flags]
+        bits = np.array(bits, dtype=complex).tobytes()
+        object.__setattr__(self, "_key", ({len(seg.start) for seg in segs}, bits))
 
 
 @dataclass(frozen=True)
@@ -342,8 +321,7 @@ def _horner(columns, x, low=0):
     """
     value = columns[0]
     for i, c in enumerate(columns[1:]):
-        # the first product is a new array: the later steps work in place
-        if i:
+        if i:  # the first product is a new array, which the rest update in place
             value *= x
         else:
             value = value * x
@@ -358,72 +336,45 @@ def _chart(s: SectionData):
     pole order ``sigma = -min(mu)``; clearing it gives the polynomial
     denominator ``x^sigma f`` and the numerator ``x^(sigma-1) g``, ``g`` the
     section's numerator, or 1 (the Calabi-Yau integrand) when it has none.
-    Returns ``(top, low, bottom, base)``: the coefficients of numerator and
-    denominator from the highest nonzero degree down to the lowest, each a
-    sum of the section's coefficients at its exponent (zero where there is
-    none), and those lowest exponents.  ``top`` is empty when every
-    coefficient of ``g`` cancels.
+    Returns ``[top, low, bottom, base]``: both from their highest to lowest
+    nonzero degree, summed per exponent, and their lowest exponents; ``top``
+    is empty when every coefficient of ``g`` cancels.
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
-    num, den = _chart_slots(s.A.points, s.numerator_exponents)
-    bottom, base = _dense(den, s.coeffs)
-    if not bottom:
+    sigma, chart = max(0, -min(s.A.points)[0]), []
+    g = s.numerator_exponents or ((0,),), s.numerator_coeffs or (1 + 0j,)
+    for terms, coeffs, shift in ((*g, sigma - 1), (s.A.points, s.coeffs, sigma)):
+        (high,), (low,) = max(terms), min(terms)
+        poly = [0j] * (high - low + 1)
+        for (e,), c in zip(terms, coeffs):
+            poly[high - e] += c
+        chart += _trim(poly, low + shift)
+    if not chart[2]:
         raise DegeneracyError("section is identically zero")
-    return (*_dense(num, s.numerator_coeffs or (1 + 0j,)), bottom, base)
-
-
-@functools.lru_cache(maxsize=16)
-def _chart_slots(points, exponents):
-    # where the coefficients of the numerator (of exponents ``exponents``, or
-    # the constant 1) and of the denominator land in their dense lists:
-    # below the highest degree, which the list's length and lowest exponent give
-    sigma = max(0, -min(e for (e,) in points))
-    slots = []
-    for terms, shift in ((exponents or ((0,),), sigma - 1), (points, sigma)):
-        high, low = max(terms)[0] + shift, min(terms)[0] + shift
-        slots.append(([high - e - shift for (e,) in terms], high - low + 1, low))
-    return slots
-
-
-def _dense(slots, coeffs):
-    # the coefficients summed into their slots, without zero ends
-    where, size, low = slots
-    poly = [0j] * size
-    for i, c in zip(where, coeffs):
-        poly[i] += c
-    return _trim(poly, low)
+    return chart
 
 
 def _trim(poly, low):
-    # a dense polynomial (highest degree first, lowest exponent ``low``)
-    # without zero ends
-    while poly and not poly[-1]:
-        poly.pop()
-        low += 1
-    while poly and not poly[0]:
-        del poly[0]
-    return poly, low
+    # dense coefficients (lowest exponent ``low``) without their zero ends
+    nonzero = [i for i, c in enumerate(poly) if c] or [0, -1]
+    return poly[nonzero[0] : nonzero[-1] + 1], low + len(poly) - 1 - nonzero[-1]
 
 
 @functools.lru_cache(maxsize=2)
 def _chain_plan(low, width, depth, key):
     """Paths and charts of the segments of a chain, one row each.
 
-    A plan depends only on the chain's key, the bits of its non-null
-    segments (``ChainSpec``), and on the shape of the chart: ``low`` the
-    numerator's lowest exponent over the denominator's, and the numbers of
-    coefficients of both, ``width`` and ``depth``.  So a finite-difference
-    certificate builds it once for all its samples.  Each segment takes the
-    chart where its flagged endpoint is regular: x -> 1/w, dx = -dw/w^2,
-    for an endpoint at infinity, shifted so the denominator is a polynomial
-    with nonzero constant term.  A segment reaching the boundary is linear
-    in its chart, ``x = p (c0 + c1 t)`` with constant ``dx/dt = dx``: ``(c0,
-    c1) = (0, 1)`` from a flagged start, ``(1, -1)`` towards a flagged end.
-    An unflagged segment is the multiplicative arc ``x = p exp(c1 t)`` with
-    ``dx/dt = c1 x``.  The plan keeps each row's ``(p, c0, c1, dx)``, chart
-    and numerator's lowest exponent, and the first round's path
-    (``_path``), with dx/dt at its nodes alone.
+    A plan depends only on the bits of the chain's non-null segments
+    (``ChainSpec``) and the chart's shape: ``low`` the numerator's lowest
+    exponent over the denominator's, ``width`` and ``depth`` their numbers
+    of coefficients; so a certificate's samples share one.  A segment takes
+    the chart where its flagged endpoint is regular (x -> 1/w, dx = -dw/w^2
+    for infinity) and is linear in it, ``x = p (c0 + c1 t)`` with ``dx/dt =
+    dx``, ``(c0, c1)`` (0, 1) from a flagged start and (1, -1) towards a
+    flagged end; an unflagged one is the arc ``x = p exp(c1 t)``.  The plan
+    keeps each row's ``(p, c0, c1, dx)``, chart and numerator's lowest
+    exponent, and the first round's path (``_path``), dx/dt at its nodes.
     """
     rows = []
     for p, q, start, end in np.frombuffer(key, dtype=complex).reshape(-1, 4).tolist():
@@ -445,61 +396,44 @@ def _chain_plan(low, width, depth, key):
     paths, arcs, invert, lows = map(np.array, zip(*rows))
     n, m = len(rows), len(_GK_NODES)
     plan = SimpleNamespace(
-        paths=paths, arcs=arcs, width=width, lows=lows, invert=invert.tolist(),
-        # the first round's interval rows: every segment, a view of every row
-        rows=slice(None),
+        paths=paths, arcs=arcs, width=width, lows=lows, invert=invert.tolist(), rows=slice(None),
         # the direct and the inverted chart of a chain have numerators of one
         # width, but their lowest exponents can differ: each row keeps its own
         shifts=sorted(set(lows.tolist()) - {0}),
         first_t=np.repeat(_FIRST_ROUND[:, None, :m], n, axis=1).reshape(-1, m),
         first_piece=np.tile(np.arange(n), 2),
-        first_lo=np.repeat((0.0, 0.5), n),
-        first_hi=np.repeat((0.5, 1.0), n),
+        first_bounds=np.repeat(((0.0, 0.5), (0.5, 1.0)), n, axis=1),
     )
-    # dx/dt only at the nodes: the scan reads the denominator alone
     x, dx, shifts = _path(plan, plan.rows, _FIRST_ROUND[:, None])
     plan.first = x, dx[..., :m].copy(), shifts
     return plan
 
 
 def _path(plan, piece, t):
-    """The path on the interval rows ``piece`` (the segment of each row) at
-    the parameters ``t`` in [0, 1]: a row per interval row, or rows that
-    broadcast against all of them.
-
-    Returns x stacked over |x| on a first axis, dx/dt, and for
-    each nonzero lowest exponent of the plan's numerators the rows that
-    have it with x**low stacked over |x|**low.  One complex Horner
-    evaluation on such a stack gives a polynomial's value and the sum of
-    the moduli of its terms: the moduli's imaginary parts stay zero, so
-    their real parts are the real sums, bit for bit.
-    """
+    """The path of the interval rows ``piece`` (their segments) at ``t``:
+    x over |x| on a new first axis, dx/dt, and per nonzero lowest exponent
+    of the numerators its rows with x**low over |x|**low.  Complex Horner
+    on such a stack gives values and the sums of their terms' moduli, whose
+    imaginary parts stay 0: the real sums, bit for bit."""
     c, arc = plan.paths[piece].T[..., None], plan.arcs[piece, None]
     u = t * c[2]
     x = c[1] + u
     np.exp(u, out=x, where=arc)
     x = c[0] * x
-    size, lows = np.abs(x), plan.lows[piece, None]
-    shifts = [(lows == low, _stack(x**low, size**low)) for low in plan.shifts]
-    return _stack(x, size), np.where(arc, c[2] * x, c[3]), shifts
-
-
-def _stack(value, modulus):
-    # value over modulus, as complex numbers
-    return np.concatenate((value[None], modulus[None]))
+    size = np.abs(x)
+    lows = plan.lows[piece, None]
+    shifts = [(lows == low, np.array((x**low, size**low))) for low in plan.shifts]
+    return np.array((x, size)), np.where(arc, c[2] * x, c[3]), shifts
 
 
 def _chain_integrand(plan, coef, piece, path):
     """The chart integrands of the interval rows ``piece`` of a chain.
 
-    ``coef`` holds a section's chart coefficients on the plan's rows over
-    their moduli, ``path`` the path on the interval rows (``_path``).
-    Returns ``num(x) / den(x) * dx/dt`` and an estimate of its rounding
-    error in units of eps where dx/dt is given, and the condition number ``sum |d_e| |x|^e
-    / |den(x)|`` of the denominator at every x, evaluating every row at once
-    by Horner's rule on the rows' chart coefficients.  The condition number
-    above ``1 / _CLEARANCE`` marks a parameter where the denominator nearly
-    vanishes; the quadrature reads it on its pole-clearance scan.
+    ``coef`` holds the chart coefficients of the plan's rows over their
+    moduli, ``path`` the rows' path (``_path``).  Returns ``num(x) / den(x)
+    * dx/dt`` and its rounding error over eps where dx/dt is given, and the
+    condition number ``sum |d_e| |x|^e / |den(x)|`` of the denominator at
+    every x; the pole-clearance scan reads it against ``1 / _CLEARANCE``.
     """
     (x, dx, shifts), k = path, plan.width
     # the coefficient columns, broadcasting over the path's axes before the rows
@@ -513,10 +447,9 @@ def _chain_integrand(plan, coef, piece, path):
     for at, x_low in shifts:  # times x**low on the rows of that lowest exponent
         num = np.where(at, num * x_low[..., :n], num)
     top = num[0]
-    # an estimate of the rounding error of f: 50 eps |f| for the sums,
-    # plus eps |f| times the condition numbers sum |c_e| |x|^e / |p(x)|
-    # of numerator and denominator, which blow up beside a pole (Higham,
-    # "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
+    # the rounding error of f over eps: 50 |f| for the sums, plus |f| times the
+    # condition numbers sum |c_e| |x|^e / |p(x)| of numerator and denominator, large
+    # by a pole (Higham, "Accuracy and Stability of Numerical Algorithms", 5.1)
     noise = np.abs(dx / bottom)
     gain = cond[..., :n] + _ROUNDOFF
     gain *= np.abs(top)
@@ -551,43 +484,36 @@ _KRONROD_HALF = (
 _GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
 ).T
-# half the weights as complex numbers (a product with f casts them on every
-# call): the rules' means on [-1, 1], halved exactly
+# half the weights, as complex numbers (a product with f would cast them)
 _COMPLEX_WEIGHTS = np.array([_GK_WEIGHTS, _GAUSS_WEIGHTS], dtype=complex) / 2.0
 _EPS = np.finfo(float).eps
 # the rounding error of a quadrature sum, in units of eps |f|
 _ROUNDOFF = 50
 # an interval narrower than this in t is not split again
 _MIN_WIDTH = 1000 * _EPS
-# the number of equal parts a round splits an interval into, and their
-# edges as fractions of it
+# the number of equal parts a round splits an interval into
 _SPLIT = 8
-_PARTS = np.arange(_SPLIT + 1) / _SPLIT
 
 
-# the first round's parameters on every segment, one row per half of [0, 1]:
-# the Kronrod nodes of [0, 1/2] or of [1/2, 1], then that half of the
-# pole-clearance scan t = k / 128 (both halves read t = 1/2)
+# the first round's parameters on a segment, a row per half of [0, 1]: its
+# Kronrod nodes, then its half of the pole-clearance scan t = k / 128
 _FIRST_ROUND = np.array([
-    np.concatenate((0.25 + 0.25 * _GK_NODES, np.arange(65) / 128.0)),
-    np.concatenate((0.75 + 0.25 * _GK_NODES, np.arange(64, 129) / 128.0)),
+    np.concatenate((c + 0.25 * _GK_NODES, np.arange(65) / 128.0 + c - 0.25)) for c in (0.25, 0.75)
 ])
 
 
 def _gauss_kronrod_sums(f, noise, half):
     """Value, error estimate and roundoff floor on each interval.
 
-    Row ``i`` of ``f`` and ``noise`` holds the chain integrand's values and
-    rounding-error estimates at the Kronrod nodes of an interval of
-    half-width ``half[i]`` (or ``half``, one width for all).  The floor is
-    the integral of the rounding-error estimates.  The error estimate is
-    QUADPACK's: the Kronrod-Gauss difference rescaled by the integrand's
-    variation, and never below the floor.  It is not finite on an interval
-    with a node where f or its noise is not.
+    Row ``i`` of ``f`` and ``noise`` holds the integrand and its rounding
+    error over eps at the Kronrod nodes of an interval of half-width
+    ``half[i]`` (or ``half``).  The floor integrates the rounding error; the
+    error is QUADPACK's, the Kronrod-Gauss difference rescaled by the
+    integrand's variation, never below the floor, and not finite when a
+    node's value or noise is not.
     """
-    # the rules' means: half the sums, exactly, as is every scaling below
-    # by a power of two (half is one: every split is dyadic), so the error
-    # and the floor round as the sums scaled term by term would
+    # the rules' means, as half their sums: these and the scalings below are by
+    # powers of two (every split is dyadic), so they round as scaled terms would
     kronrod = f @ _COMPLEX_WEIGHTS[0]
     gauss = f @ _COMPLEX_WEIGHTS[1]
     spread = np.abs(f - kronrod[:, None]) @ _GK_WEIGHTS
@@ -616,43 +542,31 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
     """Sum over the segments of a chain of their integrals over [0, 1],
     within ``quad.tol``; ``coef`` as for ``_chain_integrand``.
 
-    One global pool of intervals holds every segment (they share the
-    tolerance).  The first round takes every segment as its two halves,
-    [0, 1/2] and [1/2, 1], by one call of the stacked integrand on the
-    plan's cached path, which also reads the denominator at the 129
-    parameters ``k / 128`` of every segment: PoleNearPath when it nearly
-    vanishes at one, before any node value is used.  So a chain that meets
-    tol at once costs one call of the integrand, one of the interval sums
-    and two sums over the intervals.  Each further round splits the
-    intervals of largest error into ``_SPLIT`` equal parts, all at once,
-    and evaluates the new ones by one call, until the summed error is at
-    most tol.  Raises PoleNearPath when the integrand is not finite at a
-    node of the last round (read once per round, on the summed error), and
-    NonConvergent when the roundoff floor (the integral of the integrand's
-    rounding-error estimates) is above tol, when the evaluation budget runs
-    out (checked before every call, the first included), or when an
-    interval can no longer be split.
+    One pool of intervals holds every segment.  The first round takes each
+    segment's two halves by one integrand call, which also reads the
+    denominator at ``t = k / 128``: PoleNearPath where it nearly vanishes.
+    Each later round splits the intervals of largest error into ``_SPLIT``
+    parts, evaluated by one call, until the summed error is at most tol.
+    PoleNearPath at a node where the integrand is not finite; NonConvergent
+    when the roundoff floor is above tol, when the budget runs out (checked
+    before every call), or when an interval can no longer be split.
     """
     m = len(_GK_NODES)
     evals = _within_budget(2 * m * len(plan.invert))
     f, noise, cond = _chain_integrand(plan, coef, plan.rows, plan.first)
-    # fmax passes over a nan, as the comparison would
-    if np.fmax.reduce(cond[..., m:], axis=None) > 1.0 / _CLEARANCE:
+    if np.fmax.reduce(cond[..., m:], axis=None) > 1.0 / _CLEARANCE:  # fmax passes over nan
         near = cond[..., m:] > 1.0 / _CLEARANCE
-        row = near.any(axis=(0, 2)).argmax()
-        raise PoleNearPath(
-            f"denominator nearly vanishes at t = {_FIRST_ROUND[:, m:][near[:, row]][0]:.4f}"
-        )
+        t = _FIRST_ROUND[:, m:][near[:, near.any(axis=(0, 2)).argmax()]][0]
+        raise PoleNearPath(f"denominator nearly vanishes at t = {t:.4f}")
     # the left halves of segments 0 .. n-1, then their right halves
     t, f, noise = plan.first_t, f.reshape(-1, m), noise.reshape(-1, m)
     value, err, floor = _gauss_kronrod_sums(f, noise, 0.25)
-    piece, lo, hi = plan.first_piece, plan.first_lo, plan.first_hi
+    piece, (lo, hi) = plan.first_piece, plan.first_bounds
     while True:
         total = err.sum()
-        if not math.isfinite(total):
-            bad = ~(np.isfinite(f) & np.isfinite(noise))
-            if bad.any():
-                raise PoleNearPath(f"the integrand is not finite at t = {t[bad][0]:.6g} of a segment")
+        bad = () if math.isfinite(total) else t[~(np.isfinite(f) & np.isfinite(noise))]
+        if len(bad):
+            raise PoleNearPath(f"the integrand is not finite at t = {bad[0]:.6g} of a segment")
         if total <= quad.tol:
             return IntegrationResult(
                 value=complex(value.sum()), error=float(total), evaluations=evals
@@ -685,23 +599,18 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
                 f" {_MIN_WIDTH:.1e} in the segment parameter"
             )
         # the parts, the first parts of all split intervals first
-        edges = left + _PARTS[:, None] * (right - left)
+        edges = left + np.arange(_SPLIT + 1)[:, None] / _SPLIT * (right - left)
         edges[-1] = right
         parts = np.concatenate([piece[split]] * _SPLIT)
         left, right = edges[:-1].ravel(), edges[1:].ravel()
         half = (right - left) / 2.0
         t = ((right + left) / 2.0)[:, None] + half[:, None] * _GK_NODES
         f, noise, _ = _chain_integrand(plan, coef, parts, _path(plan, parts, t))
-        new_value, new_err, new_floor = _gauss_kronrod_sums(f, noise, half)
+        new = parts, *_gauss_kronrod_sums(f, noise, half), left, right
         keep = np.ones(len(piece), dtype=bool)
         keep[split] = False
-        piece, value, err, floor, lo, hi = (
-            np.concatenate((old[keep], new))
-            for old, new in (
-                (piece, parts), (value, new_value), (err, new_err), (floor, new_floor),
-                (lo, left), (hi, right),
-            )
-        )
+        old = piece, value, err, floor, lo, hi
+        piece, value, err, floor, lo, hi = (np.concatenate((a[keep], b)) for a, b in zip(old, new))
 
 
 def numeric_chain_integral(
@@ -714,30 +623,22 @@ def numeric_chain_integral(
     infinity), and all segments are integrated together, as one stacked
     integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator: the
     21-point Kronrod rule, exact to degree 31, with its embedded 10-point
-    Gauss rule for the error estimate.  What depends on the chain alone is
-    built once: the chain keeps its dimension and the bits of its segments
-    (``ChainSpec``), and a plan cached per chain and shape of the chart
-    (``_chain_plan``), which the samples of a finite-difference certificate
-    share, keeps the paths, the charts and the first round's x, |x|, x**low
-    factors and dx/dt.  A call reads the section's chart coefficients into
-    one row per segment with their moduli (``_chart``), and the integrator
-    starts from both halves of every segment, evaluated with the
-    pole-clearance scan of every path by one call of the integrand.  So a
-    chain that meets tol at once takes 42 evaluations per segment, and
-    costs the coefficient rows, one Horner evaluation of numerator,
-    denominator and their moduli, one pass of the interval sums and two
-    sums over the intervals.  Each later round splits the intervals of
-    largest error into ``_SPLIT`` = 8 equal parts, so a pole 1e-4 beside
-    the path takes 5 or 6 rounds.  It stops once the summed error estimate
-    is at most ``quad.tol``, so the returned error is never above tol; it
-    raises NonConvergent when tol is below the roundoff floor (eps times
-    the integral of |f| (50 + cond), cond the condition number of the
-    Horner sums, which grows like 1/distance beside a pole), when the
-    evaluation budget ``MAX_EVALS`` would run out (checked before every
-    call, the first included) or when an interval can no longer be split.
-    Raises DegeneracyError when a segment's dimension is not the section's,
+    Gauss rule for the error estimate.  The chain keeps its dimension and
+    bits (``ChainSpec``), and a plan cached per chain and chart shape
+    (``_chain_plan``) its paths, charts and first-round x, |x|, x**low and
+    dx/dt.  A call builds a row of chart coefficients and moduli per segment
+    and takes both halves of every segment, and the pole-clearance scan of
+    its path, in one Horner pass over values and moduli, one pass of the
+    interval sums and two sums over them: 42 evaluations per segment when
+    that meets tol.  Each later round splits the intervals of largest error
+    into ``_SPLIT`` = 8; a pole 1e-4 beside the path takes 5 or 6 rounds.
+    The returned error is at most ``quad.tol``.  NonConvergent when tol is
+    below the roundoff floor (eps times the integral of |f| (50 + cond),
+    cond the condition number of the Horner sums), when the budget
+    ``MAX_EVALS`` would run out, or when an interval can no longer be
+    split; DegeneracyError when a segment's dimension is not the section's,
     DivergentAtBoundary when the integrand does not extend across a flagged
-    endpoint and PoleNearPath when the section nearly vanishes at one of
+    endpoint, and PoleNearPath when the section nearly vanishes at one of
     129 equally spaced parameters of a segment or the integrand is not
     finite at a node.
     """
@@ -759,20 +660,20 @@ def _chain_integral(s: SectionData, chain: ChainSpec, quad):
     dims, key = chain._key
     if dims - {s.A.dim}:
         raise DegeneracyError(
-            f"the chain's segments have dimension {min(dims)}, the section {s.A.dim}"
+            f"segments of dimension {sorted(dims)} on a section of dimension {s.A.dim}"
         )
     if not (top and key):
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
     with np.errstate(all="ignore"):  # a node on a pole is reported as such
         plan = _chain_plan(low - base, len(top), len(bottom), key)
-        # the rows' chart coefficients, highest degree first: inverting the
-        # chart reverses both and negates the numerator's
+        # the rows' chart coefficients, highest degree first (inverting the
+        # chart reverses both and negates the numerator's), over their
+        # moduli by libm's hypot, as Python's abs takes them: numpy's
+        # complex modulus can differ from it in the last bit
         charts = top + bottom, [-c if c else c for c in reversed(top)] + bottom[::-1]
         rows = [c for inv in plan.invert for c in charts[inv]]
-        # over their moduli by libm's hypot, as Python's abs takes them;
-        # numpy's complex modulus can differ from it in the last bit
-        coef = np.array(rows + [abs(c) for c in rows], dtype=complex).reshape(2, len(plan.invert), -1)
-        return _adaptive_gauss_kronrod(plan, coef, quad)
+        coef = np.array(rows + [abs(c) for c in rows], dtype=complex)
+        return _adaptive_gauss_kronrod(plan, coef.reshape(2, len(plan.invert), -1), quad)
 
 
 # -- residues ---------------------------------------------------------------------
@@ -872,15 +773,13 @@ def _central_stencil(derivative):
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_stencil(orders):
-    """The tensor product of the central stencils of the derivative
-    ``orders``: the nodes of each axis, the products of their integer
-    weights, the product of their common denominators, and the sum of the
-    |weight products| over it."""
-    nodes, axes, scales = zip(*map(_central_stencil, orders))
+def _tensor_stencil(w):
+    """Nodes per axis, integer weight products, their denominator, the sum of
+    |weight products| over it and the order |w| of the stencil of ``w``."""
+    nodes, axes, scales = zip(*map(_central_stencil, w))
     weights = [math.prod(ws) for ws in itertools.product(*axes)]
     norm = math.prod(sum(map(abs, ws)) / d for ws, d in zip(axes, scales))
-    return nodes, weights, math.prod(scales), norm
+    return nodes, weights, math.prod(scales), norm, sum(w)
 
 
 @dataclass(frozen=True)
@@ -931,8 +830,7 @@ def _exact_sum(values, weights, denominator):
     # weights are integers over one common denominator.  So stencil
     # identities like "sum of weights is zero" hold exactly and directions
     # the function does not depend on contribute no rounding noise; one
-    # correctly rounded division per part ends the sum.  Both parts share
-    # one power of two as the common denominator of their samples.
+    # correctly rounded division per part ends the sum.
     ratios = [x.as_integer_ratio() for v in values for x in (v.real, v.imag)]
     scale = max(d for _, d in ratios)
     ints = [n * (scale // d) for n, d in ratios]
@@ -952,17 +850,14 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
     extrapolation.  ``F`` takes a coefficient tuple and returns a finite
     complex value, else StencilOutOfDomain, as when it raises; ``a0`` holds
     one finite coefficient per variable of the system, else ValueError
-    before any sample is taken.
-
-    Each stencil point is sampled once per certificate, whichever operators
-    and steps read it: the node 2k at h/2 is the node k at h.  The observed
-    order is None when either residual lies at or below its rounding floor:
-    eps * max|sample| over the samples the operator read at that step, times
-    the sum over the operator's terms of |coefficient * monomial| * (sum of
-    |stencil weight products|) / step^|w|, the size of the last-bit errors of
-    the samples after the stencils have amplified them.  Each report keeps
-    both floors (``floor``, ``floor_refined``), and its ``holds(tol)`` is
-    the certificate's verdict for that operator.
+    before any sample is taken.  Each stencil point is sampled once per
+    certificate (the node 2k at h/2 is the node k at h), and each
+    operator's terms and stencils are built once.  The observed order is
+    None when either residual lies at or below its rounding floor: eps *
+    max|sample| over the samples the operator read at that step, times the
+    sum over its terms of |coefficient * monomial| * (sum of |stencil weight
+    products|) / step^|w|.  Each report keeps both floors, and its
+    ``holds(tol)`` is the certificate's verdict for that operator.
     """
     if not _is_size(h):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
@@ -989,7 +884,7 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
 
     def residual_at(terms, step):
         total, gain, size = 0j, 0.0, 0.0
-        for coeff, (nodes, weights, denominator, norm), order in terms:
+        for coeff, (nodes, weights, denominator, norm, order) in terms:
             # the stencil's points at this step
             coords = ([a + step * o for o in ns] for a, ns in zip(a0, nodes))
             values = [sample(point) for point in itertools.product(*coords)]
@@ -1002,14 +897,10 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
     reports = []
     for op in spec.operators:
         # once per certificate: the operator's terms in sorted order, each
-        # with its coefficient times its monomial at a0, its tensor-product
-        # stencil and its derivative order |w|
+        # its coefficient times its monomial at a0 with its stencil
         terms = [
-            (
-                float(oc) * math.prod((a0[j] ** uj for j, uj in enumerate(u) if uj), start=1.0 + 0j),
-                _tensor_stencil(w),
-                sum(w),
-            )
+            (float(oc) * math.prod((a0[j] ** e for j, e in enumerate(u) if e), start=1.0 + 0j),
+             _tensor_stencil(w))
             for (u, w), oc in sorted(op.constant_coefficients().items())
         ]
         (r1, floor1), (r2, floor2) = residual_at(terms, h), residual_at(terms, h / 2.0)

@@ -21,6 +21,8 @@ from .weyl import WeylElement, fourier_box
 
 # S-pairs and reduction steps one saturation may spend
 MAX_SATURATION_STEPS = 20_000
+# the chart exponents of the P1-unipotent family's basis (x^2, xy, y^2)
+UNIPOTENT_P1_POINTS = ((2,), (1,), (0,))
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,6 @@ def gkz_system(A: ExponentMatrix, beta) -> SystemSpec:
 def cy_beta(dim):
     """The Calabi-Yau parameter vector (1, 0, ..., 0) of length dim+1."""
     return (Fraction(1),) + (Fraction(0),) * dim
-
-
-# the chart exponents of the P1-unipotent family's basis (x^2, xy, y^2)
-UNIPOTENT_P1_POINTS = ((2,), (1,), (0,))
 
 
 def unipotent_p1_system() -> SystemSpec:
