@@ -6,12 +6,10 @@ as an exact constant-term series near a dominant interior monomial (g = 1
 only), and by trapezoidal quadrature on a product torus (spectrally
 accurate for analytic integrands).  Chain integrals over paths reaching the
 toric boundary are integrated in a chart in which the integrand extends
-holomorphically across the flagged endpoints (reaching infinity is handled
-by inverting the coordinate), all segments of a chain as one stacked
-integrand, by one global adaptive Gauss-Kronrod (10, 21) integrator
-(QUADPACK's dqk21 pair, the default rule of its QAGS driver);
-``numeric_chain_integral`` gives its cost, and a returned error is never
-above tol.
+holomorphically across the flagged endpoints (inverting the coordinate at
+infinity), a chain's segments as one stacked integrand, by one adaptive
+Gauss-Kronrod (10, 21) integrator (QUADPACK's dqk21 pair, the default rule
+of its QAGS driver); a returned error is never above tol.
 
 ``finite_difference_residual`` applies the operators of a system to any
 numerically sampled function of the coefficients with exact central
@@ -321,10 +319,8 @@ def _horner(columns, x, low=0):
     """
     value = columns[0]
     for i, c in enumerate(columns[1:]):
-        if i:  # the first product is a new array, which the rest update in place
-            value *= x
-        else:
-            value = value * x
+        # the first product is a new array, which the rest update in place
+        value = operator.imul(value, x) if i else value * x
         value += c
     return value * x**low if low else value
 
@@ -342,17 +338,26 @@ def _chart(s: SectionData):
     """
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
-    sigma, chart = max(0, -min(s.A.points)[0]), []
-    g = s.numerator_exponents or ((0,),), s.numerator_coeffs or (1 + 0j,)
-    for terms, coeffs, shift in ((*g, sigma - 1), (s.A.points, s.coeffs, sigma)):
-        (high,), (low,) = max(terms), min(terms)
-        poly = [0j] * (high - low + 1)
-        for (e,), c in zip(terms, coeffs):
-            poly[high - e] += c
-        chart += _trim(poly, low + shift)
+    chart, coeffs = [], (s.numerator_coeffs or (1 + 0j,), s.coeffs)
+    for (where, size, low), cs in zip(_chart_slots(s.A.points, s.numerator_exponents), coeffs):
+        poly = [0j] * size
+        for i, c in zip(where, cs):
+            poly[i] += c
+        chart += _trim(poly, low)
     if not chart[2]:
         raise DegeneracyError("section is identically zero")
     return chart
+
+
+@functools.lru_cache(maxsize=16)
+def _chart_slots(points, exponents):
+    # each coefficient's place below the highest degree of the numerator (of
+    # ``exponents``, or 1) and of the denominator, their lengths and lowest exponents
+    sigma, slots = max(0, -min(points)[0]), []
+    for terms, shift in ((exponents or ((0,),), sigma - 1), (points, sigma)):
+        (high,), (low,) = max(terms), min(terms)
+        slots.append(([high - e for (e,) in terms], high - low + 1, low + shift))
+    return slots
 
 
 def _trim(poly, low):
@@ -397,8 +402,7 @@ def _chain_plan(low, width, depth, key):
     n, m = len(rows), len(_GK_NODES)
     plan = SimpleNamespace(
         paths=paths, arcs=arcs, width=width, lows=lows, invert=invert.tolist(), rows=slice(None),
-        # the direct and the inverted chart of a chain have numerators of one
-        # width, but their lowest exponents can differ: each row keeps its own
+        # the charts' numerators share a width, not a lowest exponent: a row's own
         shifts=sorted(set(lows.tolist()) - {0}),
         first_t=np.repeat(_FIRST_ROUND[:, None, :m], n, axis=1).reshape(-1, m),
         first_piece=np.tile(np.arange(n), 2),
@@ -436,8 +440,7 @@ def _chain_integrand(plan, coef, piece, path):
     every x; the pole-clearance scan reads it against ``1 / _CLEARANCE``.
     """
     (x, dx, shifts), k = path, plan.width
-    # the coefficient columns, broadcasting over the path's axes before the rows
-    c = coef[:, piece].transpose(2, 0, 1)
+    c = coef[:, piece].transpose(2, 0, 1)  # columns over the path's axes before rows
     c = c.reshape(*c.shape[:2], *(1,) * (x.ndim - 3), c.shape[2], 1)
     den = _horner(c[k:], x)
     cond = den[1].real / np.abs(den[0])
@@ -447,9 +450,9 @@ def _chain_integrand(plan, coef, piece, path):
     for at, x_low in shifts:  # times x**low on the rows of that lowest exponent
         num = np.where(at, num * x_low[..., :n], num)
     top = num[0]
-    # the rounding error of f over eps: 50 |f| for the sums, plus |f| times the
-    # condition numbers sum |c_e| |x|^e / |p(x)| of numerator and denominator, large
-    # by a pole (Higham, "Accuracy and Stability of Numerical Algorithms", 5.1)
+    # the rounding error over eps: 50 |f| for the sums plus |f| times the condition
+    # numbers sum |c_e| |x|^e / |p(x)| of numerator and denominator, large by a
+    # pole (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, 5.1)
     noise = np.abs(dx / bottom)
     gain = cond[..., :n] + _ROUNDOFF
     gain *= np.abs(top)
@@ -659,9 +662,7 @@ def _chain_integral(s: SectionData, chain: ChainSpec, quad):
     top, low, bottom, base = _chart(s)
     dims, key = chain._key
     if dims - {s.A.dim}:
-        raise DegeneracyError(
-            f"segments of dimension {sorted(dims)} on a section of dimension {s.A.dim}"
-        )
+        raise DegeneracyError(f"chain of dimension {sorted(dims)}, section of dimension {s.A.dim}")
     if not (top and key):
         return IntegrationResult(value=0j, error=0.0, evaluations=0)
     with np.errstate(all="ignore"):  # a node on a pole is reported as such
@@ -850,14 +851,13 @@ def finite_difference_residual(spec, F, a0, h) -> FDReport:
     extrapolation.  ``F`` takes a coefficient tuple and returns a finite
     complex value, else StencilOutOfDomain, as when it raises; ``a0`` holds
     one finite coefficient per variable of the system, else ValueError
-    before any sample is taken.  Each stencil point is sampled once per
-    certificate (the node 2k at h/2 is the node k at h), and each
-    operator's terms and stencils are built once.  The observed order is
-    None when either residual lies at or below its rounding floor: eps *
-    max|sample| over the samples the operator read at that step, times the
-    sum over its terms of |coefficient * monomial| * (sum of |stencil weight
-    products|) / step^|w|.  Each report keeps both floors, and its
-    ``holds(tol)`` is the certificate's verdict for that operator.
+    before any sample is taken.  Each stencil point is sampled once (the node
+    2k at h/2 is the node k at h), each operator's terms and stencils built
+    once.  The observed order is None when either residual lies at or below
+    its rounding floor: eps * max|sample| over the samples the operator read
+    at that step, times the sum over its terms of |coefficient * monomial| *
+    (sum of |stencil weight products|) / step^|w|.  Each report keeps both
+    floors; its ``holds(tol)`` is the certificate's verdict for the operator.
     """
     if not _is_size(h):
         raise ValueError(f"the step h must be a positive finite number, got {h!r}")
