@@ -571,9 +571,7 @@ def _adaptive_gauss_kronrod(plan, coef, quad: QuadratureSettings) -> Integration
         if len(bad):
             raise PoleNearPath(f"the integrand is not finite at t = {bad[0]:.6g} of a segment")
         if total <= quad.tol:
-            return IntegrationResult(
-                value=complex(value.sum()), error=float(total), evaluations=evals
-            )
+            return IntegrationResult(complex(value.sum()), float(total), evals)
         floor_sum = floor.sum()
         # the part of each interval's error that splitting can still reduce
         excess = err - floor
