@@ -425,8 +425,9 @@ def _path(plan, piece, t):
     np.exp(u, out=x, where=arc)
     x = c[0] * x
     size = np.abs(x)
-    lows = plan.lows[piece, None]
-    shifts = [(lows == low, np.array((x**low, size**low))) for low in plan.shifts]
+    shifts = [
+        (plan.lows[piece, None] == low, np.array((x**low, size**low))) for low in plan.shifts
+    ]
     return np.array((x, size)), np.where(arc, c[2] * x, c[3]), shifts
 
 
