@@ -171,7 +171,8 @@ class ChainSpec:
                 raise DegeneracyError("interior junctions must not carry boundary flags")
             if max(abs(x - y) for x, y in zip(a.end, b.start)) > 1e-9:
                 raise DegeneracyError("consecutive segments do not match at the junction")
-        # once per chain: its dimensions, and the plan's key: bits, as 0.0 == -0.0
+        # once per chain: its dimensions, and the plan's key, the bits of its
+        # non-null segments (0.0 and -0.0 compare equal but give other paths)
         live = [seg for seg in segs if not seg.is_null()]
         bits = [z for seg in live for z in seg.start + seg.end + seg.start_flags + seg.end_flags]
         bits = np.array(bits, dtype=complex).tobytes()
@@ -339,7 +340,8 @@ def _chart(s: SectionData):
     if s.A.dim != 1:
         raise DegeneracyError("chain integration is implemented for one-dimensional charts")
     chart, coeffs = [], (s.numerator_coeffs or (1 + 0j,), s.coeffs)
-    for (where, size, low), cs in zip(_chart_slots(s.A.points, s.numerator_exponents), coeffs):
+    slots = _chart_slots(s.A.points, tuple(map(tuple, s.numerator_exponents)))
+    for (where, size, low), cs in zip(slots, coeffs):
         poly = [0j] * size
         for i, c in zip(where, cs):
             poly[i] += c
@@ -441,7 +443,7 @@ def _chain_integrand(plan, coef, piece, path):
     every x; the pole-clearance scan reads it against ``1 / _CLEARANCE``.
     """
     (x, dx, shifts), k = path, plan.width
-    c = coef[:, piece].transpose(2, 0, 1)  # columns over the path's axes before rows
+    c = coef[:, piece].transpose(2, 0, 1)  # a column per degree, broadcast over x
     c = c.reshape(*c.shape[:2], *(1,) * (x.ndim - 3), c.shape[2], 1)
     den = _horner(c[k:], x)
     cond = den[1].real / np.abs(den[0])

@@ -1152,6 +1152,13 @@ class TestGeneralType:
             numerator_coeffs=tuple(b),
         )
 
+    def test_numerator_exponents_as_lists(self):
+        # the chart's slots are cached per exponent set: lists work as tuples do
+        lists = SectionData(A=self.A, coeffs=self.coeffs, numerator_exponents=[[0], [1]],
+                            numerator_coeffs=[1.0, 0.5])
+        res = general_type_integral(lists, self.chain, TIGHT)
+        assert res == general_type_integral(self.section((1.0, 0.5)), self.chain, TIGHT)
+
     def test_zero_numerator(self):
         res = general_type_integral(self.section((0, 0)), self.chain, TIGHT)
         assert res.value == 0
