@@ -487,6 +487,8 @@ _KRONROD_HALF = (
      0.295524224714752870173892994651338),
     (0.0, 0.149445554002916905664936468389821, 0.0),
 )
+# rows of the transposed table, so strided views: `a @ w` on a contiguous
+# copy differs in the last bit for some a, and the pinned chain bits with it
 _GK_NODES, _GK_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [np.array(_KRONROD_HALF[:-1]) * (-1, 1, 1), _KRONROD_HALF[::-1]]
 ).T

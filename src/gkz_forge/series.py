@@ -7,48 +7,32 @@ rational (``int`` or ``Fraction``) coefficient, so ranks and annihilation
 are decided exactly.
 
 * ``frobenius_basis`` (the Frobenius method of Hosono, Klemm, Theisen and
-  Yau, hep-th/9406055) deforms the exponent to ``gamma + eps*direction``
-  and works with ratios of gamma values at integer shifts, which are
-  rational functions of ``eps``.  It expands them as exact eps-jets of
-  order ``vol - 1``, the coefficients of ``eps^0 .. eps^(vol-1)`` as Python
-  ints over one positive denominator, and extracts the logarithmic
-  solutions as their eps-power coefficients, each made a ``Fraction`` once.
-  Jets occur only here and in ``periods.torus_period_series``, which reads
-  the same tables at jet order 0.  Each coordinate keeps one prefix table
-  of ratios over the window's shifts, built one integer linear factor at a
-  time, so a coefficient is a product of table entries.  One search over
-  (base exponent, kernel basis vector) pairs serves every kernel rank, its
-  coefficients independent by construction (``frobenius_basis``); the
-  lattice window, not the rank, is capped (``lattice.MAX_WINDOW``).
+  Yau, hep-th/9406055) deforms the exponent along a kernel vector by
+  ``eps`` and reads the basis off exact eps-jets of ratios of gamma values
+  at integer shifts: one prefix table per coordinate (``_ratio_table``,
+  which ``periods.torus_period_series`` reads at jet order 0), Python ints
+  over one positive denominator.  Terms that share a value share one
+  ``Fraction`` object (``_eps_coefficients``).
 * A series keeps its integer form on the instance, built on first use:
   int64 offset and log-index columns beside an object column of
-  Python-int numerators over ``D``, the lcm of the reduced denominators.
-  The rational-coefficient check runs once, when it is built.
+  Python-int numerators over ``D``, the lcm of the reduced denominators,
+  one numerator per distinct coefficient object (``render`` likewise makes
+  one text per object).  The rational-coefficient check runs when the form
+  is built.
 * ``annihilate_check`` and ``apply_operator`` share one columnar integer
-  kernel, one pass per series for every operator.  An image is keyed by
-  one mixed-radix code of (operator, offset, log index), so a shift or a
-  log lowering is one integer add.  Each derivative pattern of the
-  operators' terms expands the rows once; every expanded row carries a
-  small factor (operator coefficient times derivative columns), summed in
-  int64 per (row, image) when an exact bound allows, so each surviving
-  pair costs one big-integer product.  The products are summed per image
-  by sorting, one block of rows at a time, and each nonzero total is
-  divided once.  Codes or factors that could leave int64 are Python ints
-  on the same path.
-* ``count_independent`` certifies independence for callers by a rank mod
-  the prime 2^31 - 1 of the integer forms, eliminated on int64 rows; clearing
-  denominators scales each row by a nonzero integer, so a full modular rank
-  is the rank over Q whatever the denominators.  A modular rank below the
-  row count falls back to exact rational elimination.
+  kernel, one pass per series for every operator (``_integer_images``);
+  ``count_independent`` certifies independence for callers by a rank mod
+  a prime of the integer forms, with exact elimination as the fallback.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,6 +120,14 @@ def _ratio_table(base, slope, lo, hi, order):
 # -- the series container -----------------------------------------------------
 
 
+def _distinct(values):
+    """The distinct objects among ``values`` and each value's object index."""
+    values = list(values)
+    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return [values[i] for i in first.tolist()], inverse
+
+
 def _int64_rows(tuples, shape):
     flat = np.fromiter(chain.from_iterable(tuples), dtype=np.int64, count=math.prod(shape))
     return flat.reshape(shape)
@@ -171,17 +163,19 @@ class LogSeries:
         return tuple(g + o for g, o in zip(self.gamma, offset))
 
     def _offset_groups(self):
-        """``(offset, terms)`` pairs in order of the offsets' 1-norm, then
-        lexicographically, each offset's terms ordered by log index."""
-        groups = {}
-        for kv in self.terms.items():
-            groups.setdefault(kv[0][0], []).append(kv)
+        """``(offset, [(log index, coefficient), ...])`` pairs by the offsets'
+        1-norm, then lexicographically, each offset's terms by log index."""
+        groups, last = {}, None
+        for (v, m), c in self.terms.items():
+            if v is not last:  # a basis stores each offset's terms in one run
+                group, last = groups.setdefault(v, []), v
+            group.append((m, c))
         order = sorted((sum(map(abs, v)), v) for v in groups)
-        return [(v, sorted(groups[v])) for _, v in order]
+        return [(v, sorted(groups[v], key=itemgetter(0))) for _, v in order]
 
     def sorted_terms(self):
         """``(key, coefficient)`` pairs by the 1-norm of the offset, then by key."""
-        return [kv for _, group in self._offset_groups() for kv in group]
+        return [((v, m), c) for v, group in self._offset_groups() for m, c in group]
 
     def evaluate(self, avec):
         """Numeric value at a point of the torus (principal branches).
@@ -232,38 +226,38 @@ class LogSeries:
             if not all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
                 c = next(c for c in values if not isinstance(c, (int, Fraction)))
                 raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
-            ratios = [c.as_integer_ratio() for c in values]
-            distinct = {d for _, d in ratios}
-            D = math.lcm(*distinct)
-            quotient = {d: D // d for d in distinct}
-            shape = (len(ratios), self.nvars)
+            # one ratio and one scaled numerator per distinct coefficient object
+            objects, inverse = _distinct(values)
+            ratios = [c.as_integer_ratio() for c in objects]
+            denominators = {d for _, d in ratios}
+            D = math.lcm(*denominators)
+            quotient = {d: D // d for d in denominators}
+            numerators = np.array([n * quotient[d] for n, d in ratios], dtype=object)
+            shape = (len(values), self.nvars)
             form = (
                 _int64_rows((v for v, _ in self.terms), shape),
                 _int64_rows((m for _, m in self.terms), shape),
-                np.array([n * quotient[d] for n, d in ratios], dtype=object),
+                numerators[inverse],
                 D,
             )
             object.__setattr__(self, "_integer", form)
         return form
 
     def scaled(self, factor):
-        return LogSeries(
-            gamma=self.gamma,
-            terms={k: c * factor for k, c in self.terms.items()},
-            lattice=self.lattice,
-            radius=self.radius,
-        )
+        products = {id(c): c * factor for c in _distinct(self.terms.values())[0]}
+        return replace(self, terms={k: products[id(c)] for k, c in self.terms.items()})
 
     def render(self):
         lines = ["gamma = (" + ", ".join(str(g) for g in self.gamma) + ")"]
+        texts = {id(c): str(c) for c in _distinct(self.terms.values())[0]}
         logs = {}  # log index -> its text
         for v, group in self._offset_groups():
             head = f"  offset ({', '.join(map(str, v))}) log ("
-            for (_, m), c in group:
+            for m, c in group:
                 text = logs.get(m)
                 if text is None:
                     text = logs[m] = ", ".join(map(str, m))
-                lines.append(f"{head}{text}) : {c}")
+                lines.append(f"{head}{text}) : {texts[id(c)]}")
         return "\n".join(lines)
 
 
@@ -321,18 +315,14 @@ def _ratio_jet_family(gamma0, slope, window, jet_order):
 
 
 def _compositions(total, support, nvars):
-    """Multi-indices with the given total, supported on ``support``."""
-    if total == 0:
-        yield (0,) * nvars
-        return
-    if not support:
-        return
-    first, rest = support[0], support[1:]
-    for head in range(total + 1):
-        for tail in _compositions(total - head, rest, nvars):
-            alpha = list(tail)
-            alpha[first] = head
-            yield tuple(alpha)
+    """Multi-indices with the given total, supported on ``support`` (not
+    empty), in lexicographic order: the bars of stars and bars ascending."""
+    k = len(support)
+    for bars in combinations(range(total + k - 1), k - 1):
+        alpha = [0] * nvars
+        for i, a, b in zip(support, (-1,) + bars, bars + (total + k - 1,)):
+            alpha[i] = b - a - 1
+        yield tuple(alpha)
 
 
 def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
@@ -342,8 +332,11 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
     factor ``a^(eps*slope)`` contributes ``prod_i (slope_i log a_i)^alpha_i /
     alpha_i!`` to the power ``eps^|alpha|``, so the eps^j coefficient carries
     the log multi-index ``alpha`` with the jet coefficient ``c_v[j - |alpha|]``.
-    Raises LimitExceeded, before enumerating any, when the family's offsets
-    times the multi-indices exceed ``MAX_LOG_TERMS``.
+    The factors are ints over one denominator, and the multi-indices with
+    one factor share one ``Fraction`` per offset and jet entry across all
+    the series (331 objects for the 3,809 terms of the quintic mirror's
+    order-8 basis).  Raises LimitExceeded, before enumerating any, when the
+    family's offsets times the multi-indices exceed ``MAX_LOG_TERMS``.
     """
     support = [i for i, s in enumerate(slope) if s != 0]
     # the multi-indices of total below count on the support
@@ -353,25 +346,33 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
             f"{len(family)} offsets times {indices} log multi-indices exceed"
             f" the supported cap of {MAX_LOG_TERMS}"
         )
-    logs = []  # (|alpha|, alpha, prod_i slope_i^alpha_i / alpha_i!)
+    # prod_i slope_i^alpha_i / alpha_i! over L = (count-1)!, which every
+    # prod_i alpha_i! of total below count divides
+    L = math.factorial(count - 1)
+    logs = []  # (|alpha|, alpha, index of its factor)
+    factors = {}  # distinct factor -> (its index, its lowest |alpha|)
     for total in range(count):
         for alpha in _compositions(total, support, len(gamma0)):
-            factor = Fraction(1)
-            for i in support:
-                if alpha[i]:
-                    factor *= Fraction(slope[i]) ** alpha[i] / math.factorial(alpha[i])
-            logs.append((total, alpha, factor))
-    # the log factors over one common denominator L
-    L = math.lcm(*(f.denominator for _, _, f in logs))
-    logs = [(total, alpha, f.numerator * (L // f.denominator)) for total, alpha, f in logs]
+            factor = L * math.prod(slope[i] ** alpha[i] for i in support)
+            factor //= math.prod(math.factorial(alpha[i]) for i in support)
+            logs.append((total, alpha, factors.setdefault(factor, (len(factors), total))[0]))
+    below = [sum(1 for t, _, _ in logs if t < n) for n in range(count + 1)]
     terms = [{} for _ in range(count)]
+    tails = [terms[j:] for j in range(count)]  # the eps^j .. eps^(count-1) series
     for _, v, (nums, den) in family:
         den *= L
-        for total, alpha, factor in logs:
-            for j in range(total, count):
-                c = nums[j - total]
-                if c:
-                    terms[j][(v, alpha)] = Fraction(c * factor, den)
+        # eps^(|alpha|+k) has c_v[k] * factor / den: one Fraction per (factor,
+        # k) from k = low, the first nonzero c_v[k], and None where c_v[k] = 0
+        low = next(k for k, c in enumerate(nums) if c)
+        shared = [
+            [Fraction(c * factor, den) if c else None for c in nums[low : count - total]]
+            for factor, (_, total) in factors.items()
+        ]
+        for total, alpha, f in logs[: below[count - low]]:
+            key = (v, alpha)
+            for series, c in zip(tails[total + low], shared[f]):
+                if c is not None:
+                    series[key] = c
     return [
         LogSeries(gamma=tuple(gamma0), terms=t, lattice=lattice, radius=radius)
         for t in terms
@@ -856,10 +857,7 @@ def count_independent(series_list) -> int:
     ncols = len(distinct)
     if _rank_mod_p(cleared, ncols) == len(series_list):
         return len(series_list)
-    rows = []
-    for cols, values in cleared:
-        row = [0] * ncols
-        for j, c in zip(cols.tolist(), values.tolist()):
-            row[j] = c
-        rows.append(row)
-    return intlinalg.rank(rows)
+    rows = np.zeros((len(cleared), ncols), dtype=object)
+    for row, (cols, values) in zip(rows, cleared):
+        row[cols] = values
+    return intlinalg.rank(rows.tolist())

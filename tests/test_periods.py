@@ -950,6 +950,13 @@ class TestAdaptiveGaussKronrod:
         assert abs(periods._GK_WEIGHTS @ x**32 - 2 / 33) > 1e-12
         assert abs(periods._GAUSS_WEIGHTS @ x**20 - 2 / 21) > 1e-6
 
+    def test_weight_tables_stay_strided_views(self):
+        # the pinned chain bits were taken with these layouts: a matrix
+        # product with a contiguous copy differs in the last bit for some
+        # inputs, so a refactor that copies the rows would move every hash
+        for w in (periods._GK_WEIGHTS, periods._GAUSS_WEIGHTS):
+            assert not w.flags.c_contiguous and w.base is not None
+
     def test_rule_matches_quadpack_qk21(self):
         # scipy's copy of QUADPACK's dqk21 table, read through its rule on
         # [-1, 1]: the integrand is the unit vector of its node, so the rule

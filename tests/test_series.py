@@ -310,6 +310,30 @@ class TestPinnedOutputs:
         assert _sha256(lines) == PERTURBED_REPORTS_SHA256
 
 
+    def test_quintic_basis_shares_its_coefficients(self, pinned_bases):
+        # one Fraction per distinct value: every log multi-index with one
+        # factor prod_i slope_i^alpha_i / alpha_i! shares one object per
+        # offset and jet entry (331 objects for 3,809 terms)
+        _, basis = pinned_bases[-1]
+        values = [c for s in basis for c in s.terms.values()]
+        assert 3 * len({id(c) for c in values}) < len(values)
+
+    def test_shared_and_copied_coefficients_agree(self):
+        # text and integer form are built once per distinct object; equal
+        # values in distinct objects must give the same results
+        shared = Fraction(-7, 12)
+        terms = {((v, -v), (m, 0)): shared for v in range(-2, 3) for m in range(3)}
+        terms[(0, 0), (0, 1)] = 5
+        one = series.LogSeries(gamma=(Fraction(1, 3), Fraction(-1, 3)), terms=terms)
+        copies = replace(one, terms={k: Fraction(c) for k, c in terms.items()})
+        assert len({id(c) for c in one.terms.values()}) == 2
+        assert len({id(c) for c in copies.terms.values()}) == len(terms)
+        assert one.render() == copies.render()
+        forms = [tuple(x.tolist() if hasattr(x, "tolist") else x for x in s._integer_form())
+                 for s in (one, copies)]
+        assert forms[0] == forms[1]
+
+
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
