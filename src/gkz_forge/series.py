@@ -349,30 +349,30 @@ def _eps_coefficients(gamma0, slope, family, lattice, radius, count):
     # prod_i slope_i^alpha_i / alpha_i! over L = (count-1)!, which every
     # prod_i alpha_i! of total below count divides
     L = math.factorial(count - 1)
-    logs = []  # (|alpha|, alpha, index of its factor)
-    factors = {}  # distinct factor -> (its index, its lowest |alpha|)
+    factors = {}  # distinct factor -> its index, in order of first appearance
+    blocks = []  # per total: its multi-indices, their factors' indices, the factors met
     for total in range(count):
-        for alpha in _compositions(total, support, len(gamma0)):
-            factor = L * math.prod(slope[i] ** alpha[i] for i in support)
-            factor //= math.prod(math.factorial(alpha[i]) for i in support)
-            logs.append((total, alpha, factors.setdefault(factor, (len(factors), total))[0]))
-    below = [sum(1 for t, _, _ in logs if t < n) for n in range(count + 1)]
+        alphas, coded = list(_compositions(total, support, len(gamma0))), []
+        for alpha in alphas:
+            factor = math.prod(map(pow, slope, alpha)) * L // math.prod(map(math.factorial, alpha))
+            coded.append(factors.setdefault(factor, len(factors)))
+        blocks.append((alphas, coded, len(factors)))
+    factors = list(factors)
     terms = [{} for _ in range(count)]
-    tails = [terms[j:] for j in range(count)]  # the eps^j .. eps^(count-1) series
     for _, v, (nums, den) in family:
         den *= L
-        # eps^(|alpha|+k) has c_v[k] * factor / den: one Fraction per (factor,
-        # k) from k = low, the first nonzero c_v[k], and None where c_v[k] = 0
         low = next(k for k, c in enumerate(nums) if c)
+        # one Fraction c_v[k] * factor / den per nonzero c_v[k] and factor met below count - k;
+        # eps^(t+k) takes it for each multi-index of total t with that factor, t ascending
         shared = [
-            [Fraction(c * factor, den) if c else None for c in nums[low : count - total]]
-            for factor, (_, total) in factors.items()
+            [Fraction(c * f, den) for f in factors[: blocks[count - 1 - k][2]]] if c else None
+            for k, c in enumerate(nums[:count])
         ]
-        for total, alpha, f in logs[: below[count - low]]:
-            key = (v, alpha)
-            for series, c in zip(tails[total + low], shared[f]):
-                if c is not None:
-                    series[key] = c
+        for t, (alphas, coded, _) in enumerate(blocks[: count - low]):
+            keys = [(v, alpha) for alpha in alphas]
+            for k in range(low, count - t):
+                if shared[k]:
+                    terms[t + k].update(zip(keys, map(shared[k].__getitem__, coded)))
     return [
         LogSeries(gamma=tuple(gamma0), terms=t, lattice=lattice, radius=radius)
         for t in terms

@@ -309,7 +309,6 @@ class TestPinnedOutputs:
         lines = [_report_text(r) for element in reports for r in element]
         assert _sha256(lines) == PERTURBED_REPORTS_SHA256
 
-
     def test_quintic_basis_shares_its_coefficients(self, pinned_bases):
         # one Fraction per distinct value: every log multi-index with one
         # factor prod_i slope_i^alpha_i / alpha_i! shares one object per
